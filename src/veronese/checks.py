@@ -221,7 +221,7 @@ def _char_p_point_equality():
         and report.witness is None
     )
     return ok, (
-        f"|V(F_2)| = {report.count_image}, |Zero(cert)(F_2)| = "
+        f"|image of F_2^n| = {report.count_image}, |Zero(cert)(F_2)| = "
         f"{report.count_zero_set}, witness {report.witness}"
     )
 

@@ -121,7 +121,7 @@ def _cmd_points(args) -> int:
     obj = jsonio.points_obj(report)
     lines = [
         f"set = {report.set_label}, mode = {report.mode}, r = {report.r}",
-        f"|V(F_{report.r})| = {report.count_image}",
+        f"|image of F_{report.r}^n| = {report.count_image}",
     ]
     if report.count_zero_set is not None:
         lines.append(f"|Zero(F_{report.r})| = {report.count_zero_set}")
@@ -289,7 +289,12 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument("--set", choices=("certificate", "ideal"), default="certificate")
     sp.add_argument("--mode", choices=("full-enumeration", "image-only"),
                     default="full-enumeration")
-    sp.add_argument("--budget", type=int, default=DEFAULT_ENUM_BUDGET)
+    sp.add_argument(
+        "--budget", type=int, default=DEFAULT_ENUM_BUDGET,
+        help="cap on what a full survey visits: the r^n pure-coordinate "
+             "fibre bases for --set certificate, the r^|T| points of F_r^|T| "
+             "for --set ideal",
+    )
     sp.set_defaults(fn=_cmd_points)
 
     sp = sub.add_parser("gluing", help="complete p-gluing tree for T")

@@ -4,15 +4,16 @@ characteristic p, with Frobenius verification and finite-field surveys.
 One binomial per non-pure coordinate: x_t^q minus the matching product
 of pure-power coordinates.  In characteristic p every quadratic
 generator has a p-power landing in the certificate ideal; over other
-prime fields exhaustive point enumeration hunts for zero-set points
-outside the parametrized image.
+prime fields point surveys hunt for zero-set points outside the
+parametrized image: the certificate's zero set is counted fibre by fibre
+over the pure coordinates, the quadratic ideal's by scanning F_r^|T|.
 """
 
 from __future__ import annotations
 
-import os
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
+from itertools import product
+from math import prod
 from typing import Optional
 
 from .combinatorics import (
@@ -159,17 +160,18 @@ def _image_set(params: VeroneseParams, field: PrimeField) -> frozenset:
         u[i] += 1
 
 
-def _survey_chunk(args):
-    compiled, r, m, powtab, image, start, stop = args
+def _zero_set_scan(compiled, r: int, m: int, image: frozenset):
+    """Count zero-set points of F_r^m and find the lex-first one off the
+    image, by brute evaluation of every point."""
+    maxe = max(
+        (e for binomial in compiled for _, fs in binomial for _, e in fs),
+        default=1,
+    )
+    powtab = [[pow(v, e, r) for e in range(maxe + 1)] for v in range(r)]
     point = [0] * m
-    k = start
-    rem = start
-    for i in range(m - 1, -1, -1):
-        point[i] = rem % r
-        rem //= r
     count = 0
     witness = None
-    while k < stop:
+    while True:
         ok = True
         for binomial in compiled:
             acc = 0
@@ -187,7 +189,6 @@ def _survey_chunk(args):
                 pt = tuple(point)
                 if pt not in image:
                     witness = pt
-        k += 1
         i = m - 1
         while i >= 0:
             point[i] += 1
@@ -195,41 +196,96 @@ def _survey_chunk(args):
                 break
             point[i] = 0
             i -= 1
-    return count, witness
+        if i < 0:
+            return count, witness
 
 
-def _zero_set_scan(compiled, r: int, m: int, image: frozenset, workers: int):
-    """Count zero-set points and find the lex-first one off the image."""
-    maxe = max(
-        (e for binomial in compiled for _, fs in binomial for _, e in fs),
-        default=1,
-    )
+def _triangular(binomials, m: int) -> tuple:
+    """Read binomials as x_t^e - (monomial in the free variables).
+
+    Returns ``(rows, free)``: rows are ``(t, e, factors)`` with factors
+    the ``(position, exponent)`` pairs of the tail, sorted by ``t``, and
+    free lists the positions no binomial solves for.  Raises ValueError
+    for any other shape.
+    """
+    rows = []
+    for g in binomials:
+        neg_one = g.ring.field.normalize(-1)
+        terms = g.raw_terms()
+        heads = [e for e, c in terms.items() if c == 1]
+        tails = [e for e, c in terms.items() if c == neg_one]
+        if len(terms) != 2 or neg_one == 1 or len(heads) != 1 or len(tails) != 1:
+            raise ValueError(f"{g.text()} is not a binomial x_t^e - m")
+        support = [(i, e) for i, e in enumerate(heads[0]) if e]
+        if len(support) != 1:
+            raise ValueError(f"{g.text()}: head is not a power of one variable")
+        (t, e), = support
+        rows.append((t, e, tuple((i, x) for i, x in enumerate(tails[0]) if x)))
+    rows.sort()
+    solved = {t for t, _, _ in rows}
+    if len(solved) != len(rows):
+        raise ValueError("two binomials solve for the same variable")
+    free = [i for i in range(m) if i not in solved]
+    for t, _, factors in rows:
+        if any(i in solved for i, _ in factors):
+            raise ValueError(f"the tail solving for x_{t} is not in the free variables")
+    return rows, free
+
+
+def _fibred_scan(rows, free, r: int, m: int, image: frozenset):
+    """Same answer as ``_zero_set_scan`` for a triangular system.
+
+    Over each vector c of free values the zero set is the product of
+    the e-th root lists of the tails m_t(c), taken in position order;
+    its size is the product of their lengths.  The lex-first point off
+    the image is the least, over fibres, of the first non-image point of
+    each fibre's lexicographic walk.
+    """
+    roots = {}
+    for e in {e for _, e, _ in rows}:
+        table = [[] for _ in range(r)]
+        for x in range(r):
+            table[pow(x, e, r)].append(x)
+        roots[e] = table
+    maxe = max((x for _, _, fs in rows for _, x in fs), default=1)
     powtab = [[pow(v, e, r) for e in range(maxe + 1)] for v in range(r)]
-    total = r**m
-    nchunks = max(workers * 4, 1)
-    size = max(total // nchunks, 1)
-    bounds = list(range(0, total, size))
-    if bounds[-1] != total:
-        bounds.append(total)
-    jobs = [
-        (compiled, r, m, powtab, image, bounds[i], bounds[i + 1])
-        for i in range(len(bounds) - 1)
-    ]
-    if workers > 1:
-        with ThreadPoolExecutor(max_workers=workers) as pool:
-            results = list(pool.map(_survey_chunk, jobs))
-    else:
-        results = [_survey_chunk(j) for j in jobs]
-    count = sum(c for c, _ in results)
-    witness = next((w for _, w in results if w is not None), None)
+    point = [0] * m
+    count = 0
+    witness = None
+    for c in product(range(r), repeat=len(free)):
+        for i, v in zip(free, c):
+            point[i] = v
+        lists = []
+        for t, e, factors in rows:
+            y = 1
+            for i, x in factors:
+                y = y * powtab[point[i]][x] % r
+            lst = roots[e][y]
+            if not lst:
+                break
+            lists.append(lst)
+        else:
+            count += prod(len(lst) for lst in lists)
+            idx = [0] * len(rows)
+            while True:
+                for (t, _, _), lst, k in zip(rows, lists, idx):
+                    point[t] = lst[k]
+                pt = tuple(point)
+                if witness is not None and pt >= witness:
+                    break
+                if pt not in image:
+                    witness = pt
+                    break
+                j = len(rows) - 1
+                while j >= 0:
+                    idx[j] += 1
+                    if idx[j] < len(lists[j]):
+                        break
+                    idx[j] = 0
+                    j -= 1
+                if j < 0:
+                    break
     return count, witness
-
-
-def _workers() -> int:
-    try:
-        return max(int(os.environ.get("VERONESE_THREADS", "1")), 1)
-    except ValueError:
-        return 1
 
 
 def point_survey(
@@ -237,9 +293,19 @@ def point_survey(
     r: int,
     mode: str = MODE_FULL,
     budget: int = DEFAULT_ENUM_BUDGET,
-    workers: Optional[int] = None,
 ) -> PointSetReport:
-    return _survey(cert.params, cert.binomials, "certificate", r, mode, budget, workers)
+    """Certificate survey; full enumeration fibres over the free (pure)
+    coordinates, so budget caps the r^n fibre bases visited."""
+    field = _survey_field(mode, r)
+    params = cert.params
+    if mode == MODE_IMAGE:
+        return _image_only(params, cert.binomials, "certificate", field)
+    m = params.cardinality()
+    rows, free = _triangular(cert.binomials, m)
+    _check_budget(r, len(free), budget, "fibre bases")
+    image = _image_set(params, field)
+    count, witness = _fibred_scan(rows, free, r, m, image)
+    return PointSetReport(params, r, "certificate", mode, len(image), count, witness)
 
 
 def full_ideal_point_survey(
@@ -247,40 +313,48 @@ def full_ideal_point_survey(
     r: int,
     mode: str = MODE_FULL,
     budget: int = DEFAULT_ENUM_BUDGET,
-    workers: Optional[int] = None,
 ) -> PointSetReport:
-    return _survey(
-        params, quadratic_generators(params), "ideal", r, mode, budget, workers
-    )
+    """Survey of the quadratic ideal B; full enumeration scans all of
+    F_r^|T|, so budget caps those r^|T| points."""
+    field = _survey_field(mode, r)
+    binomials = quadratic_generators(params)
+    if mode == MODE_IMAGE:
+        return _image_only(params, binomials, "ideal", field)
+    m = params.cardinality()
+    _check_budget(r, m, budget, "points of F_r^|T|")
+    image = _image_set(params, field)
+    count, witness = _zero_set_scan(_compiled(binomials, field), r, m, image)
+    return PointSetReport(params, r, "ideal", mode, len(image), count, witness)
 
 
-def _survey(params, binomials, label, r, mode, budget, workers) -> PointSetReport:
+def _survey_field(mode: str, r: int) -> PrimeField:
     if mode not in (MODE_FULL, MODE_IMAGE):
         raise ValueError(f"unknown mode {mode!r}")
-    field = PrimeField(r)
-    m = params.cardinality()
+    return PrimeField(r)
+
+
+def _check_budget(r: int, k: int, budget: int, what: str) -> None:
+    if r**k > budget:
+        raise BudgetExceededError(
+            f"{r}^{k} = {r**k} {what} exceeds the enumeration budget {budget}"
+        )
+
+
+def _image_only(params, binomials, label, field) -> PointSetReport:
+    r = field.r
     image = _image_set(params, field)
     compiled = _compiled(binomials, field)
-    if mode == MODE_IMAGE:
-        # sanity: the image always satisfies every binomial of the ideal
-        for pt in image:
-            for binomial in compiled:
-                acc = 0
-                for c, factors in binomial:
-                    t = c
-                    for i, e in factors:
-                        t = t * pow(pt[i], e, r) % r
-                    acc = (acc + t) % r
-                if acc:
-                    raise AssertionError(
-                        f"image point {pt} violates a binomial; content bookkeeping broken"
-                    )
-        return PointSetReport(params, r, label, mode, len(image), None, None)
-    total = r**m
-    if total > budget:
-        raise BudgetExceededError(
-            f"{r}^{m} = {total} points exceeds the enumeration budget {budget}"
-        )
-    nworkers = workers if workers is not None else _workers()
-    count, witness = _zero_set_scan(compiled, r, m, image, nworkers)
-    return PointSetReport(params, r, label, mode, len(image), count, witness)
+    # sanity: the image always satisfies every binomial of the ideal
+    for pt in image:
+        for binomial in compiled:
+            acc = 0
+            for c, factors in binomial:
+                t = c
+                for i, e in factors:
+                    t = t * pow(pt[i], e, r) % r
+                acc = (acc + t) % r
+            if acc:
+                raise AssertionError(
+                    f"image point {pt} violates a binomial; content bookkeeping broken"
+                )
+    return PointSetReport(params, r, label, MODE_IMAGE, len(image), None, None)

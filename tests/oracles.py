@@ -6,7 +6,7 @@ linear algebra or Groebner code paths beyond data types.
 
 from __future__ import annotations
 
-from itertools import combinations, product
+from itertools import combinations, combinations_with_replacement, product
 from math import gcd, prod
 
 import sympy
@@ -136,3 +136,36 @@ def symmetric_rank_le_one_count(r: int) -> int:
         if ok:
             count += 1
     return count
+
+
+def certificate_zero_count_closed_form(n: int, q: int, r: int) -> int:
+    """|Zero(x_t^q - prod_j x_jj..j^a_j(t))(F_r)| from the cyclic group F_r^*.
+
+    Sort the pure values c by their support S.  A non-pure x_t with
+    supp(a(t)) not inside S must be 0.  Otherwise m_t(c) is nonzero and
+    x^q = m_t(c) has g = gcd(q, r - 1) roots when m_t(c) lies in the
+    index-g subgroup, none otherwise.  Writing c_j = zeta^k_j, that is
+    sum_j a_j(t) k_j = 0 mod g, and each k mod g lifts to (r - 1)/g
+    discrete logs.  Hence
+
+        sum_S ((r - 1)/g)^|S| * K_S * g^N_S
+
+    with N_S the non-pure t supported inside S and K_S the solutions
+    k in (Z/g)^S of those N_S congruences.
+    """
+    g = gcd(q, r - 1)
+    nonpure = []
+    for t in combinations_with_replacement(range(n), q):
+        if len(set(t)) > 1:
+            nonpure.append([t.count(j) for j in range(n)])
+    total = 0
+    for size in range(n + 1):
+        for s in combinations(range(n), size):
+            inside = [a for a in nonpure if all(a[j] == 0 or j in s for j in range(n))]
+            kernel = sum(
+                1
+                for k in product(range(g), repeat=size)
+                if all(sum(a[j] * kj for j, kj in zip(s, k)) % g == 0 for a in inside)
+            )
+            total += ((r - 1) // g) ** size * kernel * g ** len(inside)
+    return total

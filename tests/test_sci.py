@@ -1,6 +1,5 @@
-import os
+import random
 from itertools import product
-from unittest import mock
 
 import pytest
 
@@ -8,7 +7,9 @@ import oracles
 from conftest import make_params
 from veronese import (
     BudgetExceededError,
+    Poly,
     PrimeField,
+    SciCertificate,
     build_certificate,
     certificate_groebner,
     full_ideal_point_survey,
@@ -20,7 +21,16 @@ from veronese import (
     verify_char_p,
 )
 from veronese.polys import mono_lcm
-from veronese.sci import MODE_FULL, MODE_IMAGE
+from veronese.sci import (
+    DEFAULT_ENUM_BUDGET,
+    MODE_FULL,
+    MODE_IMAGE,
+    _compiled,
+    _fibred_scan,
+    _image_set,
+    _triangular,
+    _zero_set_scan,
+)
 
 
 def test_certificate_frozen(params321):
@@ -204,11 +214,136 @@ def test_invalid_mode_rejected(params321):
         point_survey(build_certificate(params321), 3, mode="sample")
 
 
-def test_parallel_scan_is_deterministic(params321):
+def _brute(params, binomials, r):
+    field = PrimeField(r)
+    compiled = _compiled(binomials, field)
+    image = _image_set(params, field)
+    return _zero_set_scan(compiled, r, params.cardinality(), image)
+
+
+# every case of the grid with r^|T| <= 4 * 10^5
+SURVEY_GRID = [
+    ((3, 2, 1), 2), ((3, 2, 1), 3), ((3, 2, 1), 5), ((3, 2, 1), 7),
+    ((2, 3, 1), 7), ((2, 3, 1), 13),
+    ((2, 2, 2), 5), ((2, 2, 2), 7),
+    ((4, 2, 1), 3), ((2, 5, 1), 7), ((3, 3, 1), 2),
+]
+
+
+@pytest.mark.parametrize("nph,r", SURVEY_GRID)
+def test_fibred_survey_matches_brute_scan(nph, r):
+    params = make_params(*nph)
+    assert r ** params.cardinality() <= 4 * 10**5
+    cert = build_certificate(params)
+    report = point_survey(cert, r)
+    assert (report.count_zero_set, report.witness) == _brute(
+        params, cert.binomials, r
+    )
+
+
+def test_fibred_survey_matches_brute_scan_on_other_tails():
+    # same heads, random pure-variable tails: the zero set no longer
+    # contains the image, so the witness walk has to skip image points
+    # that sit anywhere in a fibre
+    rng = random.Random(7)
+    for (n, p, h), r in (((3, 2, 1), 5), ((2, 3, 1), 7), ((2, 2, 2), 5)):
+        params = make_params(n, p, h)
+        cert = build_certificate(params)
+        ring = cert.binomials[0].ring
+        pures = [pure_tuple(params, j) for j in range(1, n + 1)]
+        for _ in range(4):
+            binomials = []
+            for g in cert.binomials:
+                head = max(g.raw_terms(), key=g.raw_terms().get)
+                tail = ring.exps_of(
+                    [(v, rng.randrange(3)) for v in pures]
+                )
+                binomials.append(Poly(ring, {head: 1, tail: -1}))
+            report = point_survey(SciCertificate(params, tuple(binomials)), r)
+            assert (report.count_zero_set, report.witness) == _brute(
+                params, binomials, r
+            )
+
+
+def test_fibred_witness_walk_skips_deep_into_fibres():
+    # with every zero-set point but a few declared image points, the
+    # witness is the least of those few wherever they sit, including
+    # several in one fibre
+    rng = random.Random(11)
+    for (n, p, h), r in (((3, 2, 1), 5), ((2, 2, 2), 3), ((2, 3, 1), 7)):
+        params = make_params(n, p, h)
+        cert = build_certificate(params)
+        m = params.cardinality()
+        field = PrimeField(r)
+        gens = [g.map_field(field) for g in cert.binomials]
+        zero_set = [
+            pt for pt in product(range(r), repeat=m)
+            if all(g.evaluate(pt) == 0 for g in gens)
+        ]
+        compiled = _compiled(gens, field)
+        rows, free = _triangular(cert.binomials, m)
+        fibres = {}
+        for pt in zero_set:
+            fibres.setdefault(tuple(pt[i] for i in free), []).append(pt)
+        big = [f for f in fibres.values() if len(f) >= 4]
+        for k in (1, 2, 3, 4):
+            for dropped in (rng.sample(zero_set, k), rng.sample(rng.choice(big), k)):
+                image = frozenset(zero_set) - frozenset(dropped)
+                expected = (len(zero_set), min(dropped))
+                assert _fibred_scan(rows, free, r, m, image) == expected
+                assert _zero_set_scan(compiled, r, m, image) == expected
+
+
+def test_malformed_certificate_rejected(params321):
     cert = build_certificate(params321)
-    seq = point_survey(cert, 3, workers=1)
-    par = point_survey(cert, 3, workers=4)
-    assert seq == par
-    with mock.patch.dict(os.environ, {"VERONESE_THREADS": "3"}):
-        env = point_survey(cert, 3)
-    assert env == seq
+    ring = cert.binomials[0].ring
+    x12_sq = ring.exps_of([((1, 2), 2)])
+    x11x22 = ring.exps_of([((1, 1), 1), ((2, 2), 1)])
+    bad = [
+        # head is not a power of one variable
+        {ring.exps_of([((1, 2), 1), ((1, 3), 1)]): 1, x11x22: -1},
+        # wrong signs
+        {x12_sq: 1, x11x22: 1},
+        # three terms
+        {x12_sq: 1, x11x22: -1, ring.exps_of([((3, 3), 1)]): -1},
+        # the tail involves x13, which another binomial solves for
+        {x12_sq: 1, ring.exps_of([((1, 1), 1), ((1, 3), 1)]): -1},
+    ]
+    assert cert.binomials[0].raw_terms() == {x12_sq: 1, x11x22: -1}
+    for terms in bad:
+        binomials = (Poly(ring, terms),) + cert.binomials[1:]
+        with pytest.raises(ValueError):
+            point_survey(SciCertificate(params321, binomials), 3)
+    # two binomials solving for the same variable
+    twice = SciCertificate(params321, cert.binomials + cert.binomials[:1])
+    with pytest.raises(ValueError):
+        point_survey(twice, 3)
+
+
+def test_certificate_survey_past_the_scan_wall():
+    # 3^15 points of F_3^|T| exceed the default budget; 3^3 fibres do not
+    params = make_params(3, 2, 2)
+    assert 3 ** params.cardinality() > DEFAULT_ENUM_BUDGET
+    cert = build_certificate(params)
+    report = point_survey(cert, 3)
+    assert report.count_zero_set == 8247
+    assert report.count_zero_set == oracles.certificate_zero_count_closed_form(
+        3, 4, 3
+    )
+    assert report.count_image == 14
+    field = PrimeField(3)
+    w = report.witness
+    assert all(g.map_field(field).evaluate(w) == 0 for g in cert.binomials)
+    image = {
+        parametrize(params, u, field) for u in product(range(3), repeat=3)
+    }
+    assert w not in image
+
+
+def test_budget_names_the_count(params321):
+    with pytest.raises(BudgetExceededError, match=r"5\^3 = 125 fibre bases"):
+        point_survey(build_certificate(params321), 5, budget=124)
+    with pytest.raises(BudgetExceededError, match=r"5\^6 = 15625 points of F_r"):
+        full_ideal_point_survey(params321, 5, budget=15624)
+    report = point_survey(build_certificate(params321), 5, budget=125)
+    assert report.count_zero_set == 189
