@@ -2,170 +2,45 @@
 varieties: binomial generators, rewriting certificates, semigroup
 gluing, set-theoretic complete intersection verification over prime
 fields, Jacobian and covering-fiber checks, and cyclic group
-cohomology."""
+cohomology.
 
-from .cohomology import (
-    CohomologyTable,
-    CyclicAction,
-    admissible_multipliers,
-    cohomology_orders,
-    invariant_element,
-    prime_power_split,
-)
-from .combinatorics import (
-    VeroneseParams,
-    content_of,
-    exponent_of,
-    exponent_vectors,
-    index_tuples,
-    integer_ring,
-    parametrize,
-    polynomial_ring,
-    pure_tuple,
-    tuple_of,
-)
-from .fields import ZZ, IntegerRing, PrimeField, is_prime
-from .geometry import (
-    FiberReport,
-    JacobianReport,
-    RootOfUnityError,
-    fiber_check,
-    jacobian_rank,
-    matrix_rank_mod,
-)
-from .gluing import (
-    FreeNode,
-    GluedNode,
-    GluingNotFoundError,
-    GluingTree,
-    GluingWitness,
-    NoGluing,
-    SemigroupGens,
-    UndecidedError,
-    check_p_gluing,
-    completely_p_glued,
-    semigroup_member,
-    tree_depth,
-    tree_witnesses,
-    validate_witness,
-)
-from .groebner import (
-    GroebnerBasis,
-    PairLimitExceeded,
-    buchberger,
-    reduce,
-    s_polynomial,
-)
-from .lattice import (
-    IntMatrix,
-    SnfResult,
-    column_lattice_basis,
-    determinant,
-    lattice_contains,
-    lattice_intersection,
-    minimal_multiplier,
-    smith_normal_form,
-)
-from .polys import Monomial, Poly, PolyRing, frobenius_power
-from .sci import (
-    BudgetExceededError,
-    FrobeniusReport,
-    PointSetReport,
-    SciCertificate,
-    build_certificate,
-    certificate_groebner,
-    full_ideal_point_survey,
-    point_survey,
-    verify_char_p,
-)
-from .toric import (
-    RewriteCertificate,
-    RewriteStep,
-    TypeStarBinomial,
-    ZeroBinomialError,
-    binomial_in_ideal,
-    generators_over,
-    normalize_sign,
-    quadratic_generators,
-    rewrite,
-)
+The package exports the pipeline entry points; everything else is
+imported from its submodule."""
+
+from .cohomology import CyclicAction, cohomology_orders
+from .combinatorics import VeroneseParams, exponent_vectors, index_tuples, parametrize
+from .fields import PrimeField
+from .geometry import fiber_check, jacobian_rank
+from .gluing import SemigroupGens, completely_p_glued
+from .groebner import buchberger, reduce
+from .sci import build_certificate, full_ideal_point_survey, point_survey, verify_char_p
+from .toric import TypeStarBinomial, quadratic_generators, rewrite
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "BudgetExceededError",
-    "CohomologyTable",
-    "CyclicAction",
-    "FiberReport",
-    "FreeNode",
-    "FrobeniusReport",
-    "GluedNode",
-    "GluingNotFoundError",
-    "GluingTree",
-    "GluingWitness",
-    "GroebnerBasis",
-    "IntMatrix",
-    "IntegerRing",
-    "JacobianReport",
-    "Monomial",
-    "NoGluing",
-    "PairLimitExceeded",
-    "PointSetReport",
-    "Poly",
-    "PolyRing",
-    "PrimeField",
-    "RewriteCertificate",
-    "RewriteStep",
-    "RootOfUnityError",
-    "SciCertificate",
-    "SemigroupGens",
-    "SnfResult",
-    "TypeStarBinomial",
-    "UndecidedError",
+    # enumeration
     "VeroneseParams",
-    "ZZ",
-    "ZeroBinomialError",
-    "admissible_multipliers",
-    "binomial_in_ideal",
-    "buchberger",
-    "build_certificate",
-    "certificate_groebner",
-    "check_p_gluing",
-    "cohomology_orders",
-    "column_lattice_basis",
-    "completely_p_glued",
-    "content_of",
-    "determinant",
-    "exponent_of",
-    "exponent_vectors",
-    "fiber_check",
-    "frobenius_power",
-    "full_ideal_point_survey",
-    "generators_over",
     "index_tuples",
-    "integer_ring",
-    "invariant_element",
-    "is_prime",
-    "jacobian_rank",
-    "lattice_contains",
-    "lattice_intersection",
-    "matrix_rank_mod",
-    "minimal_multiplier",
-    "normalize_sign",
+    "exponent_vectors",
     "parametrize",
-    "point_survey",
-    "polynomial_ring",
-    "prime_power_split",
-    "pure_tuple",
+    "PrimeField",
+    # generators, rewriting, Groebner membership
     "quadratic_generators",
-    "reduce",
+    "TypeStarBinomial",
     "rewrite",
-    "s_polynomial",
-    "semigroup_member",
-    "smith_normal_form",
-    "tree_depth",
-    "tree_witnesses",
-    "tuple_of",
-    "validate_witness",
+    "buchberger",
+    "reduce",
+    # gluing, certificates, point surveys
+    "SemigroupGens",
+    "completely_p_glued",
+    "build_certificate",
     "verify_char_p",
+    "point_survey",
+    "full_ideal_point_survey",
+    # Jacobians, fibres, cohomology
+    "jacobian_rank",
+    "fiber_check",
+    "CyclicAction",
+    "cohomology_orders",
 ]

@@ -414,7 +414,3 @@ def run_check(name: str) -> CheckResult:
             ok, detail = fn()
             return CheckResult(name, ok, detail, time.perf_counter() - t0, budget)
     raise KeyError(f"unknown check {name!r}; known: {', '.join(CHECK_NAMES)}")
-
-
-def run_all() -> list:
-    return [run_check(name) for name in CHECK_NAMES]

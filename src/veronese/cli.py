@@ -80,7 +80,7 @@ def _cmd_rewrite(args) -> int:
     lines = [f"input: {tsb.poly().text()}", f"{len(cert)} steps"]
     for st in cert.steps:
         sign = "+" if st.sign > 0 else "-"
-        cof = monomial_text(st.cofactor.ring, st.cofactor.exps)
+        cof = monomial_text(st.quadratic.ring, st.cofactor)
         lines.append(f"  {sign} ({st.quadratic.text()}) * {cof}")
     _emit(args, obj, lines)
     return OK
@@ -291,9 +291,9 @@ def build_parser() -> argparse.ArgumentParser:
                     default="full-enumeration")
     sp.add_argument(
         "--budget", type=int, default=DEFAULT_ENUM_BUDGET,
-        help="cap on what a full survey visits: the r^n pure-coordinate "
+        help="cap on what a survey visits: the r^n pure-coordinate "
              "fibre bases for --set certificate, the r^|T| points of F_r^|T| "
-             "for --set ideal",
+             "for --set ideal, the r^n parameter vectors in image-only mode",
     )
     sp.set_defaults(fn=_cmd_points)
 

@@ -16,7 +16,7 @@ from itertools import combinations_with_replacement
 from math import comb
 
 from .fields import ZZ, PrimeField, is_prime
-from .polys import Monomial, PolyRing
+from .polys import PolyRing
 
 DEFAULT_Q_CAP = 16
 
@@ -62,18 +62,6 @@ class VeroneseParams:
         return comb(self.n + self.q - 1, self.q)
 
 
-def tuple_of(a: ExponentVector) -> IndexTuple:
-    """Weakly increasing tuple with multiplicity a_j of each value j."""
-    if not a or any((not isinstance(x, int)) or x < 0 for x in a):
-        raise ValueError(f"bad exponent vector {a!r}")
-    out = []
-    for j, m in enumerate(a, start=1):
-        out.extend([j] * m)
-    if not out:
-        raise ValueError("exponent vector must have positive degree")
-    return tuple(out)
-
-
 def exponent_of(t: IndexTuple, n: int) -> ExponentVector:
     """Multiplicity vector of a weakly increasing tuple over {1..n}."""
     if not t:
@@ -110,29 +98,13 @@ def pure_tuple(params: VeroneseParams, j: int) -> IndexTuple:
 
 
 @lru_cache(maxsize=None)
-def polynomial_ring(params: VeroneseParams, field, order: str = "degrevlex") -> PolyRing:
+def polynomial_ring(params: VeroneseParams, field) -> PolyRing:
     """Ambient ring with one variable per element of T."""
-    return PolyRing(field, index_tuples(params), order)
+    return PolyRing(field, index_tuples(params))
 
 
-def integer_ring(params: VeroneseParams, order: str = "degrevlex") -> PolyRing:
-    return polynomial_ring(params, ZZ, order)
-
-
-def content_of(m: Monomial, n: int) -> tuple:
-    """Total multiplicity each of u_1..u_n receives under substitution.
-
-    For a monomial in the x variables this is the exponent vector of its
-    pullback: the sum over variables of exponent times the variable's own
-    exponent vector.  Binomial membership in the toric ideal is exactly
-    equality of contents of the two monomials.
-    """
-    total = [0] * n
-    for v, e in m.items():
-        a = exponent_of(v, n)
-        for i in range(n):
-            total[i] += e * a[i]
-    return tuple(total)
+def integer_ring(params: VeroneseParams) -> PolyRing:
+    return polynomial_ring(params, ZZ)
 
 
 def parametrize(params: VeroneseParams, u, field: PrimeField) -> tuple:

@@ -225,12 +225,6 @@ def tree_witnesses(tree: GluingTree) -> list:
     return out
 
 
-def tree_depth(tree: GluingTree) -> int:
-    if isinstance(tree, FreeNode):
-        return 0
-    return 1 + max(tree_depth(tree.left), tree_depth(tree.right))
-
-
 def completely_p_glued(
     gens: SemigroupGens,
     p: int,

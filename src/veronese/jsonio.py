@@ -18,9 +18,9 @@ from .combinatorics import (
 )
 from .geometry import FiberReport, JacobianReport
 from .gluing import FreeNode, GluedNode, GluingTree, GluingWitness
-from .polys import Monomial, Poly
+from .polys import Exponents, Poly, PolyRing
 from .sci import FrobeniusReport, PointSetReport, SciCertificate
-from .toric import RewriteCertificate, RewriteStep, TypeStarBinomial
+from .toric import RewriteCertificate, TypeStarBinomial
 
 SCHEMA_VERSION = 1
 
@@ -33,12 +33,9 @@ def params_from_obj(obj: dict) -> VeroneseParams:
     return VeroneseParams(int(obj["n"]), int(obj["p"]), int(obj["h"]))
 
 
-def monomial_obj(m: Monomial) -> list:
-    return [[list(v), e] for v, e in m.items()]
-
-
-def monomial_from_obj(ring, obj) -> Monomial:
-    return ring.monomial([(tuple(v), int(e)) for v, e in obj])
+def monomial_obj(ring: PolyRing, exps: Exponents) -> list:
+    """[variable, exponent] pairs, zero exponents omitted."""
+    return [[list(v), e] for v, e in zip(ring.variables, exps) if e]
 
 
 def binomial_obj(g: Poly) -> dict:
@@ -46,22 +43,9 @@ def binomial_obj(g: Poly) -> dict:
     # r-1 over a prime field) counts as minus.  Over F_2 both terms land
     # in plus, which is the honest reading there.
     plus, minus = [], []
-    for m, c in g.terms().items():
-        (plus if c == g.ring.field.one else minus).append(m)
-    return {
-        "plus": [monomial_obj(m) for m in plus],
-        "minus": [monomial_obj(m) for m in minus],
-        "text": g.text(),
-    }
-
-
-def binomial_from_obj(ring, obj) -> Poly:
-    total = ring.zero()
-    for m in obj["plus"]:
-        total = total + monomial_from_obj(ring, m).as_poly()
-    for m in obj["minus"]:
-        total = total - monomial_from_obj(ring, m).as_poly()
-    return total
+    for e, c in g.raw_terms().items():
+        (plus if c == g.ring.field.one else minus).append(monomial_obj(g.ring, e))
+    return {"plus": plus, "minus": minus, "text": g.text()}
 
 
 def enumeration_obj(params: VeroneseParams) -> dict:
@@ -102,6 +86,7 @@ def type_star_from_obj(obj: dict) -> TypeStarBinomial:
 
 
 def rewrite_obj(cert: RewriteCertificate, binomial: Optional[Poly] = None) -> dict:
+    ring = integer_ring(cert.params)
     return {
         "schema_version": SCHEMA_VERSION,
         "params": params_obj(cert.params),
@@ -109,26 +94,12 @@ def rewrite_obj(cert: RewriteCertificate, binomial: Optional[Poly] = None) -> di
         "steps": [
             {
                 "quadratic": binomial_obj(st.quadratic),
-                "cofactor": monomial_obj(st.cofactor),
+                "cofactor": monomial_obj(ring, st.cofactor),
                 "sign": st.sign,
             }
             for st in cert.steps
         ],
     }
-
-
-def rewrite_from_obj(obj: dict) -> RewriteCertificate:
-    params = params_from_obj(obj["params"])
-    ring = integer_ring(params)
-    steps = tuple(
-        RewriteStep(
-            binomial_from_obj(ring, st["quadratic"]),
-            monomial_from_obj(ring, st["cofactor"]),
-            int(st["sign"]),
-        )
-        for st in obj["steps"]
-    )
-    return RewriteCertificate(params, steps)
 
 
 def frobenius_obj(report: FrobeniusReport) -> dict:

@@ -1,4 +1,4 @@
-"""Exact integer matrix algebra: Smith normal form and lattice queries.
+"""Exact integer matrix algebra: Smith normal form and lattice bases.
 
 Everything is plain Python ints, no floating point anywhere.  Lattices
 are given by integer matrices whose columns generate them.
@@ -7,8 +7,7 @@ are given by integer matrices whose columns generate them.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, lcm
-from typing import Iterable, Optional, Sequence
+from typing import Iterable, Sequence
 
 
 class IntMatrix:
@@ -36,32 +35,12 @@ class IntMatrix:
             raise ValueError("ragged columns")
         return cls(zip(*cs))
 
-    @classmethod
-    def identity(cls, n: int) -> "IntMatrix":
-        return cls([[int(i == j) for j in range(n)] for i in range(n)])
-
     @property
     def shape(self) -> tuple:
         return (len(self.rows), len(self.rows[0]))
 
     def col(self, j: int) -> tuple:
         return tuple(row[j] for row in self.rows)
-
-    def cols(self) -> list:
-        return [self.col(j) for j in range(self.shape[1])]
-
-    def transpose(self) -> "IntMatrix":
-        return IntMatrix(zip(*self.rows))
-
-    def mul(self, other: "IntMatrix") -> "IntMatrix":
-        m, k = self.shape
-        k2, n = other.shape
-        if k != k2:
-            raise ValueError("shape mismatch")
-        ocols = other.cols()
-        return IntMatrix(
-            [[sum(a * b for a, b in zip(row, col)) for col in ocols] for row in self.rows]
-        )
 
     def times_vec(self, v: Sequence[int]) -> tuple:
         if len(v) != self.shape[1]:
@@ -76,31 +55,6 @@ class IntMatrix:
 
     def __repr__(self) -> str:
         return "IntMatrix(" + ", ".join(str(list(r)) for r in self.rows) + ")"
-
-
-def determinant(a: IntMatrix) -> int:
-    """Exact determinant by fraction-free (Bareiss) elimination."""
-    m, n = a.shape
-    if m != n:
-        raise ValueError("determinant needs a square matrix")
-    w = [list(row) for row in a.rows]
-    sign = 1
-    prev = 1
-    for k in range(n - 1):
-        if w[k][k] == 0:
-            for i in range(k + 1, n):
-                if w[i][k]:
-                    w[k], w[i] = w[i], w[k]
-                    sign = -sign
-                    break
-            else:
-                return 0
-        for i in range(k + 1, n):
-            for j in range(k + 1, n):
-                w[i][j] = (w[i][j] * w[k][k] - w[i][k] * w[k][j]) // prev
-            w[i][k] = 0
-        prev = w[k][k]
-    return sign * w[n - 1][n - 1]
 
 
 @dataclass(frozen=True)
@@ -217,43 +171,6 @@ def smith_normal_form(a: IntMatrix) -> SnfResult:
 
     d = tuple(w[i][i] for i in range(limit))
     return SnfResult(d, IntMatrix(u), IntMatrix(v), IntMatrix(ui), IntMatrix(vi))
-
-
-def _coords(basis: IntMatrix, snf: SnfResult, v: Sequence[int]):
-    m, n = basis.shape
-    if len(v) != m:
-        raise ValueError("vector has wrong dimension")
-    return snf.u.times_vec(v)
-
-
-def lattice_contains(basis: IntMatrix, v: Sequence[int]) -> bool:
-    """Is v an integer combination of the columns of basis?"""
-    snf = smith_normal_form(basis)
-    c = _coords(basis, snf, v)
-    for i, ci in enumerate(c):
-        di = snf.d[i] if i < len(snf.d) else 0
-        if di == 0:
-            if ci:
-                return False
-        elif ci % di:
-            return False
-    return True
-
-
-def minimal_multiplier(basis: IntMatrix, v: Sequence[int]) -> Optional[int]:
-    """Least d >= 1 with d*v in the column lattice; None when v is not
-    even in the rational span."""
-    snf = smith_normal_form(basis)
-    c = _coords(basis, snf, v)
-    mult = 1
-    for i, ci in enumerate(c):
-        di = snf.d[i] if i < len(snf.d) else 0
-        if di == 0:
-            if ci:
-                return None
-        elif ci % di:
-            mult = lcm(mult, di // gcd(di, ci))
-    return mult
 
 
 def column_lattice_basis(a: IntMatrix) -> list:

@@ -2,20 +2,18 @@
 
 Variables are arbitrary sortable, hashable ids; in this package they are
 weakly increasing index tuples such as (1, 2).  A ring fixes the variable
-list (sorted ascending; the first-listed variable is largest in the term
-order) and a monomial order, and polynomials store terms as a dict from
-dense exponent tuples to nonzero coefficients.
+list (sorted ascending; the first-listed variable is largest in the
+degrevlex term order), and polynomials store terms as a dict from dense
+exponent tuples to nonzero coefficients.
 """
 
 from __future__ import annotations
 
 from typing import Iterable, Mapping, Sequence, Union
 
-from .fields import ZZ, IntegerRing, PrimeField
+from .fields import IntegerRing
 
 Exponents = tuple  # dense exponent tuple aligned with PolyRing.variables
-
-ORDERS = ("degrevlex", "lex")
 
 
 def variable_name(v) -> str:
@@ -27,18 +25,24 @@ def variable_name(v) -> str:
     return str(v)
 
 
+def _degrevlex_key(exps: Exponents):
+    """Sort key: key(a) > key(b) iff monomial a > monomial b."""
+    # graded, ties broken so the last differing exponent decides reversed
+    return (sum(exps), tuple(-x for x in reversed(exps)))
+
+
 class PolyRing:
     """Polynomial ring over a PrimeField or the integers.
 
-    Variables are stored sorted ascending and the term order treats the
-    first-listed variable as the largest.
+    Variables are stored sorted ascending and the degrevlex term order
+    treats the first-listed variable as the largest.
     """
 
-    __slots__ = ("field", "variables", "order", "_pos", "_key")
+    __slots__ = ("field", "variables", "_pos")
 
-    def __init__(self, field, variables: Iterable, order: str = "degrevlex"):
-        if order not in ORDERS:
-            raise ValueError(f"unknown monomial order {order!r}")
+    key = staticmethod(_degrevlex_key)
+
+    def __init__(self, field, variables: Iterable):
         vs = tuple(sorted(variables))
         if len(set(vs)) != len(vs):
             raise ValueError("duplicate variable ids")
@@ -46,16 +50,7 @@ class PolyRing:
             raise ValueError("need at least one variable")
         self.field = field
         self.variables = vs
-        self.order = order
         self._pos = {v: i for i, v in enumerate(vs)}
-        if order == "degrevlex":
-            self._key = _degrevlex_key
-        else:
-            self._key = _lex_key
-
-    def key(self, exps: Exponents):
-        """Sort key: key(a) > key(b) iff monomial a > monomial b."""
-        return self._key(exps)
 
     @property
     def nvars(self) -> int:
@@ -66,9 +61,6 @@ class PolyRing:
             return self._pos[v]
         except KeyError:
             raise ValueError(f"unknown variable id {v!r}") from None
-
-    def unit_exps(self) -> Exponents:
-        return (0,) * self.nvars
 
     def exps_of(self, pairs: Union[Mapping, Iterable]) -> Exponents:
         """Dense exponent tuple from (variable, exponent) pairs."""
@@ -81,24 +73,11 @@ class PolyRing:
             e[self.position(v)] += x
         return tuple(e)
 
-    def monomial(self, pairs: Union[Mapping, Iterable, Exponents]) -> "Monomial":
-        if isinstance(pairs, tuple) and len(pairs) == self.nvars and all(
-            isinstance(x, int) for x in pairs
-        ):
-            exps = pairs
-            if any(x < 0 for x in exps):
-                raise ValueError("negative exponent")
-        else:
-            exps = self.exps_of(pairs)
-        return Monomial(self, exps)
-
     def poly(self, terms: Mapping) -> "Poly":
-        """Polynomial from {Monomial|exps|pairs: coefficient}."""
+        """Polynomial from {exps|pairs: coefficient}."""
         acc: dict = {}
         for m, c in terms.items():
-            if isinstance(m, Monomial):
-                exps = m.exps
-            elif isinstance(m, tuple) and len(m) == self.nvars and all(
+            if isinstance(m, tuple) and len(m) == self.nvars and all(
                 isinstance(x, int) for x in m
             ):
                 exps = m
@@ -116,42 +95,23 @@ class PolyRing:
         return Poly(self, {})
 
     def one(self) -> "Poly":
-        return Poly(self, {self.unit_exps(): self.field.one})
-
-    def constant(self, c: int) -> "Poly":
-        c = self.field.normalize(c)
-        return Poly(self, {self.unit_exps(): c} if c else {})
-
-    def variable(self, v) -> "Poly":
-        e = [0] * self.nvars
-        e[self.position(v)] = 1
-        return Poly(self, {tuple(e): self.field.one})
+        return Poly(self, {(0,) * self.nvars: self.field.one})
 
     def with_field(self, field) -> "PolyRing":
-        return PolyRing(field, self.variables, self.order)
+        return PolyRing(field, self.variables)
 
     def __eq__(self, other: object) -> bool:
         return (
             isinstance(other, PolyRing)
             and other.field == self.field
             and other.variables == self.variables
-            and other.order == self.order
         )
 
     def __hash__(self) -> int:
-        return hash((self.field, self.variables, self.order))
+        return hash((self.field, self.variables))
 
     def __repr__(self) -> str:
-        return f"PolyRing({self.field!r}, {len(self.variables)} vars, {self.order})"
-
-
-def _degrevlex_key(exps: Exponents):
-    # graded, ties broken so the last differing exponent decides reversed
-    return (sum(exps), tuple(-x for x in reversed(exps)))
-
-
-def _lex_key(exps: Exponents):
-    return exps
+        return f"PolyRing({self.field!r}, {len(self.variables)} vars)"
 
 
 def mono_mul(a: Exponents, b: Exponents) -> Exponents:
@@ -173,49 +133,6 @@ def mono_div(a: Exponents, b: Exponents) -> Exponents:
 
 def mono_lcm(a: Exponents, b: Exponents) -> Exponents:
     return tuple(max(x, y) for x, y in zip(a, b))
-
-
-class Monomial:
-    """Power product in a fixed ring; exposes the sparse var -> exp view."""
-
-    __slots__ = ("ring", "exps")
-
-    def __init__(self, ring: PolyRing, exps: Exponents):
-        self.ring = ring
-        self.exps = exps
-
-    def items(self):
-        """(variable id, exponent) pairs, zero exponents omitted."""
-        return tuple(
-            (v, e) for v, e in zip(self.ring.variables, self.exps) if e
-        )
-
-    def degree(self) -> int:
-        return sum(self.exps)
-
-    def __mul__(self, other: "Monomial") -> "Monomial":
-        if other.ring != self.ring:
-            raise ValueError("mixed-ring monomials")
-        return Monomial(self.ring, mono_mul(self.exps, other.exps))
-
-    def divides(self, other: "Monomial") -> bool:
-        return mono_divides(self.exps, other.exps)
-
-    def as_poly(self) -> "Poly":
-        return Poly(self.ring, {self.exps: self.ring.field.one})
-
-    def __eq__(self, other: object) -> bool:
-        return (
-            isinstance(other, Monomial)
-            and other.ring == self.ring
-            and other.exps == self.exps
-        )
-
-    def __hash__(self) -> int:
-        return hash(self.exps)
-
-    def __repr__(self) -> str:
-        return monomial_text(self.ring, self.exps)
 
 
 def monomial_text(ring: PolyRing, exps: Exponents) -> str:
@@ -248,17 +165,8 @@ class Poly:
     def __len__(self) -> int:
         return len(self._terms)
 
-    def terms(self) -> dict:
-        """Mapping Monomial -> coefficient (a fresh dict)."""
-        return {Monomial(self.ring, e): c for e, c in self._terms.items()}
-
     def raw_terms(self) -> dict:
         return self._terms
-
-    def total_degree(self) -> int:
-        if not self._terms:
-            return -1
-        return max(sum(e) for e in self._terms)
 
     def leading(self) -> tuple:
         """(exponent tuple, coefficient) of the order-largest term."""
@@ -266,22 +174,6 @@ class Poly:
             raise ValueError("zero polynomial has no leading term")
         e = max(self._terms, key=self.ring.key)
         return e, self._terms[e]
-
-    def leading_monomial(self) -> Monomial:
-        return Monomial(self.ring, self.leading()[0])
-
-    def coefficient(self, m) -> int:
-        if isinstance(m, Monomial):
-            exps = m.exps
-        elif (
-            isinstance(m, tuple)
-            and len(m) == self.ring.nvars
-            and all(isinstance(x, int) for x in m)
-        ):
-            exps = m
-        else:
-            exps = self.ring.exps_of(m)
-        return self._terms.get(exps, 0)
 
     # -- arithmetic ---------------------------------------------------
 

@@ -22,7 +22,6 @@ from .combinatorics import (
     index_tuples,
     integer_ring,
     parametrize,
-    polynomial_ring,
     pure_tuple,
 )
 from .fields import PrimeField
@@ -295,11 +294,12 @@ def point_survey(
     budget: int = DEFAULT_ENUM_BUDGET,
 ) -> PointSetReport:
     """Certificate survey; full enumeration fibres over the free (pure)
-    coordinates, so budget caps the r^n fibre bases visited."""
+    coordinates, so budget caps the r^n fibre bases visited (and the r^n
+    parameter vectors in image-only mode)."""
     field = _survey_field(mode, r)
     params = cert.params
     if mode == MODE_IMAGE:
-        return _image_only(params, cert.binomials, "certificate", field)
+        return _image_only(params, cert.binomials, "certificate", field, budget)
     m = params.cardinality()
     rows, free = _triangular(cert.binomials, m)
     _check_budget(r, len(free), budget, "fibre bases")
@@ -315,11 +315,12 @@ def full_ideal_point_survey(
     budget: int = DEFAULT_ENUM_BUDGET,
 ) -> PointSetReport:
     """Survey of the quadratic ideal B; full enumeration scans all of
-    F_r^|T|, so budget caps those r^|T| points."""
+    F_r^|T|, so budget caps those r^|T| points (and the r^n parameter
+    vectors in image-only mode)."""
     field = _survey_field(mode, r)
     binomials = quadratic_generators(params)
     if mode == MODE_IMAGE:
-        return _image_only(params, binomials, "ideal", field)
+        return _image_only(params, binomials, "ideal", field, budget)
     m = params.cardinality()
     _check_budget(r, m, budget, "points of F_r^|T|")
     image = _image_set(params, field)
@@ -340,8 +341,9 @@ def _check_budget(r: int, k: int, budget: int, what: str) -> None:
         )
 
 
-def _image_only(params, binomials, label, field) -> PointSetReport:
+def _image_only(params, binomials, label, field, budget) -> PointSetReport:
     r = field.r
+    _check_budget(r, params.n, budget, "parameter vectors of F_r^n")
     image = _image_set(params, field)
     compiled = _compiled(binomials, field)
     # sanity: the image always satisfies every binomial of the ideal

@@ -16,25 +16,16 @@ from typing import Optional
 
 from .combinatorics import (
     VeroneseParams,
-    content_of,
     exponent_of,
     exponent_vectors,
     index_tuples,
     integer_ring,
 )
-from .polys import Monomial, Poly, PolyRing
+from .polys import Exponents, Poly, PolyRing
 
 
 class ZeroBinomialError(ValueError):
     """The two sides of the binomial are the same monomial."""
-
-
-def binomial_in_ideal(params: VeroneseParams, m1: Monomial, m2: Monomial) -> bool:
-    """Does m1 - m2 vanish under the substitution x_t -> u^t?
-
-    Equivalent to content equality; degrees must match as a consequence.
-    """
-    return content_of(m1, params.n) == content_of(m2, params.n)
 
 
 def normalize_sign(g: Poly) -> Poly:
@@ -144,10 +135,10 @@ class TypeStarBinomial:
 
 @dataclass(frozen=True)
 class RewriteStep:
-    """One telescoping move: sign * cofactor * quadratic."""
+    """One telescoping move: sign * x^cofactor * quadratic."""
 
     quadratic: Poly
-    cofactor: Monomial
+    cofactor: Exponents  # over integer_ring(params), like quadratic
     sign: int
 
 
@@ -161,7 +152,7 @@ class RewriteCertificate:
         ring = integer_ring(self.params)
         total = ring.zero()
         for st in self.steps:
-            total = total + st.quadratic * st.cofactor.as_poly() * st.sign
+            total = total + st.quadratic * ring.poly({st.cofactor: st.sign})
         return total
 
     def __len__(self) -> int:
@@ -224,8 +215,7 @@ def rewrite(binomial: TypeStarBinomial) -> RewriteCertificate:
                 sgn = -1
             cof = [(b, 1) for i, b in enumerate(cur) if i not in (k, l)]
             cof += [(b, 1) for b in spectators]
-            cofactor = ring.monomial(cof) if cof else ring.monomial(ring.unit_exps())
-            steps.append(RewriteStep(quad, cofactor, sgn))
+            steps.append(RewriteStep(quad, ring.exps_of(cof), sgn))
         cur[k], cur[l] = new_k, new_l
 
     return RewriteCertificate(params, tuple(steps))

@@ -36,6 +36,18 @@ def invariant_factors_minor_gcd(rows) -> list:
     return factors
 
 
+def matmul(a, b) -> tuple:
+    """Product of integer matrices given as sequences of rows."""
+    cols = list(zip(*b))
+    return tuple(
+        tuple(sum(x * y for x, y in zip(row, col)) for col in cols) for row in a
+    )
+
+
+def identity(n: int) -> tuple:
+    return tuple(tuple(int(i == j) for j in range(n)) for i in range(n))
+
+
 def snf_diagonal_sympy(rows) -> list:
     d = smith_normal_form(Matrix(rows))
     out = [abs(int(d[i, i])) for i in range(min(d.shape))]
@@ -52,6 +64,17 @@ def lattice_member_sympy(basis_cols, v) -> bool:
     return prod(snf_diagonal_sympy(b.tolist())) == prod(
         snf_diagonal_sympy(bv.tolist())
     )
+
+
+def content(variables, exps, n: int) -> tuple:
+    """Total multiplicity each of u_1..u_n receives when every index-tuple
+    variable t is replaced by u_t1 * ... * u_tq; a binomial lies in the
+    toric ideal exactly when its two monomials have equal content."""
+    total = [0] * n
+    for t, e in zip(variables, exps):
+        for j in t:
+            total[j - 1] += e
+    return tuple(total)
 
 
 def rank_mod_sympy(rows, r: int) -> int:

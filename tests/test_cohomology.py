@@ -2,10 +2,9 @@ from math import gcd
 
 import pytest
 
-from veronese import (
-    CyclicAction,
+from veronese import CyclicAction, cohomology_orders
+from veronese.cohomology import (
     admissible_multipliers,
-    cohomology_orders,
     invariant_element,
     prime_power_split,
 )
@@ -40,6 +39,14 @@ def test_action_validation():
     assert act.p == 3 and act.h == 2
     assert act.difference() == 3
     assert act.norm() == 0
+    # exactly the units with a^q = 1 mod q are accepted
+    for q in (4, 8, 9, 16, 25, 27):
+        for a in range(q):
+            if gcd(a, q) == 1 and pow(a, q, q) == 1:
+                assert CyclicAction(q, a).a == a
+            else:
+                with pytest.raises(ValueError):
+                    CyclicAction(q, a)
 
 
 def test_orders_frozen_tables():

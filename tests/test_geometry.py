@@ -7,14 +7,13 @@ import oracles
 from conftest import make_params
 from veronese import (
     PrimeField,
-    RootOfUnityError,
     fiber_check,
     index_tuples,
     jacobian_rank,
-    matrix_rank_mod,
     parametrize,
     quadratic_generators,
 )
+from veronese.geometry import RootOfUnityError, matrix_rank_mod
 
 
 def test_matrix_rank_mod_frozen():

@@ -2,22 +2,21 @@ import pytest
 
 import oracles
 from conftest import make_params
-from veronese import (
+from veronese import exponent_vectors
+from veronese.gluing import (
     FreeNode,
     GluedNode,
     GluingNotFoundError,
     GluingWitness,
     NoGluing,
     SemigroupGens,
+    UndecidedError,
     check_p_gluing,
     completely_p_glued,
-    exponent_vectors,
     semigroup_member,
-    tree_depth,
     tree_witnesses,
     validate_witness,
 )
-from veronese.gluing import UndecidedError
 
 
 def test_semigroup_gens_validation():
@@ -124,7 +123,12 @@ def test_completely_glued_quadratic_cone(params321):
     assert len(triples) == 3  # 6 generators peel down to a free triple
     for t1, t2, w in triples:
         assert validate_witness(t1, t2, 2, w)
-    assert tree_depth(tree) == 3
+    # each level peels one generator off into a free right leaf
+    node, depth = tree, 0
+    while isinstance(node, GluedNode):
+        assert isinstance(node.right, FreeNode)
+        node, depth = node.left, depth + 1
+    assert depth == 3
 
 
 def _leaves(tree):

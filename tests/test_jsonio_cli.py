@@ -1,3 +1,4 @@
+import hashlib
 import json
 import random
 
@@ -15,8 +16,6 @@ from veronese import (
     exponent_vectors,
     fiber_check,
     full_ideal_point_survey,
-    generators_over,
-    integer_ring,
     jacobian_rank,
     parametrize,
     point_survey,
@@ -26,10 +25,29 @@ from veronese import (
 )
 from veronese import jsonio
 from veronese.cli import main
+from veronese.combinatorics import integer_ring
+from veronese.toric import generators_over
 
 
 def _roundtrip(obj):
     return json.loads(json.dumps(obj))
+
+
+def _exps(ring, pairs):
+    assert all(e > 0 for _, e in pairs)
+    return ring.exps_of((tuple(v), e) for v, e in pairs)
+
+
+def _signed_terms(ring, doc):
+    """{exponents: +1 or -1} read back from a binomial document."""
+    out = {_exps(ring, m): 1 for m in doc["plus"]}
+    out.update({_exps(ring, m): -1 for m in doc["minus"]})
+    return out
+
+
+def _signs(g):
+    one = g.ring.field.one
+    return {e: 1 if c == one else -1 for e, c in g.raw_terms().items()}
 
 
 def test_params_roundtrip(params321):
@@ -49,9 +67,9 @@ def test_binomial_roundtrip_over_integers(params321):
     ring = integer_ring(params321)
     for g in quadratic_generators(params321):
         obj = _roundtrip(jsonio.binomial_obj(g))
-        assert jsonio.binomial_from_obj(ring, obj) == g
+        assert _signed_terms(ring, obj) == _signs(g)
         assert len(obj["plus"]) == 1 and len(obj["minus"]) == 1
-        assert isinstance(obj["text"], str)
+        assert obj["text"] == g.text()
 
 
 def test_binomial_roundtrip_over_prime_fields(params321):
@@ -60,16 +78,23 @@ def test_binomial_roundtrip_over_prime_fields(params321):
         ring = integer_ring(params321).with_field(field)
         for g in generators_over(params321, field):
             obj = _roundtrip(jsonio.binomial_obj(g))
-            assert jsonio.binomial_from_obj(ring, obj) == g
+            assert _signed_terms(ring, obj) == _signs(g)
+            # over F_2 the unit -1 is 1, so both terms are plus terms
+            assert len(obj["plus"]) == (2 if r == 2 else 1)
 
 
 def test_rewrite_certificate_roundtrip(params321):
     t = TypeStarBinomial(params321, ((1, 1), (2, 3), (3, 3)), (2, 3, 1, 4, 5, 6))
     cert = rewrite(t)
     obj = _roundtrip(jsonio.rewrite_obj(cert, t.poly()))
-    back = jsonio.rewrite_from_obj(obj)
-    assert back == cert
-    assert back.expansion() == t.poly()
+    ring = integer_ring(params321)
+    assert _signed_terms(ring, obj["input"]) == _signs(t.poly())
+    assert len(obj["steps"]) == len(cert) >= 1
+    for doc, st in zip(obj["steps"], cert.steps):
+        assert _signed_terms(ring, doc["quadratic"]) == _signs(st.quadratic)
+        assert _exps(ring, doc["cofactor"]) == st.cofactor
+        assert doc["sign"] == st.sign
+    assert cert.expansion() == t.poly()
 
 
 def test_type_star_from_obj(params321):
@@ -189,6 +214,12 @@ def test_cli_points_exit_codes(capsys):
         "--budget", "10",
     )
     assert code == 3
+    for which in ("certificate", "ideal"):
+        code, _ = run_cli(
+            capsys, "points", "--n", "3", "--p", "2", "--h", "1", "--r", "13",
+            "--set", which, "--mode", "image-only", "--budget", "1",
+        )
+        assert code == 3
 
 
 def test_cli_gluing(capsys):
@@ -252,3 +283,81 @@ def test_cli_deterministic_output(capsys):
     code1, out1 = run_cli(capsys, *argv)
     code2, out2 = run_cli(capsys, *argv)
     assert (code1, out1) == (code2, out2)
+
+
+_P321 = ("--n", "3", "--p", "2", "--h", "1")
+
+# argv of each case without --format; "@payload" is replaced by a file
+# holding the case's block-form binomial
+_FROZEN_ARGV = {
+    "enumerate": ("enumerate",) + _P321,
+    "generators": ("generators",) + _P321,
+    "generators-full": ("generators",) + _P321 + ("--full",),
+    "rewrite": ("rewrite",) + _P321 + ("--input", "@payload"),
+    "rewrite-cofactor": ("rewrite",) + _P321 + ("--input", "@payload"),
+    "certificate": ("certificate",) + _P321,
+    "verify-sci": ("verify-sci",) + _P321,
+    "points-certificate": ("points",) + _P321 + ("--r", "3"),
+    "points-ideal": ("points",) + _P321 + ("--r", "3", "--set", "ideal"),
+    "points-image-only": ("points",) + _P321 + ("--r", "5", "--mode", "image-only"),
+    "points-ideal-image-only": ("points",) + _P321
+    + ("--r", "5", "--set", "ideal", "--mode", "image-only"),
+    "gluing": ("gluing",) + _P321,
+    "jacobian": ("jacobian",) + _P321 + ("--r", "5", "--u", "1,1,1"),
+    "fibers": ("fibers",) + _P321 + ("--r", "5", "--u", "1,2,3"),
+    "cohomology": ("cohomology", "--q", "4", "--a", "3"),
+}
+
+_FROZEN_PAYLOADS = {
+    "rewrite": {"blocks": [[1, 1], [2, 3]], "sigma": [2, 3, 1, 4]},
+    "rewrite-cofactor": {"blocks": [[1, 1], [2, 3], [3, 3]],
+                         "sigma": [2, 3, 1, 4, 5, 6]},
+}
+
+# (case, format, exit code, SHA-256 of stdout)
+_FROZEN_DOCUMENTS = (
+    ("enumerate", "json", 0, "d4bf0fe44b46f2e5299b4d8822217441f7fba191036a1d65cb7762b513e11ac3"),
+    ("generators", "json", 0, "ddcbb9fa11c801c6946814cbe7c8e69ab03743a80317d8986d1e27a05d6127fd"),
+    ("generators-full", "json", 0, "ddcbb9fa11c801c6946814cbe7c8e69ab03743a80317d8986d1e27a05d6127fd"),
+    ("rewrite", "json", 0, "b2cf694486d7e50075a63936e5e2cf2a3611db7989b4e43636bd41ab6b8c057b"),
+    ("rewrite-cofactor", "json", 0, "f1a36389227dab816f8c7e3e7e30685a8a6348be7e62f24a3c8168086638bdc1"),
+    ("certificate", "json", 0, "49591e8b071c78e98ebcae21e33fb75e255b7c1390f1342d157adb93f4f6479f"),
+    ("verify-sci", "json", 0, "0a894881a888c88d26030af0db7315087251cee8843986afc96fc2a532ca3e77"),
+    ("points-certificate", "json", 1, "d212e9e1f75cd60dcefa95b13f787e175b1891cfd782dd39721e1e0bb2e4c20a"),
+    ("points-ideal", "json", 1, "f1f9f12f844d98d4b45860cea30d6ddeed6e5ee21054079233eb1c0d662552e9"),
+    ("points-image-only", "json", 0, "f9bbca4874a0d17e82886690f8a751145403a6fbcce998e7fdf1103877898438"),
+    ("points-ideal-image-only", "json", 0, "9cc7298f9bea68c0ceffacbd2a3e06f5d3a387ffda8cc511a692aae2600cd3d6"),
+    ("gluing", "json", 0, "c366a2dc8fbd7a5750ee65148a72b69fb244fffc92b2911e6b30c1112c53c299"),
+    ("jacobian", "json", 0, "a5005d3728db6cda24788afd04d16a68d79ee14b128c4a34cedf19052c278843"),
+    ("fibers", "json", 0, "26b60306871df85785a902bc3df7fa43b951b21db08ede3ac00e68cb63e542b8"),
+    ("cohomology", "json", 0, "1ccae81200d0aaf20afea761329c0dfd8521cfa8a49add6849d0b6158ef0e1c0"),
+    ("enumerate", "text", 0, "57c58386e52fcb9908e7a00cc0f29d5c62b43b761e3eb7064ccfd7e110ff30d3"),
+    ("generators", "text", 0, "132d76f4fffff1a10d7a6d6a3f24b86ae294786c392540e0710e7b3b9faa7cf8"),
+    ("generators-full", "text", 0, "132d76f4fffff1a10d7a6d6a3f24b86ae294786c392540e0710e7b3b9faa7cf8"),
+    ("rewrite", "text", 0, "cc1c41189e60f7ac83e3809bad33c88f39428aa21d952cf3a58fa8314957dc98"),
+    ("rewrite-cofactor", "text", 0, "6fac0182855595b90886a14236406ef14412716dbd2b75b95c25e38ecb41b15b"),
+    ("certificate", "text", 0, "6f2b8f61a8556d2a389d69a1a7cb1e658afde5c42c457b92bd5a4e9a92aa634a"),
+    ("verify-sci", "text", 0, "e99fcaf98c3a4e0aef8a123a24cd22d9b7b3614d052319feea0ec5858d375a98"),
+    ("points-certificate", "text", 1, "179047c7ad147721cc70b1ffc177dcd489be480a293a8c0c7ae093c94510d381"),
+    ("points-ideal", "text", 1, "4785d9e814baf1342b0526a3b8148c826e7bb6365987843e1d77919f4d38b8b6"),
+    ("points-image-only", "text", 0, "206ef8b29e8fdf188279a10d6eb32a1d2ec4a9076fc131b71fa0b7135a5e43c1"),
+    ("points-ideal-image-only", "text", 0, "e10e3ed94b82fee1ee742df37487e364e86244ec9a7f1023f67ac7d75f825a27"),
+    ("gluing", "text", 0, "393472aa4e0af601dbfb7f79d5ce4f017d7759e576153d40f8e474c52d1119b8"),
+    ("jacobian", "text", 0, "1a4f16f7e8ac449d1ab87a35a9ce1d8a196189f4f4af49216dc1f88f9d7d4209"),
+    ("fibers", "text", 0, "98c3b61d60896b919c35dbb88c3d45dd2aed1320f6f0b46cee23e20ed5e78daa"),
+    ("cohomology", "text", 0, "4d4abccf028a9fdb5ef60a29386f37d752fbe52e921f23bf2bd0670a721bfbfd"),
+)
+
+
+@pytest.mark.parametrize(
+    "case,fmt,code,digest", _FROZEN_DOCUMENTS,
+    ids=[f"{case}-{fmt}" for case, fmt, _, _ in _FROZEN_DOCUMENTS],
+)
+def test_cli_documents_frozen(tmp_path, capsys, case, fmt, code, digest):
+    argv = list(_FROZEN_ARGV[case])
+    if "@payload" in argv:
+        path = tmp_path / "binomial.json"
+        path.write_text(json.dumps(_FROZEN_PAYLOADS[case]))
+        argv[argv.index("@payload")] = str(path)
+    got_code, out = run_cli(capsys, "--format", fmt, *argv)
+    assert (got_code, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)

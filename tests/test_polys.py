@@ -2,20 +2,18 @@ import random
 
 import pytest
 
-from veronese import (
-    ZZ,
-    PolyRing,
-    PrimeField,
-    frobenius_power,
-    is_prime,
-)
-from veronese.polys import variable_name
+from veronese.fields import ZZ, PrimeField, is_prime
+from veronese.polys import PolyRing, frobenius_power, variable_name
 
 VARS = ((1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3))
 
 
-def ring_over(field, order="degrevlex"):
-    return PolyRing(field, VARS, order)
+def ring_over(field):
+    return PolyRing(field, VARS)
+
+
+def var(ring, v):
+    return ring.poly({((v, 1),): 1})
 
 
 def random_poly(rng, ring, max_terms=4, max_exp=3):
@@ -56,13 +54,10 @@ def test_variable_names():
 
 def test_order_conventions():
     rd = ring_over(PrimeField(5))
-    rl = ring_over(PrimeField(5), "lex")
     x11x22 = rd.exps_of([((1, 1), 1), ((2, 2), 1)])
     x12sq = rd.exps_of([((1, 2), 2)])
     # graded reverse-lex ranks the squared middle variable higher
     assert rd.key(x12sq) > rd.key(x11x22)
-    # plain lex ranks by the earliest variable
-    assert rl.key(x11x22) > rl.key(x12sq)
     # degree dominates in degrevlex
     cube = rd.exps_of([((3, 3), 3)])
     assert rd.key(cube) > rd.key(x12sq)
@@ -134,11 +129,11 @@ def test_monic_and_map_field():
     f = ring.poly({(((1, 1), 1),): 3, (((2, 2), 1),): 1})
     m = f.monic()
     assert m.leading()[1] == 1
-    assert m * ring.constant(3) == f
+    assert m * 3 == f
     zz = ring_over(ZZ)
     g = zz.poly({(((1, 1), 1),): 7, (((2, 2), 1),): -1})
     g5 = g.map_field(PrimeField(5))
-    assert g5.coefficient(ring.exps_of([((1, 1), 1)])) == 2
+    assert g5 == ring.poly({(((1, 1), 1),): 2, (((2, 2), 1),): 4})
 
 
 def test_pow_matches_repeated_multiplication():
@@ -168,7 +163,7 @@ def test_frobenius_power_is_termwise():
 
 def test_frobenius_power_requires_matching_characteristic():
     ring = ring_over(PrimeField(5))
-    f = ring.variable((1, 1))
+    f = var(ring, (1, 1))
     with pytest.raises(ValueError):
         frobenius_power(f, 3, 1)
     with pytest.raises(ValueError):
@@ -176,23 +171,15 @@ def test_frobenius_power_requires_matching_characteristic():
 
 
 def test_mixed_ring_operations_rejected():
-    f = ring_over(PrimeField(5)).variable((1, 1))
-    g = ring_over(PrimeField(7)).variable((1, 1))
+    f = var(ring_over(PrimeField(5)), (1, 1))
+    g = var(ring_over(PrimeField(7)), (1, 1))
     with pytest.raises(ValueError):
         f + g
     with pytest.raises(ValueError):
         f * g
 
 
-def test_coefficient_and_total_degree():
-    ring = ring_over(ZZ)
-    f = ring.poly({(((1, 1), 2), ((3, 3), 1)): 4, (((1, 2), 1),): -2})
-    assert f.total_degree() == 3
-    assert f.coefficient(ring.exps_of([((1, 2), 1)])) == -2
-    assert f.coefficient(ring.exps_of([((2, 2), 1)])) == 0
-
-
 def test_unknown_variable_rejected():
     ring = ring_over(ZZ)
     with pytest.raises(ValueError):
-        ring.variable((9, 9))
+        var(ring, (9, 9))

@@ -6,25 +6,24 @@ import pytest
 import oracles
 from conftest import make_params
 from veronese import (
-    BudgetExceededError,
-    Poly,
     PrimeField,
-    SciCertificate,
     build_certificate,
-    certificate_groebner,
     full_ideal_point_survey,
     index_tuples,
     parametrize,
     point_survey,
-    pure_tuple,
     quadratic_generators,
     verify_char_p,
 )
-from veronese.polys import mono_lcm
+from veronese.combinatorics import pure_tuple
+from veronese.polys import Poly, mono_lcm
 from veronese.sci import (
     DEFAULT_ENUM_BUDGET,
     MODE_FULL,
     MODE_IMAGE,
+    BudgetExceededError,
+    SciCertificate,
+    certificate_groebner,
     _compiled,
     _fibred_scan,
     _image_set,
@@ -206,6 +205,13 @@ def test_budget_guard(params321):
     report = point_survey(
         build_certificate(params321), 5, mode=MODE_IMAGE, budget=200
     )
+    assert report.count_image == 63
+    # image-only visits the r^n parameter vectors, and the budget caps those
+    with pytest.raises(BudgetExceededError, match=r"5\^3 = 125 parameter vectors"):
+        point_survey(build_certificate(params321), 5, mode=MODE_IMAGE, budget=124)
+    with pytest.raises(BudgetExceededError, match=r"5\^3 = 125 parameter vectors"):
+        full_ideal_point_survey(params321, 5, mode=MODE_IMAGE, budget=124)
+    report = full_ideal_point_survey(params321, 5, mode=MODE_IMAGE, budget=125)
     assert report.count_image == 63
 
 
