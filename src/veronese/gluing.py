@@ -156,6 +156,8 @@ def check_p_gluing(
     """Decide whether (t1, t2) is a p-gluing of their union."""
     if t1.dim != t2.dim:
         raise ValueError("generator sets live in different dimensions")
+    if s_cap < 0:
+        raise ValueError(f"s_cap must be >= 0, got {s_cap}")
     basis = lattice_intersection(t1.matrix(), t2.matrix())
     if len(basis) != 1:
         return NoGluing(f"intersection rank {len(basis)} != 1")
@@ -238,6 +240,8 @@ def completely_p_glued(
     if the preferred order fails every remaining order is tried.
     """
     cap = s_cap if s_cap is not None else h + 8
+    if cap < 0:
+        raise ValueError(f"s_cap must be >= 0, got {cap}")
     q = p**h
 
     def is_axis(g) -> bool:

@@ -8,8 +8,8 @@ pairs, and the pair queue is capped so runaway inputs fail loudly.
 from __future__ import annotations
 
 import heapq
-from dataclasses import dataclass
-from typing import Iterable, Sequence, Union
+from dataclasses import dataclass, field
+from typing import Iterable
 
 from .fields import PrimeField
 from .polys import Poly, PolyRing, mono_div, mono_divides, mono_lcm, mono_mul
@@ -21,30 +21,15 @@ class PairLimitExceeded(Exception):
     """Raised when Buchberger would process more S-pairs than allowed."""
 
 
-@dataclass(frozen=True)
-class GroebnerBasis:
-    """Reduced Groebner basis: monic, tail-reduced, sorted by leading term."""
-
-    ring: PolyRing
-    polys: tuple
-    pairs_processed: int = 0
-
-    def __iter__(self):
-        return iter(self.polys)
-
-    def __len__(self) -> int:
-        return len(self.polys)
-
-
 class _Reducers:
-    """Division helper; indexes reducers by variables in their lead term."""
+    """Monic reducers indexed by the variables in their lead term."""
 
     def __init__(self, ring: PolyRing):
         self.ring = ring
         self.lead: list = []
         self.tail: list = []
         self.buckets: list = [[] for _ in range(ring.nvars)]
-        self.has_constant = False
+        self.constant = None  # index of the reducer 1, if any
 
     def add(self, terms: dict) -> None:
         lm = max(terms, key=self.ring.key)
@@ -54,15 +39,13 @@ class _Reducers:
         self.tail.append(tail)
         support = [i for i, x in enumerate(lm) if x]
         if not support:
-            self.has_constant = True
+            self.constant = idx
         for i in support:
             self.buckets[i].append(idx)
 
     def find(self, m: tuple):
-        if self.has_constant:
-            for i, lm in enumerate(self.lead):
-                if not any(lm):
-                    return i
+        if self.constant is not None:
+            return self.constant
         seen = set()
         for v, x in enumerate(m):
             if not x:
@@ -76,7 +59,40 @@ class _Reducers:
         return None
 
 
-def _normal_form_terms(terms: dict, red: _Reducers, field) -> dict:
+def _check_ring(ring: PolyRing, polys) -> None:
+    if not isinstance(ring.field, PrimeField):
+        raise ValueError("Groebner computation requires prime-field coefficients")
+    if any(g.ring != ring for g in polys):
+        raise ValueError("polynomials live in different rings")
+
+
+@dataclass(frozen=True)
+class GroebnerBasis:
+    """Reduced Groebner basis: monic, tail-reduced, sorted by leading term.
+    Its one reducer index is built here and shared by every reduce."""
+
+    ring: PolyRing
+    polys: tuple
+    pairs_processed: int = 0
+    _red: _Reducers = field(init=False, repr=False, compare=False)
+
+    def __post_init__(self):
+        _check_ring(self.ring, self.polys)
+        red = _Reducers(self.ring)
+        for g in self.polys:
+            if g.leading()[1] != 1:
+                raise ValueError("basis elements must be monic")
+            red.add(g.raw_terms())
+        object.__setattr__(self, "_red", red)
+
+    def __iter__(self):
+        return iter(self.polys)
+
+    def __len__(self) -> int:
+        return len(self.polys)
+
+
+def _normal_form_terms(terms, red: _Reducers, fld) -> dict:
     work = dict(terms)
     remainder: dict = {}
     key = red.ring.key
@@ -90,7 +106,7 @@ def _normal_form_terms(terms: dict, red: _Reducers, field) -> dict:
         delta = mono_div(m, red.lead[i])
         for eg, cg in red.tail[i]:
             e = mono_mul(eg, delta)
-            s = field.sub(work.get(e, 0), field.mul(c, cg))
+            s = fld.sub(work.get(e, 0), fld.mul(c, cg))
             if s:
                 work[e] = s
             else:
@@ -98,23 +114,15 @@ def _normal_form_terms(terms: dict, red: _Reducers, field) -> dict:
     return remainder
 
 
-def reduce(f: Poly, basis: Union[GroebnerBasis, Sequence[Poly]]) -> Poly:
-    """Full normal form of f against a list of polynomials.
+def reduce(f: Poly, gb: GroebnerBasis) -> Poly:
+    """Normal form of f modulo the ideal of gb.
 
-    With a Groebner basis this is the canonical representative mod the
-    ideal, so the result is zero exactly for ideal members.
+    The remainder on division by a Groebner basis is canonical, so the
+    result is zero exactly for ideal members.
     """
-    polys = basis.polys if isinstance(basis, GroebnerBasis) else tuple(basis)
-    if not isinstance(f.ring.field, PrimeField):
-        raise ValueError("division requires prime-field coefficients")
-    red = _Reducers(f.ring)
-    for g in polys:
-        if g.ring != f.ring:
-            raise ValueError("reducers live in a different ring")
-        if g.is_zero():
-            continue
-        red.add(g.monic().raw_terms())
-    return Poly(f.ring, _normal_form_terms(f.raw_terms(), red, f.ring.field))
+    if f.ring != gb.ring:
+        raise ValueError("f and the basis live in different rings")
+    return Poly(f.ring, _normal_form_terms(f.raw_terms(), gb._red, f.ring.field))
 
 
 def s_polynomial(f: Poly, g: Poly) -> Poly:
@@ -139,14 +147,9 @@ def buchberger(
     if not gens:
         raise ValueError("no nonzero generators")
     ring = gens[0].ring
-    if not isinstance(ring.field, PrimeField):
-        raise ValueError("Groebner computation requires prime-field coefficients")
-    for g in gens:
-        if g.ring != ring:
-            raise ValueError("generators live in different rings")
+    _check_ring(ring, gens)
 
     basis: list = []
-    leads: list = []
     red = _Reducers(ring)
     seen = set()
     for g in gens:
@@ -156,7 +159,6 @@ def buchberger(
             continue
         seen.add(fs)
         basis.append(m)
-        leads.append(m.leading()[0])
         red.add(m.raw_terms())
 
     heap: list = []
@@ -164,7 +166,7 @@ def buchberger(
 
     def push_pair(i: int, j: int) -> None:
         nonlocal counter
-        lcm = mono_lcm(leads[i], leads[j])
+        lcm = mono_lcm(red.lead[i], red.lead[j])
         counter += 1
         heapq.heappush(heap, (ring.key(lcm), counter, i, j, lcm))
 
@@ -180,7 +182,7 @@ def buchberger(
             raise PairLimitExceeded(
                 f"S-pair limit {pair_cap} exceeded ({len(basis)} basis elements)"
             )
-        if mono_mul(leads[i], leads[j]) == lcm:
+        if mono_mul(red.lead[i], red.lead[j]) == lcm:
             continue  # coprime leading terms reduce to zero
         s = s_polynomial(basis[i], basis[j])
         rt = _normal_form_terms(s.raw_terms(), red, ring.field)
@@ -188,29 +190,26 @@ def buchberger(
             continue
         r = Poly(ring, rt).monic()
         basis.append(r)
-        leads.append(r.leading()[0])
         red.add(r.raw_terms())
         for k in range(len(basis) - 1):
             push_pair(k, len(basis) - 1)
 
-    return GroebnerBasis(ring, _reduced(basis, ring), processed)
+    return GroebnerBasis(ring, _reduced(red), processed)
 
 
-def _reduced(basis: list, ring: PolyRing) -> tuple:
-    """Minimalize then tail-reduce: the canonical reduced basis."""
-    items = sorted(basis, key=lambda g: ring.key(g.leading()[0]))
-    kept: list = []
+def _reduced(red: _Reducers) -> tuple:
+    """Minimalize, then replace each tail by its normal form against the
+    whole basis: the remainder is canonical, and an element's own lead
+    never fires because a lead never divides a smaller term."""
+    ring = red.ring
+    order = sorted(range(len(red.lead)), key=lambda i: ring.key(red.lead[i]))
     kept_leads: list = []
-    for g in items:
-        lm = g.leading()[0]
+    out = []
+    for i in order:
+        lm = red.lead[i]
         if any(mono_divides(l, lm) for l in kept_leads):
             continue
-        kept.append(g)
         kept_leads.append(lm)
-    out = []
-    for i, g in enumerate(kept):
-        others = kept[:i] + kept[i + 1 :]
-        r = reduce(g, others)
-        out.append(r.monic())
-    out.sort(key=lambda g: ring.key(g.leading()[0]))
+        tail = _normal_form_terms(red.tail[i], red, ring.field)
+        out.append(Poly(ring, {lm: 1, **tail}))
     return tuple(out)

@@ -99,6 +99,8 @@ def verify_char_p(cert: SciCertificate, k_max: Optional[int] = None) -> Frobeniu
     p = params.p
     if k_max is None:
         k_max = 2 * params.h + 2
+    if k_max < 0:
+        raise ValueError(f"k_max must be >= 0, got {k_max}")
     gb = certificate_groebner(cert)
     field = PrimeField(p)
     entries = []
@@ -145,18 +147,10 @@ def _compiled(binomials, field) -> list:
 
 
 def _image_set(params: VeroneseParams, field: PrimeField) -> frozenset:
-    r = field.r
-    pts = set()
-    u = [0] * params.n
-    while True:
-        pts.add(parametrize(params, u, field))
-        i = params.n - 1
-        while i >= 0 and u[i] == r - 1:
-            u[i] = 0
-            i -= 1
-        if i < 0:
-            return frozenset(pts)
-        u[i] += 1
+    return frozenset(
+        parametrize(params, v, field)
+        for v in product(range(field.r), repeat=params.n)
+    )
 
 
 def _zero_set_scan(compiled, r: int, m: int, image: frozenset):

@@ -104,6 +104,8 @@ def test_check_p_gluing_s_cap():
     t2 = SemigroupGens.of([(1, 1, 0)])
     res = check_p_gluing(t1, t2, 2, s_cap=0)
     assert isinstance(res, NoGluing)
+    with pytest.raises(ValueError):
+        check_p_gluing(t1, t2, 2, s_cap=-1)
 
 
 def test_validate_witness_rejects_tampering():
@@ -153,6 +155,8 @@ def test_completely_glued_fails_with_zero_cap(params321):
     gens = SemigroupGens.of(exponent_vectors(params321))
     with pytest.raises(GluingNotFoundError):
         completely_p_glued(gens, 2, 1, s_cap=0)
+    with pytest.raises(ValueError):
+        completely_p_glued(gens, 2, 1, s_cap=-1)
 
 
 def test_graded_degree_and_without():

@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -6,7 +7,7 @@ import oracles
 from conftest import make_params
 from veronese import PrimeField, buchberger, index_tuples, reduce
 from veronese.combinatorics import integer_ring, polynomial_ring
-from veronese.groebner import PairLimitExceeded, s_polynomial
+from veronese.groebner import GroebnerBasis, PairLimitExceeded, s_polynomial
 from veronese.toric import generators_over
 
 F5 = PrimeField(5)
@@ -16,13 +17,16 @@ def test_reduce_frozen_square_to_product(params321):
     ring = polynomial_ring(params321, F5)
     gens = generators_over(params321, F5)
     x12sq = ring.poly({(((1, 2), 2),): 1})
-    nf = reduce(x12sq, list(gens))
+    nf = reduce(x12sq, buchberger(gens))
     assert nf == ring.poly({(((1, 1), 1), ((2, 2), 1)): 1})
 
 
 def test_reduce_leaves_normal_forms_fixed(params321):
     gens = list(generators_over(params321, F5))
+    gb = buchberger(gens)
     ring = polynomial_ring(params321, F5)
+    # each generator lead is a multiple of a basis lead, so no term of a
+    # normal form is divisible by one
     leads = [g.leading()[0] for g in gens]
     rng = random.Random(21)
     from test_polys import random_poly
@@ -34,14 +38,14 @@ def test_reduce_leaves_normal_forms_fixed(params321):
                 for _ in range(3)
             }
         )
-        nf = reduce(f, gens)
+        nf = reduce(f, gb)
         # no term of the normal form is divisible by any leading term
         for e in nf.raw_terms():
             for lm in leads:
                 assert not all(a <= b for a, b in zip(lm, e))
-        assert reduce(nf, gens) == nf
+        assert reduce(nf, gb) == nf
         # the subtracted part is itself reducible to zero
-        assert reduce(f - nf, gens).is_zero()
+        assert reduce(f - nf, gb).is_zero()
 
 
 def test_s_polynomial_frozen(params321):
@@ -127,3 +131,71 @@ def test_content_equal_products_reduce_to_zero(params321):
 def test_groebner_basis_iterates(params321):
     gb = buchberger(list(generators_over(params321, F5)))
     assert len(gb) == len(list(gb)) == 6
+
+
+def test_reduce_rejects_a_foreign_ring(params321):
+    gb = buchberger(list(generators_over(params321, F5)))
+    f = polynomial_ring(params321, PrimeField(7)).poly({(((1, 2), 2),): 1})
+    with pytest.raises(ValueError):
+        reduce(f, gb)
+
+
+def test_groebner_basis_validates_its_polys(params321):
+    zz = integer_ring(params321)
+    with pytest.raises(ValueError):
+        GroebnerBasis(zz, tuple(generators_over(params321, zz.field)))
+    ring = polynomial_ring(params321, F5)
+    with pytest.raises(ValueError):
+        GroebnerBasis(ring, (ring.poly({(((1, 1), 1),): 2}),))
+    with pytest.raises(ValueError):
+        GroebnerBasis(ring, (polynomial_ring(params321, PrimeField(7)).one(),))
+
+
+def test_buchberger_matches_sympy_on_random_ideals():
+    # dense random generators, so tail reduction and minimalization do
+    # real work (the star quadrics are already a reduced basis)
+    params = make_params(2, 2, 1)
+    for r, seed in ((5, 1), (5, 2), (7, 3), (7, 4)):
+        field = PrimeField(r)
+        ring = polynomial_ring(params, field)
+        rng = random.Random(seed)
+        gens = [
+            ring.poly(
+                {
+                    tuple(rng.randint(0, 2) for _ in range(ring.nvars)): rng.randint(1, r - 1)
+                    for _ in range(3)
+                }
+            )
+            for _ in range(3)
+        ]
+        gb = buchberger(gens)
+        assert oracles.poly_key_set(gb.polys) == oracles.groebner_sympy(
+            gens, index_tuples(params), r
+        )
+
+
+# SHA-256 of the newline-joined text() of buchberger's output over F_5,
+# captured before the reducer index was shared: (n, p, h) -> (len, digest)
+BASIS_PINS = {
+    (3, 2, 2): (75, "8932ff18124b9319cf17d74bc90dd2d9cd4f9616c89df3074b3b7185a5b4f9f1"),
+    (4, 3, 1): (126, "b70b7352eb04fc726db47692f334ed65d12e6726daa2dbeb8f06590773232cb1"),
+    (6, 2, 1): (105, "7ca0a942baef3ae79365fa7fda3fd96543ab809aed7c28b95804c1f8f8ac1f09"),
+    (3, 5, 1): (165, "3e551dd4b83edbe84976fdd3fcae3099a10e9c349cf33dd22928a7d563d02fcb"),
+}
+
+
+@pytest.mark.parametrize("npq", sorted(BASIS_PINS), ids=str)
+def test_buchberger_bases_pinned_and_reduced(npq):
+    gb = buchberger(generators_over(make_params(*npq), F5))
+    size, digest = BASIS_PINS[npq]
+    text = "\n".join(g.text() for g in gb.polys)
+    assert (len(gb), hashlib.sha256(text.encode()).hexdigest()) == (size, digest)
+    leads = [g.leading()[0] for g in gb.polys]
+    assert all(g.leading()[1] == 1 for g in gb.polys)
+    for i, a in enumerate(leads):
+        assert not any(i != j and all(x <= y for x, y in zip(a, b)) for j, b in enumerate(leads))
+    for g in gb.polys:
+        lm = g.leading()[0]
+        for e in g.raw_terms():
+            if e != lm:
+                assert not any(all(x <= y for x, y in zip(a, e)) for a in leads)

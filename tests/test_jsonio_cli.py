@@ -200,6 +200,23 @@ def test_cli_verify_negative_exit(capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize(
+    "argv",
+    [
+        ("verify-sci", "--n", "3", "--p", "2", "--h", "1", "--k-max", "-1"),
+        ("gluing", "--n", "3", "--p", "2", "--h", "1", "--s-cap", "-1"),
+    ],
+    ids=["k-max", "s-cap"],
+)
+def test_cli_negative_cap_is_usage_error(capsys, argv):
+    # a negative cap is out of range: no verdict, one error line
+    code = main(list(argv))
+    captured = capsys.readouterr()
+    assert code == 2
+    assert captured.out == ""
+    assert captured.err.startswith("error: ") and captured.err.count("\n") == 1
+
+
 def test_cli_points_exit_codes(capsys):
     code, _ = run_cli(
         capsys, "points", "--n", "3", "--p", "2", "--h", "1", "--r", "2"

@@ -101,6 +101,8 @@ def test_verify_char_p_k_zero_insufficient(params321):
     report = verify_char_p(build_certificate(params321), k_max=0)
     assert not report.success
     assert len(report.failures) == 3
+    with pytest.raises(ValueError):
+        verify_char_p(build_certificate(params321), k_max=-1)
     assert report.entries
 
 
