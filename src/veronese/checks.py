@@ -172,8 +172,9 @@ def _degree_two_generation():
 def _leaf_gens(tree):
     if isinstance(tree, FreeNode):
         return [tree.gens]
-    assert isinstance(tree, GluedNode)
-    return _leaf_gens(tree.left) + _leaf_gens(tree.right)
+    if isinstance(tree, GluedNode):
+        return _leaf_gens(tree.left) + _leaf_gens(tree.right)
+    raise TypeError(f"not a gluing tree node: {tree!r}")
 
 
 def _gluing():

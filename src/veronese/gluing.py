@@ -12,7 +12,12 @@ from __future__ import annotations
 from dataclasses import dataclass
 from typing import Optional, Union
 
-from .lattice import IntMatrix, lattice_intersection, smith_normal_form
+from .lattice import (
+    IntMatrix,
+    lattice_intersection,
+    quotient_order,
+    smith_normal_form,
+)
 
 DEFAULT_S_CAP = 16
 
@@ -67,6 +72,8 @@ class SemigroupGens:
 
     def is_free(self) -> bool:
         """Linearly independent generators span a free semigroup."""
+        if len(self.gens) > self.dim:
+            return False
         return smith_normal_form(self.matrix()).rank == len(self.gens)
 
 
@@ -158,20 +165,30 @@ def check_p_gluing(
         raise ValueError("generator sets live in different dimensions")
     if s_cap < 0:
         raise ValueError(f"s_cap must be >= 0, got {s_cap}")
-    basis = lattice_intersection(t1.matrix(), t2.matrix())
-    if len(basis) != 1:
-        return NoGluing(f"intersection rank {len(basis)} != 1")
-    alpha = basis[0]
-    if all(x <= 0 for x in alpha):
-        alpha = tuple(-x for x in alpha)
-    if any(x < 0 for x in alpha):
-        return NoGluing("generator not sign-definite")
+    single = len(t2.gens) == 1
+    if single:
+        # L(t1) meets Z*beta in Z*(d*beta), d the order of beta mod L(t1)
+        d = quotient_order(t1.gens, t2.gens[0])
+        if not d:
+            return NoGluing("intersection rank 0 != 1")
+        alpha = tuple(d * x for x in t2.gens[0])
+    else:
+        basis = lattice_intersection(t1.matrix(), t2.matrix())
+        if len(basis) != 1:
+            return NoGluing(f"intersection rank {len(basis)} != 1")
+        alpha = basis[0]
+        if all(x <= 0 for x in alpha):
+            alpha = tuple(-x for x in alpha)
+        if any(x < 0 for x in alpha):
+            return NoGluing("generator not sign-definite")
     scaled = alpha
     for s in range(s_cap + 1):
         rep1 = semigroup_member(t1, scaled)
-        rep2 = semigroup_member(t2, scaled) if rep1 is not None else None
-        if rep1 is not None and rep2 is not None:
-            return GluingWitness(tuple(alpha), s, rep1, rep2)
+        if rep1 is not None:
+            # over {beta} alone, p^s*d*beta has the one representation p^s*d
+            rep2 = (p**s * d,) if single else semigroup_member(t2, scaled)
+            if rep2 is not None:
+                return GluingWitness(tuple(alpha), s, rep1, rep2)
         scaled = tuple(p * x for x in scaled)
     return NoGluing(f"no admissible s <= {s_cap}")
 

@@ -142,14 +142,15 @@ def tree_obj(tree: GluingTree) -> dict:
             "type": "free",
             "generators": [list(g) for g in tree.gens.gens],
         }
-    assert isinstance(tree, GluedNode)
-    return {
-        "type": "glued",
-        "generators": [list(g) for g in tree.gens.gens],
-        "witness": witness_obj(tree.witness),
-        "left": tree_obj(tree.left),
-        "right": tree_obj(tree.right),
-    }
+    if isinstance(tree, GluedNode):
+        return {
+            "type": "glued",
+            "generators": [list(g) for g in tree.gens.gens],
+            "witness": witness_obj(tree.witness),
+            "left": tree_obj(tree.left),
+            "right": tree_obj(tree.right),
+        }
+    raise TypeError(f"not a gluing tree node: {tree!r}")
 
 
 def gluing_obj(params: VeroneseParams, tree: GluingTree) -> dict:

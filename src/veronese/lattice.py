@@ -1,12 +1,16 @@
 """Exact integer matrix algebra: Smith normal form and lattice bases.
 
 Everything is plain Python ints, no floating point anywhere.  Lattices
-are given by integer matrices whose columns generate them.
+are given by integer matrices whose columns generate them.  An integer
+echelon basis (Cohen, GTM 138, section 2.4) answers the one question the
+gluing peel asks, the order of a vector modulo a lattice, without a
+Smith normal form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import gcd
 from typing import Iterable, Sequence
 
 
@@ -202,3 +206,58 @@ def lattice_intersection(a: IntMatrix, b: IntMatrix) -> list:
     if not nonzero:
         return []
     return column_lattice_basis(IntMatrix.from_cols(nonzero))
+
+
+def echelon_basis(cols: Iterable[Sequence[int]]) -> list:
+    """Basis of the lattice spanned by cols, in column echelon form.
+
+    Each basis vector's first nonzero entry is positive and lies in a
+    later row than the previous vector's.  Only unimodular integer column
+    operations are used, so the lattice is unchanged.
+    """
+    work = [list(c) for c in cols if any(c)]
+    basis = []
+    for i in range(len(work[0]) if work else 0):
+        live = [c for c in work if c[i]]
+        if not live:
+            continue
+        # Euclid on row i: reduce by the smallest entry until one is left
+        while len(live) > 1:
+            piv = min(live, key=lambda c: abs(c[i]))
+            nxt = [piv]
+            for c in live:
+                if c is not piv:
+                    k = c[i] // piv[i]
+                    c[:] = [x - k * y for x, y in zip(c, piv)]
+                    if c[i]:
+                        nxt.append(c)
+            live = nxt
+        (piv,) = live
+        if piv[i] < 0:
+            piv[:] = [-x for x in piv]
+        basis.append(tuple(piv))
+        work = [c for c in work if c is not piv and any(c)]
+    return basis
+
+
+def quotient_order(cols: Iterable[Sequence[int]], beta: Sequence[int]) -> int:
+    """Order of beta in Z^n / L, L the lattice spanned by cols.
+
+    That is the least d > 0 with d*beta in L, so that L meets Z*beta in
+    Z*(d*beta); it is 0 when beta lies outside the rational span of L.
+    """
+    v = list(beta)
+    d = 1
+    for b in echelon_basis(cols):
+        if len(b) != len(v):
+            raise ValueError("ambient dimensions differ")
+        i = next(k for k, x in enumerate(b) if x)
+        if any(v[:i]):
+            return 0
+        f = b[i] // gcd(v[i], b[i])
+        if f > 1:
+            d *= f
+            v = [f * x for x in v]
+        k = v[i] // b[i]
+        v = [x - k * y for x, y in zip(v, b)]
+    return 0 if any(v) else d

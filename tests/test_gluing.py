@@ -2,7 +2,8 @@ import pytest
 
 import oracles
 from conftest import make_params
-from veronese import exponent_vectors
+from veronese import exponent_vectors, gluing, jsonio, lattice
+from veronese.checks import _leaf_gens
 from veronese.gluing import (
     FreeNode,
     GluedNode,
@@ -35,6 +36,8 @@ def test_is_free():
     assert not SemigroupGens.of([(1, 0), (0, 1), (1, 1)]).is_free()
     assert SemigroupGens.of([(2, 0, 0), (0, 2, 0), (0, 0, 2)]).is_free()
     assert SemigroupGens.of([(1, 1)]).is_free()
+    # no more generators than coordinates, yet dependent: the SNF rank decides
+    assert not SemigroupGens.of([(2, 0, 0), (0, 2, 0), (1, 1, 0)]).is_free()
 
 
 def test_semigroup_member_graded():
@@ -97,6 +100,18 @@ def test_check_p_gluing_rank_failure():
     assert "rank" in res.reason
 
 
+def test_check_p_gluing_single_generator_outside_span():
+    t1 = SemigroupGens.of([(1, 0, 0), (0, 1, 0)])
+    t2 = SemigroupGens.of([(0, 0, 1)])
+    res = check_p_gluing(t1, t2, 2)
+    assert res == NoGluing("intersection rank 0 != 1")
+    # the quotient order is read in the echelon basis, not by a search
+    t1 = SemigroupGens.of([(4, 0), (0, 4)])
+    w = check_p_gluing(t1, SemigroupGens.of([(1, 3)]), 2)
+    assert w == GluingWitness((4, 12), 0, (1, 3), (4,))
+    assert validate_witness(t1, SemigroupGens.of([(1, 3)]), 2, w)
+
+
 def test_check_p_gluing_s_cap():
     t1 = SemigroupGens.of(
         [(2, 0, 0), (0, 2, 0), (0, 0, 2), (0, 1, 1), (1, 0, 1)]
@@ -157,6 +172,30 @@ def test_completely_glued_fails_with_zero_cap(params321):
         completely_p_glued(gens, 2, 1, s_cap=0)
     with pytest.raises(ValueError):
         completely_p_glued(gens, 2, 1, s_cap=-1)
+
+
+def test_peel_sends_no_wide_matrix_to_snf(monkeypatch, params322):
+    widths = []
+    snf = lattice.smith_normal_form
+
+    def spy(a):
+        widths.append(a.shape[1])
+        return snf(a)
+
+    monkeypatch.setattr(gluing, "smith_normal_form", spy)
+    monkeypatch.setattr(lattice, "smith_normal_form", spy)
+    gens = SemigroupGens.of(exponent_vectors(params322))
+    assert len(gens.gens) > params322.n
+    completely_p_glued(gens, 2, 2)
+    assert widths
+    assert max(widths) <= params322.n
+
+
+def test_tree_walkers_reject_non_nodes():
+    with pytest.raises(TypeError):
+        jsonio.tree_obj(object())
+    with pytest.raises(TypeError):
+        _leaf_gens(object())
 
 
 def test_graded_degree_and_without():

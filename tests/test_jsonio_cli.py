@@ -378,3 +378,25 @@ def test_cli_documents_frozen(tmp_path, capsys, case, fmt, code, digest):
         argv[argv.index("@payload")] = str(path)
     got_code, out = run_cli(capsys, "--format", fmt, *argv)
     assert (got_code, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
+
+
+# (n, p, h, SHA-256 of the gluing JSON document); every one exits 0
+_GLUING_DOCUMENTS = (
+    (3, 2, 2, "145ca423cb65a65d5863c364cacb135d7273ef01d1913bbcf8f602ca8a0d46d9"),
+    (4, 3, 1, "1b01fe53d07aec880a5c4155583840dfead11dac84323f2418a0c639b894a3ed"),
+    (4, 2, 2, "69145188a48d80874281ab235d0f2444601e7b5be898aa2b75a9032c934fdb9c"),
+    (3, 3, 2, "cc449dcd4ceab1ac539d08dde3254280c6413af6d61ca7ba9831945414af9722"),
+    (5, 2, 2, "b42f4d93ac1b737f13468fac14099bcce6f8a627426886a406af098f3121bf7d"),
+)
+
+
+@pytest.mark.parametrize(
+    "n,p,h,digest", _GLUING_DOCUMENTS,
+    ids=[f"{n}{p}{h}" for n, p, h, _ in _GLUING_DOCUMENTS],
+)
+def test_cli_gluing_documents_frozen(capsys, n, p, h, digest):
+    got_code, out = run_cli(
+        capsys, "--format", "json", "gluing",
+        "--n", str(n), "--p", str(p), "--h", str(h),
+    )
+    assert (got_code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest)

@@ -1,12 +1,16 @@
 import random
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from veronese.lattice import (
     IntMatrix,
     column_lattice_basis,
+    echelon_basis,
     lattice_intersection,
+    quotient_order,
     smith_normal_form,
 )
 
@@ -114,6 +118,42 @@ def test_lattice_intersection_contains_exactly_common_vectors():
                 assert not both or all(x == 0 for x in v)
             else:
                 assert both == oracles.lattice_member_sympy(inter, v)
+
+
+@st.composite
+def _peel_cases(draw):
+    """(rest, beta): nonnegative nonzero generators in dimension 1-4."""
+    dim = draw(st.integers(1, 4))
+    vec = st.tuples(*[st.integers(0, 6)] * dim).filter(any)
+    return draw(st.lists(vec, min_size=1, max_size=5)), draw(vec)
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(_peel_cases())
+@example(([(2, 0), (0, 2)], (1, 1)))  # torsion: order 2
+@example(([(3, 0, 0), (0, 1, 0), (1, 0, 3)], (2, 1, 1)))  # order 9
+@example(([(1, 0, 0), (0, 1, 0)], (0, 0, 1)))  # outside the span
+def test_echelon_order_matches_snf_intersection(case):
+    rest, beta = case
+    basis = echelon_basis(rest)
+    pivots = [next(i for i, x in enumerate(b) if x) for b in basis]
+    assert pivots == sorted(set(pivots))
+    assert all(b[i] > 0 for b, i in zip(basis, pivots))
+    snf_basis = column_lattice_basis(IntMatrix.from_cols(rest))
+    assert len(basis) == len(snf_basis)
+    for c in snf_basis:
+        assert oracles.lattice_member_sympy(basis, c)
+    for c in basis:
+        assert oracles.lattice_member_sympy(snf_basis, c)
+    d = quotient_order(rest, beta)
+    inter = lattice_intersection(
+        IntMatrix.from_cols(rest), IntMatrix.from_cols([beta])
+    )
+    if d == 0:
+        assert inter == []
+    else:
+        d_beta = tuple(d * x for x in beta)
+        assert inter in ([d_beta], [tuple(-x for x in d_beta)])
 
 
 def test_int_matrix_shape_errors():
