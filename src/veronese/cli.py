@@ -37,7 +37,7 @@ OK, NEGATIVE, USAGE, BUDGET = 0, 1, 2, 3
 
 def _emit(args, obj: dict, text_lines) -> None:
     if args.format == "json":
-        print(json.dumps(obj, indent=2))
+        print(json.dumps(obj))
     else:
         for line in text_lines:
             print(line)
@@ -70,9 +70,13 @@ def _cmd_generators(args) -> int:
 
 
 def _cmd_rewrite(args) -> int:
-    raw = sys.stdin.read() if args.input == "-" else open(args.input).read()
+    if args.input == "-":
+        raw = sys.stdin.read()
+    else:
+        with open(args.input) as fh:
+            raw = fh.read()
     payload = json.loads(raw)
-    if "params" not in payload:
+    if isinstance(payload, dict) and "params" not in payload:
         payload = dict(payload, params={"n": args.n, "p": args.p, "h": args.h})
     tsb = jsonio.type_star_from_obj(payload)
     cert = rewrite(tsb)
@@ -235,7 +239,10 @@ def _add_params(sp, with_r: bool = False) -> None:
         sp.add_argument("--r", type=int, required=True, help="field modulus")
 
 
+@functools.cache
 def build_parser() -> argparse.ArgumentParser:
+    """The one parser of the process, built on first use; parse_args
+    keeps no state on it between calls."""
     ap = argparse.ArgumentParser(
         prog="veronese",
         description="Exact computations on degree-q Veronese cones over "
@@ -329,8 +336,7 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv=None) -> int:
-    ap = build_parser()
-    args = ap.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
     except (BudgetExceededError, PairLimitExceeded) as exc:

@@ -40,10 +40,11 @@ class VeroneseParams:
                 raise ValueError(f"{name} must be a positive integer, got {v!r}")
         if not is_prime(self.p):
             raise ValueError(f"p={self.p} is not prime")
-        q = self.p**self.h
-        if q > self.q_cap:
+        # p^h >= 2^h > q_cap once h reaches the cap's bit length, so a
+        # huge h is refused without computing the power
+        if self.h >= self.q_cap.bit_length() or self.p**self.h > self.q_cap:
             raise ValueError(
-                f"q = {self.p}^{self.h} = {q} exceeds the cap {self.q_cap}; "
+                f"q = {self.p}^{self.h} exceeds the cap {self.q_cap}; "
                 "raise q_cap explicitly if you really want this"
             )
         if self.n < 3:

@@ -172,10 +172,11 @@ def fiber_check(params: VeroneseParams, r: int, u: Sequence[int]) -> FiberReport
     if not any(u):
         raise ValueError("fiber comparison needs a nonzero point")
     w = parametrize(params, u, field)
-    fiber = tuple(
-        v for v in product(range(r), repeat=params.n)
-        if parametrize(params, v, field) == w
-    )
+    # the pure coordinate (j, ..., j) of a fibre point v is v_j^q = u_j^q,
+    # so v ranges over products of those q-th-power classes, in lex order
+    qth = [pow(x, q, r) for x in range(r)]
+    roots = [[x for x in range(r) if qth[x] == qth[uj]] for uj in u]
+    fiber = tuple(v for v in product(*roots) if parametrize(params, v, field) == w)
     mu = tuple(g for g in range(1, r) if pow(g, q, r) == 1)
     orbit = tuple(sorted({tuple(g * x % r for x in u) for g in mu}))
     return FiberReport(

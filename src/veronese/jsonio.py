@@ -29,8 +29,33 @@ def params_obj(params: VeroneseParams) -> dict:
     return {"n": params.n, "p": params.p, "h": params.h, "q": params.q}
 
 
+def _field(obj, key: str, where: str):
+    """obj[key], or ValueError naming what is missing or malformed."""
+    if not isinstance(obj, dict):
+        raise ValueError(f"{where} must be a JSON object, got {type(obj).__name__}")
+    if key not in obj:
+        raise ValueError(f"{where} has no field {key!r}")
+    return obj[key]
+
+
+def _int(value, what: str) -> int:
+    if type(value) is not int:
+        raise ValueError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def _list(values, what: str) -> list:
+    if not isinstance(values, list):
+        raise ValueError(f"{what} must be a list, got {type(values).__name__}")
+    return values
+
+
+def _ints(values, what: str) -> tuple:
+    return tuple(_int(x, f"{what}[{i}]") for i, x in enumerate(_list(values, what)))
+
+
 def params_from_obj(obj: dict) -> VeroneseParams:
-    return VeroneseParams(int(obj["n"]), int(obj["p"]), int(obj["h"]))
+    return VeroneseParams(*(_int(_field(obj, k, "params"), k) for k in ("n", "p", "h")))
 
 
 def monomial_obj(ring: PolyRing, exps: Exponents) -> list:
@@ -79,10 +104,13 @@ def certificate_obj(cert: SciCertificate) -> dict:
 
 
 def type_star_from_obj(obj: dict) -> TypeStarBinomial:
-    params = params_from_obj(obj["params"] if "params" in obj else obj)
-    blocks = tuple(tuple(b) for b in obj["blocks"])
-    sigma = tuple(int(x) for x in obj["sigma"])
-    return TypeStarBinomial(params, blocks, sigma)
+    """Read {"blocks", "sigma", "params"} (or n, p, h at the top level);
+    a malformed payload raises ValueError naming the field."""
+    blocks = _field(obj, "blocks", "binomial payload")
+    sigma = _field(obj, "sigma", "binomial payload")
+    params = params_from_obj(obj.get("params", obj))
+    blocks = tuple(_ints(b, f"blocks[{i}]") for i, b in enumerate(_list(blocks, "blocks")))
+    return TypeStarBinomial(params, blocks, _ints(sigma, "sigma"))
 
 
 def rewrite_obj(cert: RewriteCertificate, binomial: Optional[Poly] = None) -> dict:

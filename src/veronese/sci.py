@@ -21,7 +21,6 @@ from .combinatorics import (
     exponent_vectors,
     index_tuples,
     integer_ring,
-    parametrize,
     pure_tuple,
 )
 from .fields import PrimeField
@@ -147,10 +146,20 @@ def _compiled(binomials, field) -> list:
 
 
 def _image_set(params: VeroneseParams, field: PrimeField) -> frozenset:
-    return frozenset(
-        parametrize(params, v, field)
-        for v in product(range(field.r), repeat=params.n)
-    )
+    """The image of F_r^n, one parameter u_j at a time: a table row holds
+    x^(a_j) mod r over the exponent vectors a, for each x in F_r, and is
+    multiplied into the products over the parameters before it."""
+    r = field.r
+    tables = [
+        [tuple([pow(x, e, r) for e in col]) for x in range(r)]
+        for col in zip(*exponent_vectors(params))
+    ]
+    points = [(1,) * params.cardinality()]
+    for rows in tables:
+        points = (
+            tuple([a * b % r for a, b in zip(w, t)]) for w, t in product(points, rows)
+        )
+    return frozenset(points)
 
 
 def _zero_set_scan(compiled, r: int, m: int, image: frozenset):

@@ -96,6 +96,8 @@ def test_params_validation():
         VeroneseParams(3, 2, 0)
     with pytest.raises(ValueError):
         VeroneseParams(3, 2, 5)  # q = 32 over the default cap
+    with pytest.raises(ValueError, match="exceeds the cap"):
+        VeroneseParams(3, 3, 10**6)  # a huge h gets the cap message, not q itself
     params = VeroneseParams(3, 2, 5, q_cap=32)
     assert params.q == 32
     with pytest.warns(UserWarning):

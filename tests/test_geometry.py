@@ -13,6 +13,7 @@ from veronese import (
     parametrize,
     quadratic_generators,
 )
+from veronese.fields import is_prime
 from veronese.geometry import RootOfUnityError, matrix_rank_mod
 
 
@@ -137,6 +138,30 @@ def test_fiber_size_is_q():
             assert len(rep.fiber) == params.q
             assert rep.equal
             assert set(rep.orbit) <= set(rep.fiber)
+
+
+def test_fiber_matches_brute_scan():
+    # the walk over q-th-power classes of the pure coordinates against the
+    # scan of all of F_r^n, three primes r = 1 mod q per (n, p, h)
+    rng = random.Random(67)
+    for n, p, h in ((2, 2, 1), (3, 2, 1), (4, 2, 1), (3, 3, 1), (2, 2, 2),
+                    (3, 2, 2), (2, 5, 1)):
+        params = make_params(n, p, h)
+        q = params.q
+        primes = [r for r in range(3, 100) if is_prime(r) and (r - 1) % q == 0]
+        for r in primes[:3]:
+            field = PrimeField(r)
+            for trial in range(3):
+                u = [rng.randrange(1, r) for _ in range(n)]
+                if trial:  # zero coordinates
+                    for j in rng.sample(range(n), rng.randrange(1, n)):
+                        u[j] = 0
+                w = parametrize(params, u, field)
+                brute = tuple(
+                    v for v in product(range(r), repeat=n)
+                    if parametrize(params, v, field) == w
+                )
+                assert fiber_check(params, r, tuple(u)).fiber == brute, (n, p, h, r, u)
 
 
 def test_orbit_points_parametrize_identically(params321):

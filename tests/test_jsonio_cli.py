@@ -1,6 +1,10 @@
 import hashlib
+import io
 import json
+import os
 import random
+import subprocess
+import sys
 
 import pytest
 
@@ -23,8 +27,9 @@ from veronese import (
     rewrite,
     verify_char_p,
 )
+import veronese
 from veronese import jsonio
-from veronese.cli import main
+from veronese.cli import build_parser, main
 from veronese.combinatorics import integer_ring
 from veronese.toric import generators_over
 
@@ -302,6 +307,17 @@ def test_cli_deterministic_output(capsys):
     assert (code1, out1) == (code2, out2)
 
 
+def _pinned_digest(out: str, fmt: str) -> str:
+    """SHA-256 of stdout; a JSON document is hashed in its two-space
+    indented form, after checking that stdout is the compact one-line
+    encoding of the same value, so the pair still fixes every byte."""
+    if fmt == "json":
+        doc = json.loads(out)
+        assert out == json.dumps(doc) + "\n"
+        out = json.dumps(doc, indent=2) + "\n"
+    return hashlib.sha256(out.encode()).hexdigest()
+
+
 _P321 = ("--n", "3", "--p", "2", "--h", "1")
 
 # argv of each case without --format; "@payload" is replaced by a file
@@ -377,7 +393,7 @@ def test_cli_documents_frozen(tmp_path, capsys, case, fmt, code, digest):
         path.write_text(json.dumps(_FROZEN_PAYLOADS[case]))
         argv[argv.index("@payload")] = str(path)
     got_code, out = run_cli(capsys, "--format", fmt, *argv)
-    assert (got_code, hashlib.sha256(out.encode()).hexdigest()) == (code, digest)
+    assert (got_code, _pinned_digest(out, fmt)) == (code, digest)
 
 
 # (n, p, h, SHA-256 of the gluing JSON document); every one exits 0
@@ -399,4 +415,78 @@ def test_cli_gluing_documents_frozen(capsys, n, p, h, digest):
         capsys, "--format", "json", "gluing",
         "--n", str(n), "--p", str(p), "--h", str(h),
     )
-    assert (got_code, hashlib.sha256(out.encode()).hexdigest()) == (0, digest)
+    assert (got_code, _pinned_digest(out, "json")) == (0, digest)
+
+
+# (argv, stdin) of malformed invocations that a subcommand rejects: exit 2,
+# nothing on stdout, one "error:" line on stderr
+_FUZZ_ERRORS = [
+    (["rewrite", *_P321], '{"blocks": 5, "sigma": [1]}'),
+    (["rewrite", *_P321], "[1,2]"),
+    (["rewrite", *_P321],
+     '{"params": {"n": 3, "h": 1}, "blocks": [[1, 1], [2, 3]], "sigma": [2, 3, 1, 4]}'),
+    (["rewrite", *_P321], '{"blocks": [[1, 1], [2, 3]], "sigma": "2314"}'),
+    (["rewrite", *_P321], '{"blocks": [5], "sigma": [1]}'),
+    (["rewrite", *_P321], '{"blocks": [[1, 1], [2, 3]], "sigma": [[2], 3, 1, 4]}'),
+    (["rewrite", *_P321], '{"blocks": [[1, 1.5], [2, 3]], "sigma": [2, 3, 1, 4]}'),
+    (["rewrite", *_P321], '{"sigma": [2, 3, 1, 4]}'),
+    (["rewrite", *_P321], 'null'),
+    (["rewrite", *_P321], '{"blocks": [[1, 1], [2, 3]], "sigma": [2, 3, 1, 4], "params": [3]}'),
+    (["rewrite", *_P321], "not json"),
+    (["points", *_P321, "--r", "4"], None),
+    (["points", *_P321, "--r", "-5"], None),
+    (["jacobian", *_P321, "--r", "4", "--u", "1,2,3"], None),
+    (["enumerate", "--n", "0", "--p", "2", "--h", "1"], None),
+    (["gluing", "--n", "3", "--p", "4", "--h", "1"], None),
+    (["enumerate", "--n", "3", "--p", "3", "--h", "1000000"], None),
+    (["fibers", *_P321, "--r", "5", "--u", "1,2"], None),
+    (["fibers", *_P321, "--r", "5", "--u", "a,b,c"], None),
+    (["jacobian", *_P321, "--r", "5", "--u", "1,2"], None),
+    (["jacobian", *_P321, "--r", "5", "--point", "1,2,3"], None),
+    (["cohomology", "--q", "0", "--a", "1"], None),
+    (["cohomology", "--q", "4", "--a", "3", "--i-max", "-1"], None),
+]
+# invocations that argparse itself rejects
+_FUZZ_USAGE = [
+    ["points", *_P321],  # --r is required
+    ["generators", "--n", "3"],
+    ["points", *_P321, "--r", "x"],
+    ["points", *_P321, "--r", "5", "--set", "nowhere"],
+    ["--format", "xml", "enumerate", *_P321],
+    ["no-such-command"],
+    [],
+]
+
+
+def test_cli_fuzz_exits_cleanly_and_keeps_the_parser(capsys, monkeypatch):
+    argv = ["--format", "json", "enumerate", *_P321]
+    assert main(argv) == 0
+    first = capsys.readouterr().out
+    for bad, stdin in _FUZZ_ERRORS:
+        monkeypatch.setattr("sys.stdin", io.StringIO(stdin or ""))
+        code = main(bad)
+        captured = capsys.readouterr()
+        assert code == 2, (bad, stdin, captured.err)
+        assert captured.out == "", (bad, stdin)
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: "), (bad, stdin, lines)
+    for bad in _FUZZ_USAGE:
+        with pytest.raises(SystemExit) as exc:
+            main(bad)
+        assert exc.value.code == 2, bad
+        assert capsys.readouterr().out == ""
+    assert main(argv) == 0
+    assert capsys.readouterr().out == first
+    assert build_parser() is build_parser()
+
+
+def test_cli_parser_is_built_on_first_use():
+    # importing the CLI must not pay for the parser (interpreter start-up)
+    code = ("import veronese.cli as c; n = c.build_parser.cache_info().currsize; "
+            "c.main(['cohomology', '--q', '2', '--a', '1']); "
+            "print(n, c.build_parser.cache_info().currsize)")
+    src = os.path.dirname(os.path.dirname(veronese.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert proc.stdout.splitlines()[-1] == "0 1"

@@ -249,6 +249,15 @@ def test_fibred_survey_matches_brute_scan(nph, r):
     )
 
 
+@pytest.mark.parametrize("nph,r", SURVEY_GRID + [((1, 2, 1), 5), ((2, 2, 1), 101)])
+def test_image_set_matches_parametrize(nph, r):
+    params = make_params(*nph)
+    field = PrimeField(r)
+    assert _image_set(params, field) == {
+        parametrize(params, v, field) for v in product(range(r), repeat=params.n)
+    }
+
+
 def test_fibred_survey_matches_brute_scan_on_other_tails():
     # same heads, random pure-variable tails: the zero set no longer
     # contains the image, so the witness walk has to skip image points
