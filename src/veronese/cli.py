@@ -2,7 +2,8 @@
 
 Exit codes: 0 success, 1 verification-negative (a check that was asked
 to certify something came back false, or a full survey found a
-witness), 2 usage error, 3 budget exceeded.
+witness), 2 usage error, 3 budget exceeded, 141 when the reader of
+stdout closes it early.
 """
 
 from __future__ import annotations
@@ -10,6 +11,7 @@ from __future__ import annotations
 import argparse
 import functools
 import json
+import os
 import sys
 
 from . import checks, jsonio
@@ -33,6 +35,7 @@ from .sci import (
 from .toric import ZeroBinomialError, quadratic_generators, rewrite
 
 OK, NEGATIVE, USAGE, BUDGET = 0, 1, 2, 3
+BROKEN_PIPE = 128 + 13  # the shell's status for a SIGPIPE death
 
 
 def _emit(args, obj: dict, text_lines) -> None:
@@ -345,6 +348,8 @@ def main(argv=None) -> int:
     except GluingNotFoundError as exc:
         print(f"verification negative: {exc}", file=sys.stderr)
         return NEGATIVE
+    except BrokenPipeError:
+        raise  # the reader went away; not a usage error
     except (RootOfUnityError, ZeroBinomialError, ValueError, OSError,
             json.JSONDecodeError, KeyError) as exc:
         print(f"error: {exc}", file=sys.stderr)
@@ -352,7 +357,17 @@ def main(argv=None) -> int:
 
 
 def entry() -> None:
-    sys.exit(main())
+    try:
+        code = main()
+        sys.stdout.flush()
+    except BrokenPipeError:
+        # stdout's reader closed early: exit as a SIGPIPE-killed process
+        # would, with nothing left for the interpreter to flush at exit
+        devnull = os.open(os.devnull, os.O_WRONLY)
+        os.dup2(devnull, sys.stdout.fileno())
+        os.close(devnull)
+        sys.exit(BROKEN_PIPE)
+    sys.exit(code)
 
 
 if __name__ == "__main__":

@@ -10,6 +10,7 @@ through such splits, one element at a time.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from operator import sub
 from typing import Optional, Union
 
 from .lattice import (
@@ -104,31 +105,44 @@ def semigroup_member(
     glist = gens.gens
     truncated = False
     failed: set = set()
-
-    def search(rest, start, budget):
-        nonlocal truncated
-        if not any(rest):
-            return ()
-        if budget is not None and budget <= 0:
+    # depth-first search over picks in generator order, on an explicit
+    # stack so deep targets cannot exhaust the recursion limit: frames[d]
+    # is [rest, start, budget, next generator to try] and picks[d] the
+    # generator frame d descended through.  A (rest, start) that found no
+    # split is remembered in failed.
+    picks: list = []
+    frames: list = []
+    found = not any(target)
+    if not found:
+        if bound is not None and bound <= 0:
             truncated = True
-            return None
-        if (rest, start) in failed:
-            return None
-        for i in range(start, len(glist)):
-            g = glist[i]
-            if all(x <= y for x, y in zip(g, rest)):
-                sub = search(
-                    tuple(y - x for x, y in zip(g, rest)),
-                    i,
-                    None if budget is None else budget - 1,
-                )
-                if sub is not None:
-                    return (i,) + sub
-        failed.add((rest, start))
-        return None
-
-    picks = search(target, 0, bound)
-    if picks is None:
+        else:
+            frames.append([target, 0, bound, 0])
+    while frames and not found:
+        frame = frames[-1]
+        rest, start, budget, i = frame
+        for i in range(i, len(glist)):
+            left = tuple(map(sub, rest, glist[i]))
+            if min(left) < 0:
+                continue
+            if not any(left):
+                found = True
+            elif budget is not None and budget <= 1:  # left needs picks past the bound
+                truncated = True
+                continue
+            elif (left, i) in failed:
+                continue
+            else:
+                frame[3] = i + 1
+                frames.append([left, i, None if budget is None else budget - 1, i])
+            picks.append(i)
+            break
+        else:
+            failed.add((rest, start))
+            frames.pop()
+            if picks:
+                picks.pop()
+    if not found:
         if truncated and deg is None:
             raise UndecidedError(f"undecided at bound {bound}")
         return None

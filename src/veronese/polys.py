@@ -98,7 +98,13 @@ class PolyRing:
         return Poly(self, {(0,) * self.nvars: self.field.one})
 
     def with_field(self, field) -> "PolyRing":
-        return PolyRing(field, self.variables)
+        """The same variables over another coefficient ring, sharing the
+        sorted variable tuple and position index instead of rebuilding them."""
+        ring = PolyRing.__new__(PolyRing)
+        ring.field = field
+        ring.variables = self.variables
+        ring._pos = self._pos
+        return ring
 
     def __eq__(self, other: object) -> bool:
         return (

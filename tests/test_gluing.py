@@ -62,6 +62,18 @@ def test_semigroup_member_matches_brute_force():
             assert got == oracles.semigroup_member_brute(gens.gens, (x, y))
 
 
+def test_semigroup_member_deep_targets():
+    # over a thousand picks deep: the search keeps its own stack
+    assert semigroup_member(SemigroupGens.of([(1, 0), (0, 1)]), (600, 600)) == (
+        600, 600,
+    )
+    # the first witness in generator order: each generator as often as fits
+    gens = SemigroupGens.of([(2, 0), (0, 2), (1, 1)])
+    assert semigroup_member(gens, (601, 599)) == (300, 299, 1)
+    # 1,499 picks of 2 leave 1: the search backs up one level, 1,500 deep
+    assert semigroup_member(SemigroupGens.of([(2,), (3,)]), (2999,)) == (1498, 1)
+
+
 def test_semigroup_member_ungraded_bound():
     gens = SemigroupGens.of([(2,), (3,)])
     assert semigroup_member(gens, (7,)) is not None

@@ -490,3 +490,23 @@ def test_cli_parser_is_built_on_first_use():
     proc = subprocess.run([sys.executable, "-c", code], env=env,
                           capture_output=True, text=True, check=True)
     assert proc.stdout.splitlines()[-1] == "0 1"
+
+
+@pytest.mark.parametrize("fmt", ["text", "json"])
+def test_cli_closed_stdout_exits_quietly(fmt):
+    # the pipe's read end is closed before the child starts, so its first
+    # write to stdout fails with EPIPE
+    src = os.path.dirname(os.path.dirname(veronese.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    r, w = os.pipe()
+    os.close(r)
+    try:
+        proc = subprocess.run(
+            [sys.executable, "-c", "from veronese.cli import entry; entry()",
+             "enumerate", "--n", "3", "--p", "2", "--h", "4", "--format", fmt],
+            env=env, stdout=w, stderr=subprocess.PIPE, text=True, timeout=60,
+        )
+    finally:
+        os.close(w)
+    assert proc.returncode == 141
+    assert proc.stderr == ""

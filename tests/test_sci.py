@@ -1,7 +1,10 @@
 import random
+from functools import lru_cache
 from itertools import product
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import make_params
@@ -15,21 +18,30 @@ from veronese import (
     quadratic_generators,
     verify_char_p,
 )
+from veronese.checks import GLUING_PARAMS
 from veronese.combinatorics import pure_tuple
-from veronese.polys import Poly, mono_lcm
+from veronese.groebner import GroebnerBasis, buchberger, reduce
+from veronese.polys import Poly, frobenius_power, mono_lcm
 from veronese.sci import (
     DEFAULT_ENUM_BUDGET,
     MODE_FULL,
     MODE_IMAGE,
     BudgetExceededError,
     SciCertificate,
-    certificate_groebner,
     _compiled,
     _fibred_scan,
+    _frobenius_normal_form,
     _image_set,
     _triangular,
     _zero_set_scan,
 )
+
+
+def certificate_groebner(cert: SciCertificate) -> GroebnerBasis:
+    """Generic Buchberger basis of the certificate over F_p: the oracle
+    for the structural normal forms of ``verify_char_p``."""
+    field = PrimeField(cert.params.p)
+    return buchberger([g.map_field(field) for g in cert.binomials])
 
 
 def test_certificate_frozen(params321):
@@ -90,11 +102,115 @@ def test_verify_char_p_frozen(params321):
 
 
 def test_verify_char_p_parameter_sweep():
-    for n, p, h in ((4, 2, 1), (3, 3, 1), (3, 2, 2)):
+    for n, p, h in ((4, 2, 1), (3, 3, 1), (3, 2, 2), (3, 2, 3), (3, 3, 2), (4, 2, 3)):
         params = make_params(n, p, h)
         report = verify_char_p(build_certificate(params))
         assert report.success
         assert max(report.k_values) <= h + 1
+
+
+# the Frobenius ladder of the benchmark, |T| <= 36
+FROBENIUS_RUNGS = (
+    (3, 2, 1), (3, 3, 1), (4, 2, 1), (5, 2, 1), (3, 2, 2), (4, 3, 1), (6, 2, 1),
+    (3, 5, 1), (7, 2, 1), (8, 2, 1), (5, 3, 1), (3, 7, 1), (4, 2, 2),
+)
+
+
+def _groebner_entries(cert, k_max):
+    """verify_char_p's entries by generic Buchberger and reduction."""
+    p = cert.params.p
+    gb = certificate_groebner(cert)
+    field = PrimeField(p)
+    entries = []
+    for g0 in quadratic_generators(cert.params):
+        g = g0.map_field(field)
+        found = next(
+            (k for k in range(k_max + 1)
+             if reduce(frobenius_power(g, p, k), gb).is_zero()),
+            None,
+        )
+        entries.append((g, found))
+    return tuple(entries)
+
+
+@pytest.mark.parametrize("nph", sorted(set(FROBENIUS_RUNGS) | set(GLUING_PARAMS)))
+def test_verify_char_p_matches_groebner_reduction(nph):
+    params = make_params(*nph)
+    assert params.cardinality() <= 36
+    cert = build_certificate(params)
+    # k_max = h - 1 leaves generators without a power at every rung
+    for k_max in (params.h - 1, 2 * params.h + 2):
+        assert verify_char_p(cert, k_max).entries == _groebner_entries(cert, k_max)
+
+
+@lru_cache(maxsize=None)
+def _certificate_case(nph):
+    params = make_params(*nph)
+    cert = build_certificate(params)
+    rows, _ = _triangular(cert.binomials, params.cardinality())
+    heads = {t: (e, fs) for t, e, fs in rows}
+    return params, heads, certificate_groebner(cert)
+
+
+def _support(e) -> tuple:
+    return tuple((i, x) for i, x in enumerate(e) if x)
+
+
+def test_frobenius_normal_form_frozen():
+    # x12^3 -> x12 * x11*x22 and (x12*x13)^2 -> x11^2*x22*x33
+    _, heads, gb = _certificate_case((3, 2, 1))
+    ring = gb.ring
+    pos = ring.position
+    assert _frobenius_normal_form(heads, _support(ring.exps_of([((1, 2), 3)])), 1) == {
+        pos((1, 1)): 1, pos((1, 2)): 1, pos((2, 2)): 1,
+    }
+    x12x13 = _support(ring.exps_of([((1, 2), 1), ((1, 3), 1)]))
+    assert _frobenius_normal_form(heads, x12x13, 2) == {
+        pos((1, 1)): 2, pos((2, 2)): 1, pos((3, 3)): 1,
+    }
+
+
+@st.composite
+def _monomial_pairs(draw):
+    """(n,p,h), two dense exponent tuples and k.  The pair is random,
+    or one monomial and its image under a trade of x_t^(e*d) for the
+    tail to the d (so the same class), or the two terms of a quadric."""
+    nph = draw(st.sampled_from(((3, 2, 1), (3, 3, 1), (4, 2, 1), (3, 2, 2), (2, 5, 1))))
+    params, heads, _ = _certificate_case(nph)
+    exps = st.lists(
+        st.sampled_from((0, 0, 0, 1, 2, 3, 5)),
+        min_size=params.cardinality(),
+        max_size=params.cardinality(),
+    )
+    kind = draw(st.sampled_from(("random", "traded", "quadric")))
+    if kind == "random":
+        m1, m2 = draw(exps), draw(exps)
+    elif kind == "traded":
+        m1 = draw(exps)
+        m2 = list(m1)
+        t = draw(st.sampled_from(sorted(heads)))
+        e, factors = heads[t]
+        d = draw(st.integers(1, 2))
+        m1[t] += e * d
+        for j, a in factors:
+            m2[j] += a * d
+    else:
+        g = draw(st.sampled_from(quadratic_generators(params)))
+        m1, m2 = g.raw_terms()
+    return nph, tuple(m1), tuple(m2), draw(st.integers(0, 3))
+
+
+@settings(derandomize=True, max_examples=150, deadline=None)
+@given(_monomial_pairs())
+def test_frobenius_normal_form_decides_membership(case):
+    nph, m1, m2, k = case
+    params, heads, gb = _certificate_case(nph)
+    power = params.p**k
+    f = frobenius_power(gb.ring.poly({m1: 1}) - gb.ring.poly({m2: 1}), params.p, k)
+    same = _frobenius_normal_form(heads, _support(m1), power) == _frobenius_normal_form(
+        heads, _support(m2), power
+    )
+    assert same == reduce(f, gb).is_zero()
 
 
 def test_verify_char_p_k_zero_insufficient(params321):
@@ -247,6 +363,16 @@ def test_fibred_survey_matches_brute_scan(nph, r):
     assert (report.count_zero_set, report.witness) == _brute(
         params, cert.binomials, r
     )
+
+
+@pytest.mark.parametrize("nph,r", SURVEY_GRID)
+def test_image_satisfies_certificate_and_quadrics(nph, r):
+    params = make_params(*nph)
+    field = PrimeField(r)
+    gens = build_certificate(params).binomials + quadratic_generators(params)
+    gens = [g.map_field(field) for g in gens]
+    for pt in _image_set(params, field):
+        assert all(g.evaluate(pt) == 0 for g in gens), pt
 
 
 @pytest.mark.parametrize("nph,r", SURVEY_GRID + [((1, 2, 1), 5), ((2, 2, 1), 101)])
