@@ -301,9 +301,10 @@ def build_parser() -> argparse.ArgumentParser:
                     default="full-enumeration")
     sp.add_argument(
         "--budget", type=int, default=DEFAULT_ENUM_BUDGET,
-        help="cap on what a survey visits: the r^n pure-coordinate "
-             "fibre bases for --set certificate, the r^|T| points of F_r^|T| "
-             "for --set ideal, the r^n parameter vectors in image-only mode",
+        help="cap on a survey's size: the r^n pure-coordinate fibre bases "
+             "it visits for --set certificate, the r^|T| points of the "
+             "search space F_r^|T| for --set ideal (not the count visited), "
+             "the r^n parameter vectors in image-only mode",
     )
     sp.set_defaults(fn=_cmd_points)
 

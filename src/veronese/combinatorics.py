@@ -19,6 +19,9 @@ from .fields import ZZ, PrimeField, is_prime
 from .polys import PolyRing
 
 DEFAULT_Q_CAP = 16
+# |T| past which nothing here stays tractable: the largest case any
+# check or benchmark uses, (4,2,3), has |T| = 165
+MAX_CARDINALITY = 10_000
 
 IndexTuple = tuple
 ExponentVector = tuple
@@ -46,6 +49,11 @@ class VeroneseParams:
             raise ValueError(
                 f"q = {self.p}^{self.h} exceeds the cap {self.q_cap}; "
                 "raise q_cap explicitly if you really want this"
+            )
+        if self.cardinality() > MAX_CARDINALITY:
+            raise ValueError(
+                f"|T| = C(n+q-1, q) = {self.cardinality()} exceeds the cap "
+                f"{MAX_CARDINALITY}"
             )
         if self.n < 3:
             warnings.warn(

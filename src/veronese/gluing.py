@@ -10,6 +10,7 @@ through such splits, one element at a time.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import inf
 from operator import sub
 from typing import Optional, Union
 
@@ -104,12 +105,15 @@ def semigroup_member(
 
     glist = gens.gens
     truncated = False
-    failed: set = set()
+    failed: dict = {}
     # depth-first search over picks in generator order, on an explicit
     # stack so deep targets cannot exhaust the recursion limit: frames[d]
-    # is [rest, start, budget, next generator to try] and picks[d] the
-    # generator frame d descended through.  A (rest, start) that found no
-    # split is remembered in failed.
+    # is [rest, start, budget, next generator to try, cut] and picks[d]
+    # the generator frame d descended through.  A (rest, start) that
+    # found no split is remembered in failed with the budget it failed
+    # at when the bound cut its search (cut), with inf otherwise; a later
+    # visit skips it only if it brings no more budget.  No bound is an
+    # inf budget.
     picks: list = []
     frames: list = []
     found = not any(target)
@@ -117,31 +121,36 @@ def semigroup_member(
         if bound is not None and bound <= 0:
             truncated = True
         else:
-            frames.append([target, 0, bound, 0])
+            frames.append([target, 0, inf if bound is None else bound, 0, False])
     while frames and not found:
         frame = frames[-1]
-        rest, start, budget, i = frame
+        rest, start, budget, i, _ = frame
+        child = budget - 1
         for i in range(i, len(glist)):
             left = tuple(map(sub, rest, glist[i]))
             if min(left) < 0:
                 continue
             if not any(left):
                 found = True
-            elif budget is not None and budget <= 1:  # left needs picks past the bound
-                truncated = True
+            elif child <= 0:  # left needs picks past the bound
+                truncated = frame[4] = True
                 continue
-            elif (left, i) in failed:
+            elif failed.get((left, i), -1) >= child:
+                frame[4] = frame[4] or failed[(left, i)] != inf
                 continue
             else:
                 frame[3] = i + 1
-                frames.append([left, i, None if budget is None else budget - 1, i])
+                frames.append([left, i, child, i, False])
             picks.append(i)
             break
         else:
-            failed.add((rest, start))
+            cut = frame[4]
+            failed[(rest, start)] = budget if cut else inf
             frames.pop()
             if picks:
                 picks.pop()
+            if cut and frames:
+                frames[-1][4] = True
     if not found:
         if truncated and deg is None:
             raise UndecidedError(f"undecided at bound {bound}")

@@ -1,8 +1,8 @@
 """Buchberger's algorithm and multivariate division over a prime field.
 
 Tuned for the binomial ideals that arise here: reducer lookup is indexed
-by leading-monomial support, the coprime-leading-term criterion prunes
-pairs, and the pair queue is capped so runaway inputs fail loudly.
+by leading-monomial support, pairs with coprime leading terms are never
+queued, and the pair queue is capped so runaway inputs fail loudly.
 """
 
 from __future__ import annotations
@@ -140,8 +140,9 @@ def buchberger(
 ) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by gens.
 
-    S-pairs with coprime leading terms are skipped.  Raises
-    PairLimitExceeded rather than truncating when pair_cap is hit.
+    S-pairs with coprime leading terms are never queued, so pair_cap
+    and pairs_processed count only pairs whose leads share a variable.
+    Raises PairLimitExceeded rather than truncating when pair_cap is hit.
     """
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
@@ -164,26 +165,27 @@ def buchberger(
     heap: list = []
     counter = 0
 
-    def push_pair(i: int, j: int) -> None:
+    def push_pairs(i: int) -> None:
+        # product criterion: a pair whose leads share no variable reduces
+        # to zero, so only the partners in i's lead buckets are pushed
         nonlocal counter
-        lcm = mono_lcm(red.lead[i], red.lead[j])
-        counter += 1
-        heapq.heappush(heap, (ring.key(lcm), counter, i, j, lcm))
+        lead = red.lead[i]
+        partners = {j for v, x in enumerate(lead) if x for j in red.buckets[v] if j < i}
+        for j in sorted(partners):
+            counter += 1
+            heapq.heappush(heap, (ring.key(mono_lcm(red.lead[j], lead)), counter, j, i))
 
     for i in range(len(basis)):
-        for j in range(i):
-            push_pair(j, i)
+        push_pairs(i)
 
     processed = 0
     while heap:
-        _, _, i, j, lcm = heapq.heappop(heap)
+        _, _, i, j = heapq.heappop(heap)
         processed += 1
         if processed > pair_cap:
             raise PairLimitExceeded(
                 f"S-pair limit {pair_cap} exceeded ({len(basis)} basis elements)"
             )
-        if mono_mul(red.lead[i], red.lead[j]) == lcm:
-            continue  # coprime leading terms reduce to zero
         s = s_polynomial(basis[i], basis[j])
         rt = _normal_form_terms(s.raw_terms(), red, ring.field)
         if not rt:
@@ -191,8 +193,7 @@ def buchberger(
         r = Poly(ring, rt).monic()
         basis.append(r)
         red.add(r.raw_terms())
-        for k in range(len(basis) - 1):
-            push_pair(k, len(basis) - 1)
+        push_pairs(len(basis) - 1)
 
     return GroebnerBasis(ring, _reduced(red), processed)
 

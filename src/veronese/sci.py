@@ -6,7 +6,8 @@ of pure-power coordinates.  In characteristic p every quadratic
 generator has a p-power landing in the certificate ideal; over other
 prime fields point surveys hunt for zero-set points outside the
 parametrized image: the certificate's zero set is counted fibre by fibre
-over the pure coordinates, the quadratic ideal's by scanning F_r^|T|.
+over the pure coordinates, the quadratic ideal's by a depth-first search
+that solves each quadric for its last coordinate.
 """
 
 from __future__ import annotations
@@ -200,44 +201,96 @@ def _image_set(params: VeroneseParams, field: PrimeField) -> frozenset:
     return frozenset(points)
 
 
-def _zero_set_scan(compiled, r: int, m: int, image: frozenset):
-    """Count zero-set points of F_r^m and find the lex-first one off the
-    image, by brute evaluation of every point."""
-    maxe = max(
-        (e for binomial in compiled for _, fs in binomial for _, e in fs),
-        default=1,
-    )
+def _roots(exponents, r: int) -> dict:
+    """{e: table} with table[y] the increasing list of x in F_r, x^e = y."""
+    roots = {}
+    for e in exponents:
+        table = [[] for _ in range(r)]
+        for x in range(r):
+            table[pow(x, e, r)].append(x)
+        roots[e] = table
+    return roots
+
+
+def _propagate(compiled, r: int, m: int, image: frozenset):
+    """Count the zero set of binomials in F_r^m and find its lex-first
+    point off the image, by depth-first search over the positions.
+
+    Each binomial is attached to its largest position L.  When the
+    search reaches L every other variable is fixed, so it reads
+    A*x_L^k + B = 0 and gives the candidates for x_L: the k-th roots of
+    -B/A when A != 0, all of F_r when A = B = 0, none otherwise.  Other
+    binomials ending at L filter those candidates; positions no binomial
+    ends at branch over F_r.  Candidates come in increasing order, so
+    the leaves come in lex order: the count is the number of leaves and
+    the first leaf off the image is the lex-first witness.  Raises
+    ValueError for a binomial with x_L in both terms.
+    """
+    at = [[] for _ in range(m)]
+    for binomial in compiled:
+        last = max((i for _, fs in binomial for i, _ in fs), default=None)
+        held = [t for t in binomial if any(i == last for i, _ in t[1])]
+        if len(binomial) != 2 or len(held) != 1:
+            raise ValueError("each binomial needs its last variable in exactly one term")
+        (ca, fa), = held
+        cb, fb = binomial[1] if binomial[0] is held[0] else binomial[0]
+        k = dict(fa)[last]
+        at[last].append((ca, tuple(f for f in fa if f[0] != last), k, cb, fb))
+    roots = _roots({c[2] for cs in at for c in cs}, r)
+    maxe = max((e for binomial in compiled for _, fs in binomial for _, e in fs), default=1)
     powtab = [[pow(v, e, r) for e in range(maxe + 1)] for v in range(r)]
+    inv = [0] + [pow(a, r - 2, r) for a in range(1, r)]
+    everything = range(r)
+    # the trailing positions no binomial ends at branch freely below the
+    # last constrained one, so its candidates count r^tail leaves each
+    depth = m
+    while depth and not at[depth - 1]:
+        depth -= 1
+    tail = m - depth
+    spread = r**tail
     point = [0] * m
     count = 0
     witness = None
-    while True:
-        ok = True
-        for binomial in compiled:
-            acc = 0
-            for c, factors in binomial:
-                t = c
-                for i, e in factors:
-                    t = t * powtab[point[i]][e] % r
-                acc = (acc + t) % r
-            if acc:
-                ok = False
-                break
-        if ok:
-            count += 1
-            if witness is None:
-                pt = tuple(point)
-                if pt not in image:
-                    witness = pt
-        i = m - 1
-        while i >= 0:
-            point[i] += 1
-            if point[i] < r:
-                break
-            point[i] = 0
-            i -= 1
-        if i < 0:
-            return count, witness
+
+    def first_off_image(head: tuple):
+        for rest in product(everything, repeat=tail):
+            if head + rest not in image:
+                return head + rest
+        return None
+
+    def descend(pos: int) -> None:
+        nonlocal count, witness
+        cands = everything
+        for j, (ca, fa, k, cb, fb) in enumerate(at[pos]):
+            a, b = ca, cb
+            for i, e in fa:
+                a = a * powtab[point[i]][e] % r
+            for i, e in fb:
+                b = b * powtab[point[i]][e] % r
+            if j:
+                cands = [v for v in cands if (a * powtab[v][k] + b) % r == 0]
+            elif a:
+                cands = roots[k][-b * inv[a] % r]
+            elif b:
+                return
+        if pos + 1 < depth:
+            for v in cands:
+                point[pos] = v
+                descend(pos + 1)
+            return
+        count += len(cands) * spread
+        if witness is None:
+            for v in cands:
+                point[pos] = v
+                witness = first_off_image(tuple(point[:depth]))
+                if witness is not None:
+                    return
+
+    if depth:
+        descend(0)
+    else:
+        count, witness = spread, first_off_image(())
+    return count, witness
 
 
 def _triangular(binomials, m: int) -> tuple:
@@ -273,7 +326,8 @@ def _triangular(binomials, m: int) -> tuple:
 
 
 def _fibred_scan(rows, free, r: int, m: int, image: frozenset):
-    """Same answer as ``_zero_set_scan`` for a triangular system.
+    """Zero-set count and lex-first point off the image, for a
+    triangular system.
 
     Over each vector c of free values the zero set is the product of
     the e-th root lists of the tails m_t(c), taken in position order;
@@ -281,12 +335,7 @@ def _fibred_scan(rows, free, r: int, m: int, image: frozenset):
     the image is the least, over fibres, of the first non-image point of
     each fibre's lexicographic walk.
     """
-    roots = {}
-    for e in {e for _, e, _ in rows}:
-        table = [[] for _ in range(r)]
-        for x in range(r):
-            table[pow(x, e, r)].append(x)
-        roots[e] = table
+    roots = _roots({e for _, e, _ in rows}, r)
     maxe = max((x for _, _, fs in rows for _, x in fs), default=1)
     powtab = [[pow(v, e, r) for e in range(maxe + 1)] for v in range(r)]
     point = [0] * m
@@ -355,9 +404,10 @@ def full_ideal_point_survey(
     mode: str = MODE_FULL,
     budget: int = DEFAULT_ENUM_BUDGET,
 ) -> PointSetReport:
-    """Survey of the quadratic ideal B; full enumeration scans all of
-    F_r^|T|, so budget caps those r^|T| points (and the r^n parameter
-    vectors in image-only mode)."""
+    """Survey of the quadratic ideal B; full enumeration propagates
+    through F_r^|T| coordinate by coordinate, and budget caps the size
+    r^|T| of that search space (the r^n parameter vectors in image-only
+    mode)."""
     field = _survey_field(mode, r)
     if mode == MODE_IMAGE:
         return _image_only(params, "ideal", field, budget)
@@ -365,7 +415,7 @@ def full_ideal_point_survey(
     _check_budget(r, m, budget, "points of F_r^|T|")
     image = _image_set(params, field)
     compiled = _compiled(quadratic_generators(params), field)
-    count, witness = _zero_set_scan(compiled, r, m, image)
+    count, witness = _propagate(compiled, r, m, image)
     return PointSetReport(params, r, "ideal", mode, len(image), count, witness)
 
 

@@ -142,6 +142,28 @@ def semigroup_member_brute(gens, target) -> bool:
     return False
 
 
+def semigroup_least_picks(gens, target):
+    """Least total multiplicity of an N-combination of gens equal to
+    target, or None; BFS by number of picks, nonzero nonnegative gens."""
+    target = tuple(target)
+    frontier = {tuple([0] * len(target))}
+    seen = set(frontier)
+    picks = 0
+    while frontier:
+        if target in frontier:
+            return picks
+        nxt = set()
+        for pt in frontier:
+            for g in gens:
+                cand = tuple(a + b for a, b in zip(pt, g))
+                if cand not in seen and all(a <= b for a, b in zip(cand, target)):
+                    seen.add(cand)
+                    nxt.add(cand)
+        frontier = nxt
+        picks += 1
+    return None
+
+
 def symmetric_rank_le_one_count(r: int) -> int:
     """Points of F_r^6 viewed as symmetric 3x3 matrices with every 2x2
     minor zero, counted by direct enumeration."""
@@ -192,3 +214,31 @@ def certificate_zero_count_closed_form(n: int, q: int, r: int) -> int:
             )
             total += ((r - 1) // g) ** size * kernel * g ** len(inside)
     return total
+
+
+def zero_set_scan(compiled, r: int, m: int, image) -> tuple:
+    """Count the zero-set points of F_r^m and find the lex-first one off
+    the image, by evaluating every point.  ``compiled`` lists each
+    polynomial as (coefficient, ((position, exponent), ...)) terms."""
+    maxe = max(
+        (e for poly in compiled for _, fs in poly for _, e in fs),
+        default=1,
+    )
+    powtab = [[pow(v, e, r) for e in range(maxe + 1)] for v in range(r)]
+    count = 0
+    witness = None
+    for point in product(range(r), repeat=m):
+        for poly in compiled:
+            acc = 0
+            for c, factors in poly:
+                t = c
+                for i, e in factors:
+                    t = t * powtab[point[i]][e] % r
+                acc += t
+            if acc % r:
+                break
+        else:
+            count += 1
+            if witness is None and point not in image:
+                witness = point
+    return count, witness

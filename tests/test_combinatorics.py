@@ -98,6 +98,11 @@ def test_params_validation():
         VeroneseParams(3, 2, 5)  # q = 32 over the default cap
     with pytest.raises(ValueError, match="exceeds the cap"):
         VeroneseParams(3, 3, 10**6)  # a huge h gets the cap message, not q itself
+    with pytest.raises(ValueError, match="exceeds the cap 10000"):
+        VeroneseParams(100_000, 2, 1)  # |T| = C(100001, 2)
+    with pytest.raises(ValueError, match="exceeds the cap"):
+        VeroneseParams(10**100, 2, 4)
+    assert VeroneseParams(4, 2, 3).cardinality() == 165
     params = VeroneseParams(3, 2, 5, q_cap=32)
     assert params.q == 32
     with pytest.warns(UserWarning):

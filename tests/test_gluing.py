@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 import oracles
@@ -80,6 +82,47 @@ def test_semigroup_member_ungraded_bound():
     assert semigroup_member(gens, (1,)) is None
     with pytest.raises(UndecidedError):
         semigroup_member(gens, (10,), bound=1)
+
+
+def test_semigroup_member_bound_cut_is_not_a_failure():
+    # 6+6+6+6+3+1+1 uses 7 picks; a branch that ran out of picks must
+    # not be remembered as a dead end for a later branch with more left
+    gens = SemigroupGens.of([(1,), (3,), (6,)])
+    rep = semigroup_member(gens, (29,), bound=7)
+    assert rep is not None and sum(rep) <= 7
+    assert sum(c * g[0] for c, g in zip(rep, gens.gens)) == 29
+
+
+def test_semigroup_member_ungraded_matches_least_picks():
+    # against a brute-force search by number of picks: decided with a
+    # witness within the bound when one exists, undecided when the least
+    # combination needs more picks, never a wrong None
+    rng = random.Random(23)
+    for _ in range(300):
+        dim = rng.choice((1, 2))
+        vectors = set()
+        while len(vectors) < rng.randrange(2, 5):
+            v = tuple(rng.randrange(0, 5) for _ in range(dim))
+            if any(v):
+                vectors.add(v)
+        gens = SemigroupGens.of(sorted(vectors))
+        target = tuple(rng.randrange(0, 16) for _ in range(dim))
+        bound = rng.choice((None, 1, 2, 3, 4, 5, 6, 8))
+        least = oracles.semigroup_least_picks(gens.gens, target)
+        try:
+            rep = semigroup_member(gens, target, bound=bound)
+        except UndecidedError:
+            assert bound is not None and (least is None or least > bound)
+            continue
+        if least is None:
+            assert rep is None
+            continue
+        assert rep is not None
+        assert bound is None or sum(rep) <= bound
+        combo = tuple(
+            sum(c * g[k] for c, g in zip(rep, gens.gens)) for k in range(dim)
+        )
+        assert combo == target
 
 
 def test_check_p_gluing_frozen_quadratic():

@@ -1,5 +1,6 @@
 import hashlib
 import random
+from itertools import combinations
 
 import pytest
 
@@ -101,6 +102,21 @@ def test_buchberger_pair_cap():
     gens = list(generators_over(params, F5))
     with pytest.raises(PairLimitExceeded):
         buchberger(gens, pair_cap=10)
+
+
+def test_buchberger_queues_only_pairs_with_shared_variables():
+    # the star quadrics are already the reduced basis, so no element is
+    # added and the pairs processed are exactly the lead pairs that share
+    # a variable; the coprime ones never reach the queue
+    for nph in ((3, 2, 1), (3, 2, 2), (2, 3, 1), (4, 3, 1)):
+        gens = list(generators_over(make_params(*nph), F5))
+        gb = buchberger(gens)
+        assert len(gb) == len(gens)
+        leads = [g.leading()[0] for g in gb.polys]
+        sharing = sum(
+            1 for a, b in combinations(leads, 2) if any(x and y for x, y in zip(a, b))
+        )
+        assert gb.pairs_processed == sharing < len(leads) * (len(leads) - 1) // 2
 
 
 def test_buchberger_rejects_integer_coefficients(params321):

@@ -439,6 +439,7 @@ _FUZZ_ERRORS = [
     (["enumerate", "--n", "0", "--p", "2", "--h", "1"], None),
     (["gluing", "--n", "3", "--p", "4", "--h", "1"], None),
     (["enumerate", "--n", "3", "--p", "3", "--h", "1000000"], None),
+    (["enumerate", "--n", "100000", "--p", "2", "--h", "1"], None),
     (["fibers", *_P321, "--r", "5", "--u", "1,2"], None),
     (["fibers", *_P321, "--r", "5", "--u", "a,b,c"], None),
     (["jacobian", *_P321, "--r", "5", "--u", "1,2"], None),
@@ -510,3 +511,20 @@ def test_cli_closed_stdout_exits_quietly(fmt):
         os.close(w)
     assert proc.returncode == 141
     assert proc.stderr == ""
+
+
+def test_cli_refuses_huge_coordinate_sets_at_once():
+    # |T| = C(100001, 2) is refused when the parameters are read, before
+    # any coordinate is listed
+    src = os.path.dirname(os.path.dirname(veronese.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", "from veronese.cli import entry; entry()",
+         "enumerate", "--n", "100000", "--p", "2", "--h", "1"],
+        env=env, capture_output=True, text=True, timeout=30,
+    )
+    assert proc.returncode == 2
+    assert proc.stdout == ""
+    lines = proc.stderr.splitlines()
+    assert len(lines) == 1 and lines[0].startswith("error: "), lines
+    assert "exceeds the cap" in lines[0]

@@ -32,8 +32,8 @@ from veronese.sci import (
     _fibred_scan,
     _frobenius_normal_form,
     _image_set,
+    _propagate,
     _triangular,
-    _zero_set_scan,
 )
 
 
@@ -342,7 +342,7 @@ def _brute(params, binomials, r):
     field = PrimeField(r)
     compiled = _compiled(binomials, field)
     image = _image_set(params, field)
-    return _zero_set_scan(compiled, r, params.cardinality(), image)
+    return oracles.zero_set_scan(compiled, r, params.cardinality(), image)
 
 
 # every case of the grid with r^|T| <= 4 * 10^5
@@ -363,6 +363,128 @@ def test_fibred_survey_matches_brute_scan(nph, r):
     assert (report.count_zero_set, report.witness) == _brute(
         params, cert.binomials, r
     )
+
+
+@pytest.mark.parametrize("nph,r", SURVEY_GRID)
+def test_ideal_propagation_matches_brute_scan(nph, r):
+    params = make_params(*nph)
+    report = full_ideal_point_survey(params, r)
+    assert (report.count_zero_set, report.witness) == _brute(
+        params, quadratic_generators(params), r
+    )
+
+
+def test_ideal_witness_walk_skips_declared_image_points():
+    # with every zero-set point but a few declared image points, the
+    # witness is the least of those few, also when they all sit among
+    # the candidates of one last position
+    rng = random.Random(13)
+    for (n, p, h), r in (((3, 2, 1), 5), ((2, 2, 2), 5), ((2, 3, 1), 7)):
+        params = make_params(n, p, h)
+        m = params.cardinality()
+        field = PrimeField(r)
+        gens = [g.map_field(field) for g in quadratic_generators(params)]
+        zero_set = [
+            pt for pt in product(range(r), repeat=m)
+            if all(g.evaluate(pt) == 0 for g in gens)
+        ]
+        compiled = _compiled(gens, field)
+        groups = {}
+        for pt in zero_set:
+            groups.setdefault(pt[:-1], []).append(pt)
+        big = [g for g in groups.values() if len(g) >= 4]
+        assert big
+        for k in (1, 2, 3, 4):
+            for dropped in (rng.sample(zero_set, k), rng.sample(rng.choice(big), k)):
+                image = frozenset(zero_set) - frozenset(dropped)
+                expected = (len(zero_set), min(dropped))
+                assert _propagate(compiled, r, m, image) == expected
+                assert oracles.zero_set_scan(compiled, r, m, image) == expected
+
+
+# (n,p,h) and r with r^|T| <= 2 * 10^4, so the brute scan stays quick
+_SUBSET_CASES = (
+    ((3, 2, 1), 2), ((3, 2, 1), 3), ((3, 2, 1), 5), ((2, 3, 1), 7),
+    ((2, 3, 1), 11), ((2, 2, 2), 5), ((2, 2, 2), 7), ((4, 2, 1), 2),
+    ((3, 3, 1), 2), ((2, 5, 1), 3),
+)
+
+
+@st.composite
+def _quadric_subsets(draw):
+    """(n,p,h), r and a nonempty subset of the quadrics in random order:
+    positions no chosen quadric ends at are free, and a lone quadric at
+    its last position hits the all-of-F_r and no-root branches."""
+    nph, r = draw(st.sampled_from(_SUBSET_CASES))
+    count = len(quadratic_generators(make_params(*nph)))
+    picked = draw(st.lists(st.integers(0, count - 1), min_size=1, unique=True))
+    return nph, r, picked
+
+
+@settings(derandomize=True, max_examples=120, deadline=None)
+@given(_quadric_subsets())
+def test_propagation_matches_brute_scan_on_quadric_subsets(case):
+    nph, r, picked = case
+    params = make_params(*nph)
+    field = PrimeField(r)
+    quadrics = quadratic_generators(params)
+    compiled = _compiled([quadrics[i] for i in picked], field)
+    m = params.cardinality()
+    image = _image_set(params, field)
+    assert _propagate(compiled, r, m, image) == oracles.zero_set_scan(
+        compiled, r, m, image
+    )
+
+
+def test_propagation_branches_on_one_quadric():
+    # x11*x22 - x12^2 alone over F_3 ends at x22, after x11, x12, x13:
+    # one root when x11 != 0, all of F_3 when x11 = x12 = 0 and none when
+    # only x11 = 0; the trailing x23, x33 are free
+    params = make_params(3, 2, 1)
+    field = PrimeField(3)
+    (g,) = [g for g in quadratic_generators(params) if g.text() == "-x12^2 + x11*x22"]
+    compiled = _compiled([g], field)
+    image = _image_set(params, field)
+    count, witness = _propagate(compiled, 3, 6, image)
+    assert count == (2 * 3 * 3 + 3 * 3) * 3**2
+    assert (count, witness) == oracles.zero_set_scan(compiled, 3, 6, image)
+    assert _propagate(compiled, 3, 6, frozenset()) == (count, (0,) * 6)
+
+
+def test_propagation_matches_brute_scan_on_random_binomials():
+    # binomials c1*x_L^k*u - c2*v with u, v monomials in earlier
+    # positions and k up to 4, so candidate lists hold several roots and
+    # a random half of F_r^m declared the image makes their order count
+    rng = random.Random(17)
+    for r in (5, 7, 13):
+        for _ in range(8):
+            m = rng.randrange(2, 5)
+            compiled = []
+            for _ in range(rng.randrange(1, 4)):
+                last = rng.randrange(1, m)
+                u = tuple((i, rng.randrange(1, 3)) for i in range(last) if rng.random() < 0.4)
+                v = tuple((i, rng.randrange(1, 4)) for i in range(last) if rng.random() < 0.5)
+                k = rng.randrange(1, 5)
+                compiled.append([
+                    (rng.randrange(1, r), tuple(sorted(u + ((last, k),)))),
+                    (rng.randrange(1, r), v),
+                ])
+            image = frozenset(
+                pt for pt in product(range(r), repeat=m) if rng.random() < 0.5
+            )
+            assert _propagate(compiled, r, m, image) == oracles.zero_set_scan(
+                compiled, r, m, image
+            )
+
+
+def test_propagation_rejects_last_variable_in_both_terms():
+    # x11*x13 - x12*x13: x13 is the last variable and sits in both terms
+    both = [[(1, ((0, 1), (2, 1))), (2, ((1, 1), (2, 1)))]]
+    with pytest.raises(ValueError):
+        _propagate(both, 3, 3, frozenset())
+    three = [[(1, ((0, 2),)), (2, ((1, 2),)), (1, ((2, 2),))]]
+    with pytest.raises(ValueError):
+        _propagate(three, 3, 3, frozenset())
 
 
 @pytest.mark.parametrize("nph,r", SURVEY_GRID)
@@ -434,7 +556,7 @@ def test_fibred_witness_walk_skips_deep_into_fibres():
                 image = frozenset(zero_set) - frozenset(dropped)
                 expected = (len(zero_set), min(dropped))
                 assert _fibred_scan(rows, free, r, m, image) == expected
-                assert _zero_set_scan(compiled, r, m, image) == expected
+                assert oracles.zero_set_scan(compiled, r, m, image) == expected
 
 
 def test_malformed_certificate_rejected(params321):
