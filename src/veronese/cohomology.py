@@ -15,6 +15,10 @@ from math import gcd
 
 from .fields import is_prime
 
+# highest degree a table is filled to; the orders repeat with period 2,
+# so a longer table says nothing new and only costs memory
+MAX_DEGREE = 1_000
+
 
 def prime_power_split(q: int) -> tuple:
     """(p, h) with q = p^h; rejects non prime powers."""
@@ -95,6 +99,8 @@ def cohomology_orders(action: CyclicAction, i_max: int = 6) -> CohomologyTable:
     """Orders of H^0..H^i_max; degrees >= 1 repeat with period 2."""
     if i_max < 0:
         raise ValueError("i_max must be nonnegative")
+    if i_max > MAX_DEGREE:
+        raise ValueError(f"i_max = {i_max} exceeds the cap {MAX_DEGREE}")
     q = action.q
     d = action.difference()
     nm = action.norm()

@@ -10,7 +10,7 @@ ascending lexicographic order.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb
@@ -18,7 +18,8 @@ from math import comb
 from .fields import ZZ, PrimeField, is_prime
 from .polys import PolyRing
 
-DEFAULT_Q_CAP = 16
+# q = p^h past which the exponent sets outgrow every check
+MAX_Q = 16
 # |T| past which nothing here stays tractable: the largest case any
 # check or benchmark uses, (4,2,3), has |T| = 165
 MAX_CARDINALITY = 10_000
@@ -34,7 +35,6 @@ class VeroneseParams:
     n: int
     p: int
     h: int
-    q_cap: int = field(default=DEFAULT_Q_CAP, compare=False, repr=False)
 
     def __post_init__(self):
         for name in ("n", "p", "h"):
@@ -43,13 +43,10 @@ class VeroneseParams:
                 raise ValueError(f"{name} must be a positive integer, got {v!r}")
         if not is_prime(self.p):
             raise ValueError(f"p={self.p} is not prime")
-        # p^h >= 2^h > q_cap once h reaches the cap's bit length, so a
+        # p^h >= 2^h > MAX_Q once h reaches the cap's bit length, so a
         # huge h is refused without computing the power
-        if self.h >= self.q_cap.bit_length() or self.p**self.h > self.q_cap:
-            raise ValueError(
-                f"q = {self.p}^{self.h} exceeds the cap {self.q_cap}; "
-                "raise q_cap explicitly if you really want this"
-            )
+        if self.h >= MAX_Q.bit_length() or self.p**self.h > MAX_Q:
+            raise ValueError(f"q = {self.p}^{self.h} exceeds the cap {MAX_Q}")
         if self.cardinality() > MAX_CARDINALITY:
             raise ValueError(
                 f"|T| = C(n+q-1, q) = {self.cardinality()} exceeds the cap "

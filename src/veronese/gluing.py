@@ -10,22 +10,17 @@ through such splits, one element at a time.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import inf
 from operator import sub
 from typing import Optional, Union
 
 from .lattice import (
     IntMatrix,
+    echelon_basis,
     lattice_intersection,
     quotient_order,
-    smith_normal_form,
 )
 
 DEFAULT_S_CAP = 16
-
-
-class UndecidedError(Exception):
-    """Membership search hit its multiplicity bound before deciding."""
 
 
 class GluingNotFoundError(Exception):
@@ -73,20 +68,24 @@ class SemigroupGens:
         return SemigroupGens(self.dim, tuple(x for x in self.gens if x != g))
 
     def is_free(self) -> bool:
-        """Linearly independent generators span a free semigroup."""
+        """Linearly independent generators span a free semigroup.
+
+        The rank is the length of an integer echelon basis; more
+        generators than coordinates are dependent, and no basis is built.
+        """
         if len(self.gens) > self.dim:
             return False
-        return smith_normal_form(self.matrix()).rank == len(self.gens)
+        return len(echelon_basis(self.gens)) == len(self.gens)
 
 
-def semigroup_member(
-    gens: SemigroupGens, target, bound: Optional[int] = None
-):
+def semigroup_member(gens: SemigroupGens, target):
     """Multiplicity vector writing target as an N-combination, or None.
 
-    The graded case (all generators share a coordinate sum) is always
-    decided.  Otherwise the search is exhaustive up to the bound on
-    total multiplicity and raises UndecidedError when truncated.
+    The search is depth first over picks in generator order and returns
+    the first witness in that order.  Every pick lowers the coordinate
+    sum, so the search is finite and always decides, graded or not.  A
+    target whose sum is not a multiple of the generators' common degree
+    is refused at once.
     """
     target = tuple(target)
     if len(target) != gens.dim:
@@ -94,66 +93,40 @@ def semigroup_member(
     if any((not isinstance(x, int)) or x < 0 for x in target):
         return None
     deg = gens.graded_degree()
-    if deg is not None:
-        total = sum(target)
-        if total % deg:
-            return None
-        depth = total // deg
-        if bound is not None and depth > bound:
-            raise UndecidedError(f"needs multiplicity {depth} > bound {bound}")
-        bound = depth
+    if deg is not None and sum(target) % deg:
+        return None
 
     glist = gens.gens
-    truncated = False
-    failed: dict = {}
-    # depth-first search over picks in generator order, on an explicit
-    # stack so deep targets cannot exhaust the recursion limit: frames[d]
-    # is [rest, start, budget, next generator to try, cut] and picks[d]
-    # the generator frame d descended through.  A (rest, start) that
-    # found no split is remembered in failed with the budget it failed
-    # at when the bound cut its search (cut), with inf otherwise; a later
-    # visit skips it only if it brings no more budget.  No bound is an
-    # inf budget.
+    failed: set = set()
+    # an explicit stack, so deep targets cannot exhaust the recursion
+    # limit: frames[d] is [rest, start, next generator to try] and
+    # picks[d] the generator frame d descended through.  A (rest, start)
+    # that found no split goes into failed and is never searched again.
     picks: list = []
-    frames: list = []
-    found = not any(target)
-    if not found:
-        if bound is not None and bound <= 0:
-            truncated = True
-        else:
-            frames.append([target, 0, inf if bound is None else bound, 0, False])
+    frames = [[target, 0, 0]] if any(target) else []
+    found = not frames
     while frames and not found:
         frame = frames[-1]
-        rest, start, budget, i, _ = frame
-        child = budget - 1
+        rest, start, i = frame
         for i in range(i, len(glist)):
             left = tuple(map(sub, rest, glist[i]))
             if min(left) < 0:
                 continue
             if not any(left):
                 found = True
-            elif child <= 0:  # left needs picks past the bound
-                truncated = frame[4] = True
-                continue
-            elif failed.get((left, i), -1) >= child:
-                frame[4] = frame[4] or failed[(left, i)] != inf
+            elif (left, i) in failed:
                 continue
             else:
-                frame[3] = i + 1
-                frames.append([left, i, child, i, False])
+                frame[2] = i + 1
+                frames.append([left, i, i])
             picks.append(i)
             break
         else:
-            cut = frame[4]
-            failed[(rest, start)] = budget if cut else inf
+            failed.add((rest, start))
             frames.pop()
             if picks:
                 picks.pop()
-            if cut and frames:
-                frames[-1][4] = True
     if not found:
-        if truncated and deg is None:
-            raise UndecidedError(f"undecided at bound {bound}")
         return None
     counts = [0] * len(glist)
     for i in picks:
@@ -183,35 +156,29 @@ def check_p_gluing(
     p: int,
     s_cap: int = DEFAULT_S_CAP,
 ) -> Union[GluingWitness, NoGluing]:
-    """Decide whether (t1, t2) is a p-gluing of their union."""
+    """Decide whether (t1, {beta}) is a p-gluing of their union.
+
+    t2 must be the one generator beta.  L(t1) meets Z*beta in
+    Z*(d*beta), d the order of beta modulo L(t1) (0 when beta is outside
+    its span), so alpha = d*beta.  Over {beta} alone p^s*alpha has the
+    one representation p^s*d; only t1 is searched, for the least s.
+    """
     if t1.dim != t2.dim:
         raise ValueError("generator sets live in different dimensions")
+    if len(t2.gens) != 1:
+        raise ValueError(f"t2 must be one generator, got {len(t2.gens)}")
     if s_cap < 0:
         raise ValueError(f"s_cap must be >= 0, got {s_cap}")
-    single = len(t2.gens) == 1
-    if single:
-        # L(t1) meets Z*beta in Z*(d*beta), d the order of beta mod L(t1)
-        d = quotient_order(t1.gens, t2.gens[0])
-        if not d:
-            return NoGluing("intersection rank 0 != 1")
-        alpha = tuple(d * x for x in t2.gens[0])
-    else:
-        basis = lattice_intersection(t1.matrix(), t2.matrix())
-        if len(basis) != 1:
-            return NoGluing(f"intersection rank {len(basis)} != 1")
-        alpha = basis[0]
-        if all(x <= 0 for x in alpha):
-            alpha = tuple(-x for x in alpha)
-        if any(x < 0 for x in alpha):
-            return NoGluing("generator not sign-definite")
+    (beta,) = t2.gens
+    d = quotient_order(t1.gens, beta)
+    if not d:
+        return NoGluing("intersection rank 0 != 1")
+    alpha = tuple(d * x for x in beta)
     scaled = alpha
     for s in range(s_cap + 1):
         rep1 = semigroup_member(t1, scaled)
         if rep1 is not None:
-            # over {beta} alone, p^s*d*beta has the one representation p^s*d
-            rep2 = (p**s * d,) if single else semigroup_member(t2, scaled)
-            if rep2 is not None:
-                return GluingWitness(tuple(alpha), s, rep1, rep2)
+            return GluingWitness(alpha, s, rep1, (p**s * d,))
         scaled = tuple(p * x for x in scaled)
     return NoGluing(f"no admissible s <= {s_cap}")
 

@@ -4,6 +4,7 @@ import pytest
 
 from veronese import CyclicAction, cohomology_orders
 from veronese.cohomology import (
+    MAX_DEGREE,
     admissible_multipliers,
     invariant_element,
     prime_power_split,
@@ -120,3 +121,8 @@ def test_i_max_respected():
     assert set(table.as_dict()) == {0, 1, 2}
     with pytest.raises(ValueError):
         cohomology_orders(CyclicAction(4, 3), i_max=-1)
+    assert len(cohomology_orders(CyclicAction(4, 3), i_max=MAX_DEGREE).orders) == (
+        MAX_DEGREE + 1
+    )
+    with pytest.raises(ValueError, match="exceeds the cap"):
+        cohomology_orders(CyclicAction(4, 3), i_max=MAX_DEGREE + 1)

@@ -103,8 +103,6 @@ def test_params_validation():
     with pytest.raises(ValueError, match="exceeds the cap"):
         VeroneseParams(10**100, 2, 4)
     assert VeroneseParams(4, 2, 3).cardinality() == 165
-    params = VeroneseParams(3, 2, 5, q_cap=32)
-    assert params.q == 32
     with pytest.warns(UserWarning):
         VeroneseParams(2, 2, 1)
 

@@ -1,10 +1,11 @@
 import random
+import sys
 
 import pytest
 
 import oracles
 from conftest import make_params
-from veronese import exponent_vectors, gluing, jsonio, lattice
+from veronese import exponent_vectors, jsonio, lattice
 from veronese.checks import _leaf_gens
 from veronese.gluing import (
     FreeNode,
@@ -13,7 +14,6 @@ from veronese.gluing import (
     GluingWitness,
     NoGluing,
     SemigroupGens,
-    UndecidedError,
     check_p_gluing,
     completely_p_glued,
     semigroup_member,
@@ -77,27 +77,20 @@ def test_semigroup_member_deep_targets():
 
 
 def test_semigroup_member_ungraded_bound():
+    # ungraded sets need no bound on the number of picks: every pick
+    # lowers the coordinate sum, so the search always decides
     gens = SemigroupGens.of([(2,), (3,)])
     assert semigroup_member(gens, (7,)) is not None
     assert semigroup_member(gens, (1,)) is None
-    with pytest.raises(UndecidedError):
-        semigroup_member(gens, (10,), bound=1)
-
-
-def test_semigroup_member_bound_cut_is_not_a_failure():
-    # 6+6+6+6+3+1+1 uses 7 picks; a branch that ran out of picks must
-    # not be remembered as a dead end for a later branch with more left
-    gens = SemigroupGens.of([(1,), (3,), (6,)])
-    rep = semigroup_member(gens, (29,), bound=7)
-    assert rep is not None and sum(rep) <= 7
-    assert sum(c * g[0] for c, g in zip(rep, gens.gens)) == 29
+    assert semigroup_member(gens, (10,)) == (5, 0)
 
 
 def test_semigroup_member_ungraded_matches_least_picks():
-    # against a brute-force search by number of picks: decided with a
-    # witness within the bound when one exists, undecided when the least
-    # combination needs more picks, never a wrong None
+    # against a brute-force search by number of picks: a witness exactly
+    # when some combination exists, never a wrong None.  The first case
+    # needs seven picks, 6+6+6+6+3+1+1.
     rng = random.Random(23)
+    cases = [([(1,), (3,), (6,)], (29,))]
     for _ in range(300):
         dim = rng.choice((1, 2))
         vectors = set()
@@ -105,24 +98,18 @@ def test_semigroup_member_ungraded_matches_least_picks():
             v = tuple(rng.randrange(0, 5) for _ in range(dim))
             if any(v):
                 vectors.add(v)
-        gens = SemigroupGens.of(sorted(vectors))
-        target = tuple(rng.randrange(0, 16) for _ in range(dim))
-        bound = rng.choice((None, 1, 2, 3, 4, 5, 6, 8))
+        cases.append((sorted(vectors), tuple(rng.randrange(0, 16) for _ in range(dim))))
+    for vectors, target in cases:
+        gens = SemigroupGens.of(vectors)
+        rep = semigroup_member(gens, target)
         least = oracles.semigroup_least_picks(gens.gens, target)
-        try:
-            rep = semigroup_member(gens, target, bound=bound)
-        except UndecidedError:
-            assert bound is not None and (least is None or least > bound)
-            continue
-        if least is None:
-            assert rep is None
-            continue
-        assert rep is not None
-        assert bound is None or sum(rep) <= bound
-        combo = tuple(
-            sum(c * g[k] for c, g in zip(rep, gens.gens)) for k in range(dim)
-        )
-        assert combo == target
+        assert (rep is None) == (least is None), (vectors, target)
+        if rep is not None:
+            combo = tuple(
+                sum(c * g[k] for c, g in zip(rep, gens.gens))
+                for k in range(len(target))
+            )
+            assert combo == target
 
 
 def test_check_p_gluing_frozen_quadratic():
@@ -148,11 +135,11 @@ def test_check_p_gluing_needs_positive_power():
 
 
 def test_check_p_gluing_rank_failure():
+    # the peel splits off one generator; any other t2 is refused
     t1 = SemigroupGens.of([(1, 0), (0, 1)])
     t2 = SemigroupGens.of([(1, 1), (1, 2)])
-    res = check_p_gluing(t1, t2, 2)
-    assert isinstance(res, NoGluing)
-    assert "rank" in res.reason
+    with pytest.raises(ValueError, match="one generator"):
+        check_p_gluing(t1, t2, 2)
 
 
 def test_check_p_gluing_single_generator_outside_span():
@@ -230,20 +217,23 @@ def test_completely_glued_fails_with_zero_cap(params321):
 
 
 def test_peel_sends_no_wide_matrix_to_snf(monkeypatch, params322):
-    widths = []
+    # the peel and the freeness test read echelon bases: no SNF at all,
+    # through any module of the package that holds the function
+    calls = []
     snf = lattice.smith_normal_form
 
     def spy(a):
-        widths.append(a.shape[1])
+        calls.append(a.shape)
         return snf(a)
 
-    monkeypatch.setattr(gluing, "smith_normal_form", spy)
-    monkeypatch.setattr(lattice, "smith_normal_form", spy)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("veronese") and getattr(module, "smith_normal_form", None) is snf:
+            monkeypatch.setattr(module, "smith_normal_form", spy)
     gens = SemigroupGens.of(exponent_vectors(params322))
     assert len(gens.gens) > params322.n
-    completely_p_glued(gens, 2, 2)
-    assert widths
-    assert max(widths) <= params322.n
+    tree = completely_p_glued(gens, 2, 2)
+    assert len(tree_witnesses(tree)) == len(gens.gens) - params322.n
+    assert calls == []
 
 
 def test_tree_walkers_reject_non_nodes():

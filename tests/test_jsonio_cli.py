@@ -403,6 +403,9 @@ _GLUING_DOCUMENTS = (
     (4, 2, 2, "69145188a48d80874281ab235d0f2444601e7b5be898aa2b75a9032c934fdb9c"),
     (3, 3, 2, "cc449dcd4ceab1ac539d08dde3254280c6413af6d61ca7ba9831945414af9722"),
     (5, 2, 2, "b42f4d93ac1b737f13468fac14099bcce6f8a627426886a406af098f3121bf7d"),
+    # the two trees where the membership search does most of the work
+    (4, 2, 3, "9d6ba404776633eae03e92189e5d30e060e925d3a0f5918c6967089479000150"),
+    (3, 2, 4, "f164ed0950ab1e32db1166a2112a7697c7326125daa9031a95dd7733dc2e76e2"),
 )
 
 
@@ -446,6 +449,7 @@ _FUZZ_ERRORS = [
     (["jacobian", *_P321, "--r", "5", "--point", "1,2,3"], None),
     (["cohomology", "--q", "0", "--a", "1"], None),
     (["cohomology", "--q", "4", "--a", "3", "--i-max", "-1"], None),
+    (["cohomology", "--q", "4", "--a", "3", "--i-max", "1001"], None),
 ]
 # invocations that argparse itself rejects
 _FUZZ_USAGE = [

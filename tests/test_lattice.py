@@ -5,6 +5,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
+from veronese.gluing import SemigroupGens
 from veronese.lattice import (
     IntMatrix,
     column_lattice_basis,
@@ -154,6 +155,10 @@ def test_echelon_order_matches_snf_intersection(case):
     else:
         d_beta = tuple(d * x for x in beta)
         assert inter in ([d_beta], [tuple(-x for x in d_beta)])
+    # freeness, wide sets included, is the SNF rank test
+    gens = SemigroupGens.of(dict.fromkeys(rest + [beta]))
+    snf_rank = smith_normal_form(gens.matrix()).rank
+    assert gens.is_free() == (snf_rank == len(gens.gens))
 
 
 def test_int_matrix_shape_errors():
