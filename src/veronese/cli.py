@@ -302,9 +302,9 @@ def build_parser() -> argparse.ArgumentParser:
     sp.add_argument(
         "--budget", type=int, default=DEFAULT_ENUM_BUDGET,
         help="cap on a survey's size: the r^n pure-coordinate fibre bases "
-             "it visits for --set certificate, the r^|T| points of the "
-             "search space F_r^|T| for --set ideal (not the count visited), "
-             "the r^n parameter vectors in image-only mode",
+             "it visits for --set certificate, the nodes its search of "
+             "F_r^|T| visits for --set ideal, and the r^n parameter vectors "
+             "of the image for --set ideal and in image-only mode",
     )
     sp.set_defaults(fn=_cmd_points)
 

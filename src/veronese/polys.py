@@ -124,23 +124,6 @@ def mono_mul(a: Exponents, b: Exponents) -> Exponents:
     return tuple(x + y for x, y in zip(a, b))
 
 
-def mono_divides(a: Exponents, b: Exponents) -> bool:
-    """True when x^a divides x^b."""
-    return all(x <= y for x, y in zip(a, b))
-
-
-def mono_div(a: Exponents, b: Exponents) -> Exponents:
-    """Exponents of x^a / x^b; requires divisibility."""
-    out = tuple(x - y for x, y in zip(a, b))
-    if any(x < 0 for x in out):
-        raise ValueError("monomial quotient is not polynomial")
-    return out
-
-
-def mono_lcm(a: Exponents, b: Exponents) -> Exponents:
-    return tuple(max(x, y) for x, y in zip(a, b))
-
-
 def monomial_text(ring: PolyRing, exps: Exponents) -> str:
     parts = []
     for v, e in zip(ring.variables, exps):

@@ -212,7 +212,8 @@ def _roots(exponents, r: int) -> dict:
     return roots
 
 
-def _propagate(compiled, r: int, m: int, image: frozenset):
+def _propagate(compiled, r: int, m: int, image: frozenset,
+               budget: int = DEFAULT_ENUM_BUDGET):
     """Count the zero set of binomials in F_r^m and find its lex-first
     point off the image, by depth-first search over the positions.
 
@@ -224,7 +225,9 @@ def _propagate(compiled, r: int, m: int, image: frozenset):
     ends at branch over F_r.  Candidates come in increasing order, so
     the leaves come in lex order: the count is the number of leaves and
     the first leaf off the image is the lex-first witness.  Raises
-    ValueError for a binomial with x_L in both terms.
+    ValueError for a binomial with x_L in both terms, and
+    BudgetExceededError once the search has visited more than budget
+    nodes (calls at a position, and trailing points tried for a witness).
     """
     at = [[] for _ in range(m)]
     for binomial in compiled:
@@ -251,15 +254,27 @@ def _propagate(compiled, r: int, m: int, image: frozenset):
     point = [0] * m
     count = 0
     witness = None
+    nodes = 0
+
+    def visit() -> None:
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget:
+            raise BudgetExceededError(
+                f"the zero-set search in F_{r}^{m} visits more than {budget} "
+                f"nodes, the enumeration budget"
+            )
 
     def first_off_image(head: tuple):
         for rest in product(everything, repeat=tail):
+            visit()
             if head + rest not in image:
                 return head + rest
         return None
 
     def descend(pos: int) -> None:
         nonlocal count, witness
+        visit()
         cands = everything
         for j, (ca, fa, k, cb, fb) in enumerate(at[pos]):
             a, b = ca, cb
@@ -405,17 +420,16 @@ def full_ideal_point_survey(
     budget: int = DEFAULT_ENUM_BUDGET,
 ) -> PointSetReport:
     """Survey of the quadratic ideal B; full enumeration propagates
-    through F_r^|T| coordinate by coordinate, and budget caps the size
-    r^|T| of that search space (the r^n parameter vectors in image-only
-    mode)."""
+    through F_r^|T| coordinate by coordinate.  budget caps the r^n
+    parameter vectors of the image, and separately the nodes the
+    propagation visits."""
     field = _survey_field(mode, r)
     if mode == MODE_IMAGE:
         return _image_only(params, "ideal", field, budget)
-    m = params.cardinality()
-    _check_budget(r, m, budget, "points of F_r^|T|")
+    _check_budget(r, params.n, budget, "parameter vectors of F_r^n")
     image = _image_set(params, field)
     compiled = _compiled(quadratic_generators(params), field)
-    count, witness = _propagate(compiled, r, m, image)
+    count, witness = _propagate(compiled, r, params.cardinality(), image, budget)
     return PointSetReport(params, r, "ideal", mode, len(image), count, witness)
 
 

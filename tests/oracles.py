@@ -119,6 +119,65 @@ def poly_key_set(polys) -> set:
     return out
 
 
+def mono_divides(a, b) -> bool:
+    """True when x^a divides x^b (dense exponent tuples)."""
+    return all(x <= y for x, y in zip(a, b))
+
+
+def mono_div(a, b) -> tuple:
+    """Exponents of x^a / x^b; requires divisibility."""
+    out = tuple(x - y for x, y in zip(a, b))
+    if any(x < 0 for x in out):
+        raise ValueError("monomial quotient is not polynomial")
+    return out
+
+
+def mono_lcm(a, b) -> tuple:
+    return tuple(max(x, y) for x, y in zip(a, b))
+
+
+def s_polynomial(f, g):
+    """S-polynomial by Poly products on dense exponent tuples."""
+    lf, cf = f.leading()
+    lg, cg = g.leading()
+    lcm = mono_lcm(lf, lg)
+    fld = f.ring.field
+    mf = f.ring.poly({mono_div(lcm, lf): fld.inv(cf)})
+    mg = g.ring.poly({mono_div(lcm, lg): fld.inv(cg)})
+    return mf * f - mg * g
+
+
+def normal_form(f, basis):
+    """Remainder of f on division by basis, on dense exponent tuples:
+    the largest term goes first, to the first element whose lead divides
+    it.  The remainder is canonical when basis is a Groebner basis."""
+    ring, fld = f.ring, f.ring.field
+    reducers = [(g.leading(), g.raw_terms()) for g in basis]
+    work = dict(f.raw_terms())
+    remainder = {}
+    while work:
+        m = max(work, key=ring.key)
+        c = work.pop(m)
+        for (lm, lc), terms in reducers:
+            if mono_divides(lm, m):
+                break
+        else:
+            remainder[m] = c
+            continue
+        delta = mono_div(m, lm)
+        scale = fld.mul(c, fld.inv(lc))
+        for eg, cg in terms.items():
+            if eg == lm:
+                continue
+            e = tuple(x + y for x, y in zip(eg, delta))
+            s = fld.sub(work.get(e, 0), fld.mul(scale, cg))
+            if s:
+                work[e] = s
+            else:
+                work.pop(e, None)
+    return ring.poly(remainder)
+
+
 def semigroup_member_brute(gens, target) -> bool:
     """BFS over bounded multiplicities; assumes every generator is
     nonnegative and nonzero so coordinates only grow."""

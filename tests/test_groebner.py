@@ -1,14 +1,24 @@
 import hashlib
 import random
+from functools import lru_cache
 from itertools import combinations
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import make_params
 from veronese import PrimeField, buchberger, index_tuples, reduce
 from veronese.combinatorics import integer_ring, polynomial_ring
-from veronese.groebner import GroebnerBasis, PairLimitExceeded, s_polynomial
+from veronese.groebner import (
+    MAX_DEGREE,
+    GroebnerBasis,
+    PairLimitExceeded,
+    _layout,
+    _Reducers,
+)
+from veronese.polys import PolyRing, _degrevlex_key
 from veronese.toric import generators_over
 
 F5 = PrimeField(5)
@@ -53,7 +63,7 @@ def test_s_polynomial_frozen(params321):
     ring = polynomial_ring(params321, F5)
     f = ring.poly({(((1, 2), 2),): 1, (((1, 1), 1), ((2, 2), 1)): -1})
     g = ring.poly({(((1, 2), 1), ((1, 3), 1),): 1, (((1, 1), 1), ((2, 3), 1)): -1})
-    s = s_polynomial(f, g)
+    s = oracles.s_polynomial(f, g)
     assert s == ring.poly(
         {
             (((1, 1), 1), ((1, 2), 1), ((2, 3), 1)): 1,
@@ -215,3 +225,85 @@ def test_buchberger_bases_pinned_and_reduced(npq):
         for e in g.raw_terms():
             if e != lm:
                 assert not any(all(x <= y for x, y in zip(a, e)) for a in leads)
+
+
+def _exponents(n: int):
+    # small entries make divisibility and ties common; the wide ones reach
+    # the top of a field while a sum of two tuples stays within the limit
+    entry = st.one_of(st.integers(0, 3), st.integers(0, MAX_DEGREE // (2 * n)))
+    return st.lists(entry, min_size=n, max_size=n).map(tuple)
+
+
+@st.composite
+def _exponent_triples(draw):
+    n = draw(st.integers(1, 8))
+    return tuple(draw(_exponents(n)) for _ in range(3))
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_exponent_triples())
+def test_packed_monomials_match_tuple_monomials(case):
+    a, b, c = case
+    lay = _layout(len(a))
+    pa, pb = lay.pack(a), lay.pack(b)
+    assert lay.unpack(pa) == a
+    assert (lay.key(pa) > lay.key(pb)) == (_degrevlex_key(a) > _degrevlex_key(b))
+    assert (lay.key(pa) == lay.key(pb)) == (a == b)
+    assert lay.unpack(lay.lcm(pa, pb)) == oracles.mono_lcm(a, b)
+    assert lay.lcm(pa, pb) >> lay.shift == sum(oracles.mono_lcm(a, b))
+    ac = tuple(x + y for x, y in zip(a, c))
+    assert pa + lay.pack(c) == lay.pack(ac)
+    for target in (b, ac):
+        red = _Reducers(PolyRing(F5, range(len(a))))
+        red.add(pa, [])
+        assert (red.find(lay.pack(target)) == 0) == oracles.mono_divides(a, target)
+
+
+@lru_cache(maxsize=None)
+def _division_bases(r: int) -> tuple:
+    """The star quadrics' basis and a dense random ideal's basis over F_r."""
+    field = PrimeField(r)
+    ring = polynomial_ring(make_params(2, 2, 1), field)
+    rng = random.Random(r)
+    dense = [
+        ring.poly({tuple(rng.randint(0, 2) for _ in range(3)): rng.randint(1, r - 1)
+                   for _ in range(3)})
+        for _ in range(3)
+    ]
+    return buchberger(generators_over(make_params(3, 2, 1), field)), buchberger(dense)
+
+
+@st.composite
+def _division_cases(draw):
+    r = draw(st.sampled_from((5, 7)))
+    gb = _division_bases(r)[draw(st.integers(0, 1))]
+    exps = st.lists(st.integers(0, 3), min_size=gb.ring.nvars, max_size=gb.ring.nvars)
+    terms = draw(st.dictionaries(exps.map(tuple), st.integers(1, r - 1), max_size=6))
+    return gb, gb.ring.poly(terms)
+
+
+@settings(derandomize=True, max_examples=200, deadline=None)
+@given(_division_cases())
+def test_reduce_matches_the_tuple_division(case):
+    gb, f = case
+    assert reduce(f, gb) == oracles.normal_form(f, gb.polys)
+
+
+def test_packed_degree_limit(params321):
+    ring = polynomial_ring(params321, F5)
+
+    def mono(*pairs):
+        return ring.poly({pairs: 1})
+
+    top = mono(((1, 1), MAX_DEGREE))
+    over = mono(((1, 1), MAX_DEGREE + 1))
+    gb = buchberger(generators_over(params321, F5))
+    with pytest.raises(ValueError, match=f"limit {MAX_DEGREE}"):
+        buchberger([over])
+    with pytest.raises(ValueError, match=f"limit {MAX_DEGREE}"):
+        reduce(over, gb)
+    assert buchberger([top]).polys == (top,)
+    assert reduce(top, gb) == oracles.normal_form(top, gb.polys)
+    # two leads within the limit whose S-pair is not
+    with pytest.raises(ValueError, match=f"limit {MAX_DEGREE}"):
+        buchberger([top, mono(((1, 1), 1), ((1, 2), MAX_DEGREE - 1))])

@@ -244,6 +244,18 @@ def test_cli_points_exit_codes(capsys):
         assert code == 3
 
 
+def test_cli_ideal_survey_budget_counts_nodes(capsys):
+    # 3^15 points of F_3^|T| used to exceed the budget; the propagation
+    # answers, and its witness off the image makes the exit code 1
+    argv = ("--format", "json", "points", "--n", "3", "--p", "2", "--h", "2",
+            "--r", "3", "--set", "ideal")
+    code, out = run_cli(capsys, *argv)
+    obj = json.loads(out)
+    assert (code, obj["count_zero_set"], obj["count_V"]) == (1, 27, 14)
+    code, out = run_cli(capsys, *argv, "--budget", "100")
+    assert (code, out) == (3, "")
+
+
 def test_cli_gluing(capsys):
     code, out = run_cli(
         capsys, "--format", "json", "gluing", "--n", "3", "--p", "2", "--h", "1"

@@ -21,7 +21,7 @@ from veronese import (
 from veronese.checks import GLUING_PARAMS
 from veronese.combinatorics import pure_tuple
 from veronese.groebner import GroebnerBasis, buchberger, reduce
-from veronese.polys import Poly, frobenius_power, mono_lcm
+from veronese.polys import Poly, frobenius_power
 from veronese.sci import (
     DEFAULT_ENUM_BUDGET,
     MODE_FULL,
@@ -86,7 +86,7 @@ def test_certificate_leading_terms_coprime():
         leads = [g.leading()[0] for g in gb.polys]
         for i in range(len(leads)):
             for j in range(i + 1, len(leads)):
-                lcm = mono_lcm(leads[i], leads[j])
+                lcm = oracles.mono_lcm(leads[i], leads[j])
                 assert lcm == tuple(
                     a + b for a, b in zip(leads[i], leads[j])
                 )
@@ -106,7 +106,7 @@ def test_verify_char_p_parameter_sweep():
         params = make_params(n, p, h)
         report = verify_char_p(build_certificate(params))
         assert report.success
-        assert max(report.k_values) <= h + 1
+        assert max(report.k_values) <= h
 
 
 # the Frobenius ladder of the benchmark, |T| <= 36
@@ -605,10 +605,26 @@ def test_certificate_survey_past_the_scan_wall():
     assert w not in image
 
 
+def test_ideal_survey_past_the_scan_wall():
+    # 3^15 points of F_3^|T| exceed the default budget; the propagation
+    # visits 5,512 nodes
+    params = make_params(3, 2, 2)
+    assert 3 ** params.cardinality() > DEFAULT_ENUM_BUDGET
+    report = full_ideal_point_survey(params, 3)
+    assert (report.count_zero_set, report.count_image) == (27, 14)
+    with pytest.raises(BudgetExceededError, match="visits more than 5511 nodes"):
+        full_ideal_point_survey(params, 3, budget=5511)
+
+
 def test_budget_names_the_count(params321):
     with pytest.raises(BudgetExceededError, match=r"5\^3 = 125 fibre bases"):
         point_survey(build_certificate(params321), 5, budget=124)
-    with pytest.raises(BudgetExceededError, match=r"5\^6 = 15625 points of F_r"):
-        full_ideal_point_survey(params321, 5, budget=15624)
+    # the ideal survey charges the nodes its propagation visits, 429 here,
+    # and the r^n parameter vectors of the image
+    with pytest.raises(BudgetExceededError, match=r"F_5\^6 visits more than 428 nodes"):
+        full_ideal_point_survey(params321, 5, budget=428)
+    assert full_ideal_point_survey(params321, 5, budget=429).count_zero_set == 125
+    with pytest.raises(BudgetExceededError, match=r"5\^3 = 125 parameter vectors"):
+        full_ideal_point_survey(params321, 5, budget=124)
     report = point_survey(build_certificate(params321), 5, budget=125)
     assert report.count_zero_set == 189
