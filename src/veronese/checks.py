@@ -182,11 +182,19 @@ def _gluing():
     for n, p, h in GLUING_PARAMS:
         params = _params(n, p, h)
         gens = SemigroupGens.of(exponent_vectors(params))
-        tree = completely_p_glued(gens, p, h)
+        tree = completely_p_glued(params)
         triples = tree_witnesses(tree)
         for t1, t2, w in triples:
             if not validate_witness(t1, t2, p, w):
                 return False, f"witness failed revalidation at {(n, p, h)}: {w}"
+            # the rest keeps every axis q*e_i, so q*beta lies in N(rest):
+            # d | q, and d = p^j leaves s <= h - j, i.e. d | p^(h-s)
+            (beta,) = t2.gens
+            i = next(i for i, x in enumerate(beta) if x)
+            d = w.alpha[i] // beta[i]
+            if w.s > h or p ** (h - w.s) % d:
+                return False, f"witness outside d | q, s <= h - v_p(d) at " \
+                              f"{(n, p, h)}: {w}"
         leaves = _leaf_gens(tree)
         covered = sorted(g for leaf in leaves for g in leaf.gens)
         if covered != sorted(gens.gens):

@@ -4,7 +4,10 @@ A split (T1, T2) of a generating set is a p-gluing when the lattices
 they span meet in a rank-1 lattice Z*alpha whose generator, scaled by
 some power p^s, lands in both numeric semigroups.  A generating set is
 completely glued when it peels down to linearly independent leaves
-through such splits, one element at a time.
+through such splits, one element at a time.  The degree-q exponent set
+T of a Veronese cone is peeled in one fixed order, every non-axis
+generator in turn, down to the n axes q*e_i; that every such peel is a
+p-gluing is proved, so no other order is ever searched.
 """
 
 from __future__ import annotations
@@ -13,19 +16,13 @@ from dataclasses import dataclass
 from operator import sub
 from typing import Optional, Union
 
+from .combinatorics import VeroneseParams, exponent_vectors
 from .lattice import (
     IntMatrix,
     echelon_basis,
     lattice_intersection,
     quotient_order,
 )
-
-DEFAULT_S_CAP = 16
-
-
-class GluingNotFoundError(Exception):
-    """No peel order yields a complete gluing."""
-
 
 @dataclass(frozen=True)
 class SemigroupGens:
@@ -154,7 +151,7 @@ def check_p_gluing(
     t1: SemigroupGens,
     t2: SemigroupGens,
     p: int,
-    s_cap: int = DEFAULT_S_CAP,
+    s_cap: int,
 ) -> Union[GluingWitness, NoGluing]:
     """Decide whether (t1, {beta}) is a p-gluing of their union.
 
@@ -234,48 +231,28 @@ def tree_witnesses(tree: GluingTree) -> list:
     return out
 
 
-def completely_p_glued(
-    gens: SemigroupGens,
-    p: int,
-    h: int,
-    s_cap: Optional[int] = None,
-) -> GluingTree:
-    """Build a full gluing tree by peeling one generator per level.
+def completely_p_glued(params: VeroneseParams) -> GluingTree:
+    """The gluing tree of T, peeling one non-axis generator per level.
 
-    Generators that are not pure q*e_i multiples are peeled first, which
-    matches the inductive construction for the degree-q coordinate sets;
-    if the preferred order fails every remaining order is tried.
+    The non-axis generators beta are peeled in list order, so the rest
+    always keeps every axis q*e_i.  Then q*beta = sum beta_i*(q*e_i)
+    lies in N(rest), hence d divides q = p^h, and with d = p^j the axis
+    witness gives s <= h - j <= h.  Each peel is therefore a p-gluing
+    under the cap h; the tree is a comb whose right children are the
+    single betas and whose last left leaf is the n axes.
     """
-    cap = s_cap if s_cap is not None else h + 8
-    if cap < 0:
-        raise ValueError(f"s_cap must be >= 0, got {cap}")
-    q = p**h
-
-    def is_axis(g) -> bool:
-        return sum(1 for x in g if x) == 1 and max(g) == q
-
-    dead: set = set()
-
-    def build(active: SemigroupGens) -> GluingTree:
-        if active.is_free():
-            return FreeNode(active)
-        key = frozenset(active.gens)
-        if key in dead:
-            raise GluingNotFoundError("not found")
-        candidates = [g for g in active.gens if not is_axis(g)]
-        candidates += [g for g in active.gens if is_axis(g)]
-        for beta in candidates:
-            rest = active.without(beta)
-            single = SemigroupGens(active.dim, (beta,))
-            w = check_p_gluing(rest, single, p, cap)
-            if isinstance(w, NoGluing):
-                continue
-            try:
-                left = build(rest)
-            except GluingNotFoundError:
-                continue
-            return GluedNode(active, w, left, FreeNode(single))
-        dead.add(key)
-        raise GluingNotFoundError("not found")
-
-    return build(gens)
+    p, h = params.p, params.h
+    active = SemigroupGens.of(exponent_vectors(params))
+    peels = []
+    for beta in [g for g in active.gens if sum(1 for x in g if x) > 1]:
+        rest = active.without(beta)
+        single = SemigroupGens(active.dim, (beta,))
+        w = check_p_gluing(rest, single, p, h)
+        if isinstance(w, NoGluing):
+            raise RuntimeError(f"peel of {beta} is no p-gluing: {w.reason}")
+        peels.append((active, w, FreeNode(single)))
+        active = rest
+    tree: GluingTree = FreeNode(active)
+    for gens, w, right in reversed(peels):
+        tree = GluedNode(gens, w, tree, right)
+    return tree

@@ -5,12 +5,11 @@ import pytest
 
 import oracles
 from conftest import make_params
-from veronese import exponent_vectors, jsonio, lattice
+from veronese import exponent_vectors, gluing, jsonio, lattice
 from veronese.checks import _leaf_gens
 from veronese.gluing import (
     FreeNode,
     GluedNode,
-    GluingNotFoundError,
     GluingWitness,
     NoGluing,
     SemigroupGens,
@@ -123,7 +122,7 @@ def test_semigroup_member_ungraded_matches_least_picks():
 def test_check_p_gluing_frozen_quadratic():
     t1 = SemigroupGens.of([(2, 0), (0, 2)])
     t2 = SemigroupGens.of([(1, 1)])
-    w = check_p_gluing(t1, t2, 2)
+    w = check_p_gluing(t1, t2, 2, 1)
     assert isinstance(w, GluingWitness)
     assert w.alpha == (2, 2)
     assert w.s == 0
@@ -135,7 +134,7 @@ def test_check_p_gluing_needs_positive_power():
         [(2, 0, 0), (0, 2, 0), (0, 0, 2), (0, 1, 1), (1, 0, 1)]
     )
     t2 = SemigroupGens.of([(1, 1, 0)])
-    w = check_p_gluing(t1, t2, 2)
+    w = check_p_gluing(t1, t2, 2, 1)
     assert isinstance(w, GluingWitness)
     assert w.alpha == (1, 1, 0)
     assert w.s == 1
@@ -147,17 +146,17 @@ def test_check_p_gluing_rank_failure():
     t1 = SemigroupGens.of([(1, 0), (0, 1)])
     t2 = SemigroupGens.of([(1, 1), (1, 2)])
     with pytest.raises(ValueError, match="one generator"):
-        check_p_gluing(t1, t2, 2)
+        check_p_gluing(t1, t2, 2, 1)
 
 
 def test_check_p_gluing_single_generator_outside_span():
     t1 = SemigroupGens.of([(1, 0, 0), (0, 1, 0)])
     t2 = SemigroupGens.of([(0, 0, 1)])
-    res = check_p_gluing(t1, t2, 2)
+    res = check_p_gluing(t1, t2, 2, 1)
     assert res == NoGluing("intersection rank 0 != 1")
     # the quotient order is read in the echelon basis, not by a search
     t1 = SemigroupGens.of([(4, 0), (0, 4)])
-    w = check_p_gluing(t1, SemigroupGens.of([(1, 3)]), 2)
+    w = check_p_gluing(t1, SemigroupGens.of([(1, 3)]), 2, 2)
     assert w == GluingWitness((4, 12), 0, (1, 3), (4,))
     assert validate_witness(t1, SemigroupGens.of([(1, 3)]), 2, w)
 
@@ -176,15 +175,14 @@ def test_check_p_gluing_s_cap():
 def test_validate_witness_rejects_tampering():
     t1 = SemigroupGens.of([(2, 0), (0, 2)])
     t2 = SemigroupGens.of([(1, 1)])
-    w = check_p_gluing(t1, t2, 2)
+    w = check_p_gluing(t1, t2, 2, 1)
     assert not validate_witness(t1, t2, 2, GluingWitness((2, 0), w.s, w.rep1, w.rep2))
     assert not validate_witness(t1, t2, 2, GluingWitness(w.alpha, w.s + 1, w.rep1, w.rep2))
     assert not validate_witness(t1, t2, 2, GluingWitness(w.alpha, w.s, (9, 9), w.rep2))
 
 
 def test_completely_glued_quadratic_cone(params321):
-    gens = SemigroupGens.of(exponent_vectors(params321))
-    tree = completely_p_glued(gens, 2, 1)
+    tree = completely_p_glued(params321)
     assert isinstance(tree, GluedNode)
     triples = tree_witnesses(tree)
     assert len(triples) == 3  # 6 generators peel down to a free triple
@@ -205,23 +203,49 @@ def _leaves(tree):
 
 
 def test_completely_glued_partitions_and_free_leaves():
-    for n, p, h in ((3, 2, 1), (3, 3, 1), (4, 2, 1), (3, 2, 2)):
+    grid = ((3, 2, 1), (3, 3, 1), (4, 2, 1), (3, 2, 2), (5, 2, 2), (4, 3, 1),
+            (3, 3, 2))
+    for n, p, h in grid:
         params = make_params(n, p, h)
         gens = SemigroupGens.of(exponent_vectors(params))
-        tree = completely_p_glued(gens, p, h)
+        tree = completely_p_glued(params)
         leaves = _leaves(tree)
         assert all(leaf.gens.is_free() for leaf in leaves)
         covered = sorted(g for leaf in leaves for g in leaf.gens.gens)
         assert covered == sorted(gens.gens)
-        assert len(tree_witnesses(tree)) == len(leaves) - 1
+        triples = tree_witnesses(tree)
+        assert len(triples) == len(leaves) - 1
+        # the proved bound: d | q, and s <= h - j for d = p^j
+        for _, t2, w in triples:
+            (beta,) = t2.gens
+            i = next(i for i, x in enumerate(beta) if x)
+            d = w.alpha[i] // beta[i]
+            assert params.q % d == 0, (n, p, h, w)
+            j = next(j for j in range(h + 1) if p**j == d)
+            assert w.s <= h - j, (n, p, h, w)
 
 
-def test_completely_glued_fails_with_zero_cap(params321):
-    gens = SemigroupGens.of(exponent_vectors(params321))
-    with pytest.raises(GluingNotFoundError):
-        completely_p_glued(gens, 2, 1, s_cap=0)
-    with pytest.raises(ValueError):
-        completely_p_glued(gens, 2, 1, s_cap=-1)
+def test_completely_glued_peels_in_a_loop():
+    # 66 peels at (12,2,1): a peel that recursed once per generator
+    # would need far more than 40 frames
+    params = make_params(12, 2, 1)
+    depth, frame = 0, sys._getframe()
+    while frame is not None:
+        depth, frame = depth + 1, frame.f_back
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(depth + 40)
+    try:
+        tree = completely_p_glued(params)
+    finally:
+        sys.setrecursionlimit(limit)
+    assert len(tree_witnesses(tree)) == params.cardinality() - params.n == 66
+
+
+def test_completely_glued_refuses_a_failed_peel(monkeypatch, params321):
+    # a peel that is no p-gluing breaks the proof; no other order is tried
+    monkeypatch.setattr(gluing, "check_p_gluing", lambda *a: NoGluing("forced"))
+    with pytest.raises(RuntimeError, match=r"\(1, 1, 0\).*forced"):
+        completely_p_glued(params321)
 
 
 def test_peel_sends_no_wide_matrix_to_snf(monkeypatch, params322):
@@ -239,7 +263,7 @@ def test_peel_sends_no_wide_matrix_to_snf(monkeypatch, params322):
             monkeypatch.setattr(module, "smith_normal_form", spy)
     gens = SemigroupGens.of(exponent_vectors(params322))
     assert len(gens.gens) > params322.n
-    tree = completely_p_glued(gens, 2, 2)
+    tree = completely_p_glued(params322)
     assert len(tree_witnesses(tree)) == len(gens.gens) - params322.n
     assert calls == []
 

@@ -3,8 +3,11 @@ import io
 import json
 import os
 import random
+import re
+import shlex
 import subprocess
 import sys
+from pathlib import Path
 
 import pytest
 
@@ -12,12 +15,10 @@ from conftest import make_params
 from veronese import (
     CyclicAction,
     PrimeField,
-    SemigroupGens,
     TypeStarBinomial,
     build_certificate,
     cohomology_orders,
     completely_p_glued,
-    exponent_vectors,
     fiber_check,
     full_ideal_point_survey,
     jacobian_rank,
@@ -138,8 +139,7 @@ def test_report_documents_serialize(params321):
 
 
 def test_gluing_tree_document(params321):
-    gens = SemigroupGens.of(exponent_vectors(params321))
-    tree = completely_p_glued(gens, 2, 1)
+    tree = completely_p_glued(params321)
     doc = _roundtrip(jsonio.gluing_obj(params321, tree))
     node = doc["tree"]
     assert node["type"] == "glued"
@@ -209,9 +209,8 @@ def test_cli_verify_negative_exit(capsys):
     "argv",
     [
         ("verify-sci", "--n", "3", "--p", "2", "--h", "1", "--k-max", "-1"),
-        ("gluing", "--n", "3", "--p", "2", "--h", "1", "--s-cap", "-1"),
     ],
-    ids=["k-max", "s-cap"],
+    ids=["k-max"],
 )
 def test_cli_negative_cap_is_usage_error(capsys, argv):
     # a negative cap is out of range: no verdict, one error line
@@ -303,6 +302,46 @@ def test_cli_reproduce_subset(capsys):
     assert code == 0
     assert "cardinality: PASS" in out
     assert "golden-generators: PASS" in out
+
+
+def _readme_cli_lines() -> list:
+    """Every veronese command line of the README's CLI section, with
+    backslash continuations joined."""
+    readme = Path(__file__).resolve().parents[1] / "README.md"
+    section = readme.read_text().split("\n## CLI\n", 1)[1].split("\n## ", 1)[0]
+    lines = []
+    for block in re.findall(r"```sh\n(.*?)```", section, re.S):
+        for line in block.replace("\\\n", " ").splitlines():
+            if "veronese " in line and not line.lstrip().startswith("#"):
+                lines.append(line.strip())
+    return lines
+
+
+def test_readme_cli_examples_run(monkeypatch, capsys):
+    # an option dropped from the parser but left in the README fails here
+    lines = _readme_cli_lines()
+    assert len(lines) >= 10
+    for line in lines:
+        tokens = shlex.split(line)
+        stages = [[]]
+        for tok in tokens:
+            if tok == "|":
+                stages.append([])
+            else:
+                stages[-1].append(tok)
+        stdin = ""
+        if stages[0][0] == "echo":
+            stdin = " ".join(stages.pop(0)[1:]) + "\n"
+        if stages[-1] == ["python", "-m", "json.tool"]:
+            stages.pop()
+        assert len(stages) == 1 and stages[0][0] == "veronese", line
+        monkeypatch.setattr(sys, "stdin", io.StringIO(stdin))
+        try:
+            code = main(stages[0][1:])
+        except SystemExit as exc:
+            code = exc.code
+        out = capsys.readouterr().out
+        assert code in (0, 1) and out, (line, code)
 
 
 def test_cli_usage_error_exit_code(capsys):
