@@ -27,14 +27,7 @@ from .combinatorics import (
 )
 from .fields import PrimeField
 from .geometry import fiber_check, jacobian_rank
-from .gluing import (
-    FreeNode,
-    GluedNode,
-    SemigroupGens,
-    completely_p_glued,
-    tree_witnesses,
-    validate_witness,
-)
+from .gluing import SemigroupGens, completely_p_glued, validate_witness
 from .groebner import buchberger, reduce
 from .sci import build_certificate, full_ideal_point_survey, point_survey, verify_char_p
 from .toric import (
@@ -169,40 +162,31 @@ def _degree_two_generation():
     return True, f"{trials} rewrites exact over Z, 0 mod GB(B)/F_5, <= {max_steps} steps"
 
 
-def _leaf_gens(tree):
-    if isinstance(tree, FreeNode):
-        return [tree.gens]
-    if isinstance(tree, GluedNode):
-        return _leaf_gens(tree.left) + _leaf_gens(tree.right)
-    raise TypeError(f"not a gluing tree node: {tree!r}")
-
-
 def _gluing():
     details = []
     for n, p, h in GLUING_PARAMS:
         params = _params(n, p, h)
-        gens = SemigroupGens.of(exponent_vectors(params))
-        tree = completely_p_glued(params)
-        triples = tree_witnesses(tree)
-        for t1, t2, w in triples:
-            if not validate_witness(t1, t2, p, w):
+        gens = exponent_vectors(params)
+        comb = completely_p_glued(params)
+        rest = SemigroupGens.of(gens)
+        for beta, w in comb.peels:
+            rest = rest.without(beta)
+            if not validate_witness(rest, SemigroupGens(rest.dim, (beta,)), p, w):
                 return False, f"witness failed revalidation at {(n, p, h)}: {w}"
             # the rest keeps every axis q*e_i, so q*beta lies in N(rest):
             # d | q, and d = p^j leaves s <= h - j, i.e. d | p^(h-s)
-            (beta,) = t2.gens
             i = next(i for i, x in enumerate(beta) if x)
             d = w.alpha[i] // beta[i]
             if w.s > h or p ** (h - w.s) % d:
                 return False, f"witness outside d | q, s <= h - v_p(d) at " \
                               f"{(n, p, h)}: {w}"
-        leaves = _leaf_gens(tree)
-        covered = sorted(g for leaf in leaves for g in leaf.gens)
-        if covered != sorted(gens.gens):
+        # the leaves partition T; a single beta is free, the axes must be
+        if sorted(comb.free.gens + tuple(b for b, _ in comb.peels)) != sorted(gens):
             return False, f"leaves do not partition T at {(n, p, h)}"
-        if not all(leaf.is_free() for leaf in leaves):
+        if not comb.free.is_free():
             return False, f"non-free leaf at {(n, p, h)}"
-        details.append(f"{(n, p, h)}: {len(triples)} gluings, s <= "
-                       f"{max(w.s for _, _, w in triples)}")
+        details.append(f"{(n, p, h)}: {len(comb.peels)} gluings, s <= "
+                       f"{max(w.s for _, w in comb.peels)}")
     return True, "; ".join(details)
 
 

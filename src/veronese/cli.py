@@ -140,23 +140,20 @@ def _cmd_points(args) -> int:
 
 def _cmd_gluing(args) -> int:
     params = _params_of(args)
-    obj = jsonio.gluing_obj(params, completely_p_glued(params))
-
-    lines = []
-
-    def walk(node, depth):
-        pad = "  " * depth
-        if node["type"] == "free":
-            lines.append(f"{pad}free: {node['generators']}")
-        else:
-            w = node["witness"]
-            lines.append(
-                f"{pad}glued: alpha = {w['alpha']}, s = {w['s']}"
-            )
-            walk(node["left"], depth + 1)
-            walk(node["right"], depth + 1)
-
-    walk(obj["tree"], 0)
+    comb = completely_p_glued(params)
+    obj = jsonio.gluing_obj(params, comb)
+    # the comb drawn depth first: the glued spine, the axes leaf at its
+    # foot, then each single-beta leaf on the way back up
+    depth = len(comb.peels)
+    lines = [
+        f"{'  ' * d}glued: alpha = {list(w.alpha)}, s = {w.s}"
+        for d, (_, w) in enumerate(comb.peels)
+    ]
+    lines.append(f"{'  ' * depth}free: {[list(g) for g in comb.free.gens]}")
+    lines += [
+        f"{'  ' * (d + 1)}free: {[list(beta)]}"
+        for d, (beta, _) in reversed(list(enumerate(comb.peels)))
+    ]
     _emit(args, obj, lines)
     return OK
 

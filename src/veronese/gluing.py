@@ -148,32 +148,29 @@ class NoGluing:
 
 
 def check_p_gluing(
-    t1: SemigroupGens,
-    t2: SemigroupGens,
+    rest: SemigroupGens,
+    beta: tuple,
     p: int,
     s_cap: int,
 ) -> Union[GluingWitness, NoGluing]:
-    """Decide whether (t1, {beta}) is a p-gluing of their union.
+    """Decide whether (rest, {beta}) is a p-gluing of their union.
 
-    t2 must be the one generator beta.  L(t1) meets Z*beta in
-    Z*(d*beta), d the order of beta modulo L(t1) (0 when beta is outside
-    its span), so alpha = d*beta.  Over {beta} alone p^s*alpha has the
-    one representation p^s*d; only t1 is searched, for the least s.
+    L(rest) meets Z*beta in Z*(d*beta), d the order of beta modulo
+    L(rest) (0 when beta is outside its span), so alpha = d*beta.  Over
+    {beta} alone p^s*alpha has the one representation p^s*d; only rest
+    is searched, for the least s.
     """
-    if t1.dim != t2.dim:
-        raise ValueError("generator sets live in different dimensions")
-    if len(t2.gens) != 1:
-        raise ValueError(f"t2 must be one generator, got {len(t2.gens)}")
+    if len(beta) != rest.dim:
+        raise ValueError("beta and rest live in different dimensions")
     if s_cap < 0:
         raise ValueError(f"s_cap must be >= 0, got {s_cap}")
-    (beta,) = t2.gens
-    d = quotient_order(t1.gens, beta)
+    d = quotient_order(rest.gens, beta)
     if not d:
         return NoGluing("intersection rank 0 != 1")
     alpha = tuple(d * x for x in beta)
     scaled = alpha
     for s in range(s_cap + 1):
-        rep1 = semigroup_member(t1, scaled)
+        rep1 = semigroup_member(rest, scaled)
         if rep1 is not None:
             return GluingWitness(alpha, s, rep1, (p**s * d,))
         scaled = tuple(p * x for x in scaled)
@@ -204,55 +201,34 @@ def validate_witness(
 
 
 @dataclass(frozen=True)
-class FreeNode:
-    """Leaf: linearly independent generators, nothing left to glue."""
+class GluingComb:
+    """The gluing tree of gens, stored flat: every peel splits one beta
+    off the generators left by the peels before it, so the tree is a
+    comb.  peels holds the (beta, witness) pairs in peel order and free
+    the last left leaf; the right leaves are the single betas."""
 
     gens: SemigroupGens
+    peels: tuple
+    free: SemigroupGens
 
 
-@dataclass(frozen=True)
-class GluedNode:
-    gens: SemigroupGens
-    witness: GluingWitness
-    left: "GluingTree"
-    right: "GluingTree"
-
-
-GluingTree = Union[FreeNode, GluedNode]
-
-
-def tree_witnesses(tree: GluingTree) -> list:
-    """(t1, t2, witness) triples for every glued node, root first."""
-    out = []
-    if isinstance(tree, GluedNode):
-        out.append((tree.left.gens, tree.right.gens, tree.witness))
-        out.extend(tree_witnesses(tree.left))
-        out.extend(tree_witnesses(tree.right))
-    return out
-
-
-def completely_p_glued(params: VeroneseParams) -> GluingTree:
-    """The gluing tree of T, peeling one non-axis generator per level.
+def completely_p_glued(params: VeroneseParams) -> GluingComb:
+    """The gluing comb of T, peeling one non-axis generator at a time.
 
     The non-axis generators beta are peeled in list order, so the rest
     always keeps every axis q*e_i.  Then q*beta = sum beta_i*(q*e_i)
     lies in N(rest), hence d divides q = p^h, and with d = p^j the axis
     witness gives s <= h - j <= h.  Each peel is therefore a p-gluing
-    under the cap h; the tree is a comb whose right children are the
-    single betas and whose last left leaf is the n axes.
+    under the cap h, and the n axes are the free leaf left at the end.
     """
     p, h = params.p, params.h
-    active = SemigroupGens.of(exponent_vectors(params))
+    gens = SemigroupGens.of(exponent_vectors(params))
+    rest = gens
     peels = []
-    for beta in [g for g in active.gens if sum(1 for x in g if x) > 1]:
-        rest = active.without(beta)
-        single = SemigroupGens(active.dim, (beta,))
-        w = check_p_gluing(rest, single, p, h)
+    for beta in [g for g in gens.gens if sum(1 for x in g if x) > 1]:
+        rest = rest.without(beta)
+        w = check_p_gluing(rest, beta, p, h)
         if isinstance(w, NoGluing):
             raise RuntimeError(f"peel of {beta} is no p-gluing: {w.reason}")
-        peels.append((active, w, FreeNode(single)))
-        active = rest
-    tree: GluingTree = FreeNode(active)
-    for gens, w, right in reversed(peels):
-        tree = GluedNode(gens, w, tree, right)
-    return tree
+        peels.append((beta, w))
+    return GluingComb(gens, tuple(peels), rest)

@@ -31,7 +31,7 @@ from typing import Iterable
 from .fields import PrimeField
 from .polys import Poly, PolyRing
 
-DEFAULT_PAIR_CAP = 200_000
+PAIR_CAP = 200_000  # S-pairs one basis may process
 FIELD_BITS = 16
 MAX_DEGREE = (1 << (FIELD_BITS - 1)) - 1  # the largest value a field holds
 
@@ -248,14 +248,12 @@ def _s_terms(red: _Reducers, i: int, j: int, lcm: int, r: int) -> dict:
     return out
 
 
-def buchberger(
-    gens: Iterable[Poly], *, pair_cap: int = DEFAULT_PAIR_CAP
-) -> GroebnerBasis:
+def buchberger(gens: Iterable[Poly]) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by gens.
 
-    S-pairs with coprime leading terms are never queued, so pair_cap
+    S-pairs with coprime leading terms are never queued, so PAIR_CAP
     and pairs_processed count only pairs whose leads share a variable.
-    Raises PairLimitExceeded rather than truncating when pair_cap is hit.
+    Raises PairLimitExceeded rather than truncating when PAIR_CAP is hit.
     """
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
@@ -304,9 +302,9 @@ def buchberger(
     while heap:
         _, _, i, j, lcm = heapq.heappop(heap)
         processed += 1
-        if processed > pair_cap:
+        if processed > PAIR_CAP:
             raise PairLimitExceeded(
-                f"S-pair limit {pair_cap} exceeded ({len(red.lead)} basis elements)"
+                f"S-pair limit {PAIR_CAP} exceeded ({len(red.lead)} basis elements)"
             )
         rt = _normal_form_terms(_s_terms(red, i, j, lcm, r), red, r)
         if not rt:

@@ -7,6 +7,7 @@ arrays, binomials as {plus, minus, text}.
 
 from __future__ import annotations
 
+from itertools import compress
 from typing import Optional
 
 from .cohomology import CohomologyTable
@@ -17,7 +18,7 @@ from .combinatorics import (
     integer_ring,
 )
 from .geometry import FiberReport, JacobianReport
-from .gluing import FreeNode, GluedNode, GluingTree, GluingWitness
+from .gluing import GluingComb, GluingWitness
 from .polys import Exponents, Poly, PolyRing
 from .sci import FrobeniusReport, PointSetReport, SciCertificate
 from .toric import RewriteCertificate, TypeStarBinomial
@@ -164,28 +165,30 @@ def witness_obj(w: GluingWitness) -> dict:
     }
 
 
-def tree_obj(tree: GluingTree) -> dict:
-    if isinstance(tree, FreeNode):
-        return {
-            "type": "free",
-            "generators": [list(g) for g in tree.gens.gens],
-        }
-    if isinstance(tree, GluedNode):
-        return {
+def gluing_obj(params: VeroneseParams, comb: GluingComb) -> dict:
+    """The comb as the nested tree document, built from the axes leaf
+    outward: each glued node holds the generators left before its peel,
+    its left child the next node and its right child the leaf {beta}."""
+    gens = comb.gens.gens
+    rows = [list(g) for g in gens]
+    at = {g: i for i, g in enumerate(gens)}
+    free = set(comb.free.gens)
+    kept = [g in free for g in gens]
+    tree = {"type": "free", "generators": list(compress(rows, kept))}
+    for beta, w in reversed(comb.peels):
+        i = at[beta]
+        kept[i] = True
+        tree = {
             "type": "glued",
-            "generators": [list(g) for g in tree.gens.gens],
-            "witness": witness_obj(tree.witness),
-            "left": tree_obj(tree.left),
-            "right": tree_obj(tree.right),
+            "generators": list(compress(rows, kept)),
+            "witness": witness_obj(w),
+            "left": tree,
+            "right": {"type": "free", "generators": [rows[i]]},
         }
-    raise TypeError(f"not a gluing tree node: {tree!r}")
-
-
-def gluing_obj(params: VeroneseParams, tree: GluingTree) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "params": params_obj(params),
-        "tree": tree_obj(tree),
+        "tree": tree,
     }
 
 

@@ -5,20 +5,24 @@ import pytest
 
 import oracles
 from conftest import make_params
-from veronese import exponent_vectors, gluing, jsonio, lattice
-from veronese.checks import _leaf_gens
+from veronese import cli, exponent_vectors, gluing, lattice
 from veronese.gluing import (
-    FreeNode,
-    GluedNode,
     GluingWitness,
     NoGluing,
     SemigroupGens,
     check_p_gluing,
     completely_p_glued,
     semigroup_member,
-    tree_witnesses,
     validate_witness,
 )
+
+
+def _splits(comb):
+    """(rest, {beta}, witness) for every peel of the comb, in order."""
+    rest = comb.gens
+    for beta, w in comb.peels:
+        rest = rest.without(beta)
+        yield rest, SemigroupGens(rest.dim, (beta,)), w
 
 
 def test_semigroup_gens_validation():
@@ -37,7 +41,7 @@ def test_is_free():
     assert not SemigroupGens.of([(1, 0), (0, 1), (1, 1)]).is_free()
     assert SemigroupGens.of([(2, 0, 0), (0, 2, 0), (0, 0, 2)]).is_free()
     assert SemigroupGens.of([(1, 1)]).is_free()
-    # no more generators than coordinates, yet dependent: the SNF rank decides
+    # no more generators than coordinates, yet dependent: the echelon rank decides
     assert not SemigroupGens.of([(2, 0, 0), (0, 2, 0), (1, 1, 0)]).is_free()
 
 
@@ -122,7 +126,7 @@ def test_semigroup_member_ungraded_matches_least_picks():
 def test_check_p_gluing_frozen_quadratic():
     t1 = SemigroupGens.of([(2, 0), (0, 2)])
     t2 = SemigroupGens.of([(1, 1)])
-    w = check_p_gluing(t1, t2, 2, 1)
+    w = check_p_gluing(t1, (1, 1), 2, 1)
     assert isinstance(w, GluingWitness)
     assert w.alpha == (2, 2)
     assert w.s == 0
@@ -134,29 +138,20 @@ def test_check_p_gluing_needs_positive_power():
         [(2, 0, 0), (0, 2, 0), (0, 0, 2), (0, 1, 1), (1, 0, 1)]
     )
     t2 = SemigroupGens.of([(1, 1, 0)])
-    w = check_p_gluing(t1, t2, 2, 1)
+    w = check_p_gluing(t1, (1, 1, 0), 2, 1)
     assert isinstance(w, GluingWitness)
     assert w.alpha == (1, 1, 0)
     assert w.s == 1
     assert validate_witness(t1, t2, 2, w)
 
 
-def test_check_p_gluing_rank_failure():
-    # the peel splits off one generator; any other t2 is refused
-    t1 = SemigroupGens.of([(1, 0), (0, 1)])
-    t2 = SemigroupGens.of([(1, 1), (1, 2)])
-    with pytest.raises(ValueError, match="one generator"):
-        check_p_gluing(t1, t2, 2, 1)
-
-
 def test_check_p_gluing_single_generator_outside_span():
     t1 = SemigroupGens.of([(1, 0, 0), (0, 1, 0)])
-    t2 = SemigroupGens.of([(0, 0, 1)])
-    res = check_p_gluing(t1, t2, 2, 1)
+    res = check_p_gluing(t1, (0, 0, 1), 2, 1)
     assert res == NoGluing("intersection rank 0 != 1")
     # the quotient order is read in the echelon basis, not by a search
     t1 = SemigroupGens.of([(4, 0), (0, 4)])
-    w = check_p_gluing(t1, SemigroupGens.of([(1, 3)]), 2, 2)
+    w = check_p_gluing(t1, (1, 3), 2, 2)
     assert w == GluingWitness((4, 12), 0, (1, 3), (4,))
     assert validate_witness(t1, SemigroupGens.of([(1, 3)]), 2, w)
 
@@ -165,41 +160,32 @@ def test_check_p_gluing_s_cap():
     t1 = SemigroupGens.of(
         [(2, 0, 0), (0, 2, 0), (0, 0, 2), (0, 1, 1), (1, 0, 1)]
     )
-    t2 = SemigroupGens.of([(1, 1, 0)])
-    res = check_p_gluing(t1, t2, 2, s_cap=0)
+    res = check_p_gluing(t1, (1, 1, 0), 2, s_cap=0)
     assert isinstance(res, NoGluing)
-    with pytest.raises(ValueError):
-        check_p_gluing(t1, t2, 2, s_cap=-1)
+    with pytest.raises(ValueError, match="s_cap"):
+        check_p_gluing(t1, (1, 1, 0), 2, s_cap=-1)
+    with pytest.raises(ValueError, match="dimensions"):
+        check_p_gluing(t1, (1, 1), 2, 1)
 
 
 def test_validate_witness_rejects_tampering():
     t1 = SemigroupGens.of([(2, 0), (0, 2)])
     t2 = SemigroupGens.of([(1, 1)])
-    w = check_p_gluing(t1, t2, 2, 1)
+    w = check_p_gluing(t1, (1, 1), 2, 1)
     assert not validate_witness(t1, t2, 2, GluingWitness((2, 0), w.s, w.rep1, w.rep2))
     assert not validate_witness(t1, t2, 2, GluingWitness(w.alpha, w.s + 1, w.rep1, w.rep2))
     assert not validate_witness(t1, t2, 2, GluingWitness(w.alpha, w.s, (9, 9), w.rep2))
 
 
 def test_completely_glued_quadratic_cone(params321):
-    tree = completely_p_glued(params321)
-    assert isinstance(tree, GluedNode)
-    triples = tree_witnesses(tree)
-    assert len(triples) == 3  # 6 generators peel down to a free triple
-    for t1, t2, w in triples:
-        assert validate_witness(t1, t2, 2, w)
-    # each level peels one generator off into a free right leaf
-    node, depth = tree, 0
-    while isinstance(node, GluedNode):
-        assert isinstance(node.right, FreeNode)
-        node, depth = node.left, depth + 1
-    assert depth == 3
-
-
-def _leaves(tree):
-    if isinstance(tree, FreeNode):
-        return [tree]
-    return _leaves(tree.left) + _leaves(tree.right)
+    comb = completely_p_glued(params321)
+    assert comb.gens.gens == tuple(exponent_vectors(params321))
+    # 6 generators peel one at a time down to the free triple of axes
+    assert [beta for beta, _ in comb.peels] == [(1, 1, 0), (1, 0, 1), (0, 1, 1)]
+    assert comb.free.gens == ((2, 0, 0), (0, 2, 0), (0, 0, 2))
+    splits = list(_splits(comb))
+    assert all(validate_witness(t1, t2, 2, w) for t1, t2, w in splits)
+    assert splits[-1][0] == comb.free
 
 
 def test_completely_glued_partitions_and_free_leaves():
@@ -208,16 +194,13 @@ def test_completely_glued_partitions_and_free_leaves():
     for n, p, h in grid:
         params = make_params(n, p, h)
         gens = SemigroupGens.of(exponent_vectors(params))
-        tree = completely_p_glued(params)
-        leaves = _leaves(tree)
-        assert all(leaf.gens.is_free() for leaf in leaves)
-        covered = sorted(g for leaf in leaves for g in leaf.gens.gens)
-        assert covered == sorted(gens.gens)
-        triples = tree_witnesses(tree)
-        assert len(triples) == len(leaves) - 1
+        comb = completely_p_glued(params)
+        assert comb.free.is_free()
+        betas = [beta for beta, _ in comb.peels]
+        assert sorted(comb.free.gens + tuple(betas)) == sorted(gens.gens)
+        assert len(comb.free.gens) == n
         # the proved bound: d | q, and s <= h - j for d = p^j
-        for _, t2, w in triples:
-            (beta,) = t2.gens
+        for beta, w in comb.peels:
             i = next(i for i, x in enumerate(beta) if x)
             d = w.alpha[i] // beta[i]
             assert params.q % d == 0, (n, p, h, w)
@@ -225,9 +208,9 @@ def test_completely_glued_partitions_and_free_leaves():
             assert w.s <= h - j, (n, p, h, w)
 
 
-def test_completely_glued_peels_in_a_loop():
-    # 66 peels at (12,2,1): a peel that recursed once per generator
-    # would need far more than 40 frames
+def test_completely_glued_peels_in_a_loop(capsys):
+    # 66 peels at (12,2,1): building, drawing or checking the comb with
+    # one frame per peel would need far more than 40 frames
     params = make_params(12, 2, 1)
     depth, frame = 0, sys._getframe()
     while frame is not None:
@@ -235,10 +218,17 @@ def test_completely_glued_peels_in_a_loop():
     limit = sys.getrecursionlimit()
     sys.setrecursionlimit(depth + 40)
     try:
-        tree = completely_p_glued(params)
+        comb = completely_p_glued(params)
+        code = cli.main(["gluing", "--n", "12", "--p", "2", "--h", "1"])
+        valid = [validate_witness(t1, t2, 2, w) for t1, t2, w in _splits(comb)]
     finally:
         sys.setrecursionlimit(limit)
-    assert len(tree_witnesses(tree)) == params.cardinality() - params.n == 66
+    assert len(comb.peels) == params.cardinality() - params.n == 66
+    assert all(valid) and len(valid) == 66
+    assert code == 0
+    lines = capsys.readouterr().out.splitlines()
+    assert len(lines) == 2 * 66 + 1
+    assert lines[66] == "  " * 66 + f"free: {[list(g) for g in comb.free.gens]}"
 
 
 def test_completely_glued_refuses_a_failed_peel(monkeypatch, params321):
@@ -263,16 +253,9 @@ def test_peel_sends_no_wide_matrix_to_snf(monkeypatch, params322):
             monkeypatch.setattr(module, "smith_normal_form", spy)
     gens = SemigroupGens.of(exponent_vectors(params322))
     assert len(gens.gens) > params322.n
-    tree = completely_p_glued(params322)
-    assert len(tree_witnesses(tree)) == len(gens.gens) - params322.n
+    comb = completely_p_glued(params322)
+    assert len(comb.peels) == len(gens.gens) - params322.n
     assert calls == []
-
-
-def test_tree_walkers_reject_non_nodes():
-    with pytest.raises(TypeError):
-        jsonio.tree_obj(object())
-    with pytest.raises(TypeError):
-        _leaf_gens(object())
 
 
 def test_graded_degree_and_without():

@@ -9,7 +9,7 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import make_params
-from veronese import PrimeField, buchberger, index_tuples, reduce
+from veronese import PrimeField, buchberger, groebner, index_tuples, reduce
 from veronese.combinatorics import integer_ring, polynomial_ring
 from veronese.groebner import (
     MAX_DEGREE,
@@ -107,11 +107,12 @@ def test_buchberger_zero_inputs_dropped(params321):
     assert [g.text() for g in gb.polys] == ["x11"]
 
 
-def test_buchberger_pair_cap():
+def test_buchberger_pair_cap(monkeypatch):
     params = make_params(3, 2, 2)
     gens = list(generators_over(params, F5))
-    with pytest.raises(PairLimitExceeded):
-        buchberger(gens, pair_cap=10)
+    monkeypatch.setattr(groebner, "PAIR_CAP", 10)
+    with pytest.raises(PairLimitExceeded, match="S-pair limit 10 exceeded"):
+        buchberger(gens)
 
 
 def test_buchberger_queues_only_pairs_with_shared_variables():

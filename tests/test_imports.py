@@ -1,8 +1,12 @@
-"""Every name a module of the package imports is used in that module.
+"""Every name a module of the package imports is used in that module,
+and every name a module defines is used somewhere in the package.
 
-Deleting a code path tends to leave its imports behind.  A name counts
-as used when the module reads it anywhere or lists it in ``__all__``;
-``from __future__`` imports are compiler directives and are skipped.
+Deleting a code path tends to leave its imports and helpers behind.  An
+import counts as used when the module reads it anywhere or lists it in
+``__all__``; ``from __future__`` imports are compiler directives and
+are skipped.  A module-level def, class or assignment counts as used
+when some module of the package reads, imports or exports its name
+outside the definition itself; dunder names are module protocol.
 """
 
 import ast
@@ -55,3 +59,72 @@ def test_package_has_no_unused_imports():
         if (found := unused_imports(path.read_text()))
     }
     assert not unused
+
+
+# defined for callers outside the package: name -> why it stays
+DEAD_ALLOWED = {
+    "polys.frobenius_power": "perfbench/spans.py wraps it to count Frobenius work",
+}
+
+
+def _defined(tree: ast.Module) -> list:
+    """(name, statement) for each module-level def, class or assignment."""
+    out = []
+    for node in tree.body:
+        if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
+            out.append((node.name, node))
+        elif isinstance(node, (ast.Assign, ast.AnnAssign)):
+            targets = node.targets if isinstance(node, ast.Assign) else [node.target]
+            for target in targets:
+                out += [
+                    (n.id, node) for n in ast.walk(target)
+                    if isinstance(n, ast.Name) and isinstance(n.ctx, ast.Store)
+                ]
+    return [(name, node) for name, node in out if not name.startswith("__")]
+
+
+def _referenced(node: ast.AST) -> set:
+    """Names a subtree reads or imports from another module."""
+    names = set()
+    for sub in ast.walk(node):
+        if isinstance(sub, ast.Name) and not isinstance(sub.ctx, ast.Store):
+            names.add(sub.id)
+        elif isinstance(sub, ast.Attribute):
+            names.add(sub.attr)
+        elif isinstance(sub, ast.ImportFrom):
+            names.update(a.name for a in sub.names)
+    return names
+
+
+def dead_definitions(sources: dict) -> list:
+    """module.name of each module-level definition in sources (module ->
+    source text) that no module references outside its own statement."""
+    trees = {mod: ast.parse(src) for mod, src in sources.items()}
+    exported = set().union(*map(_exported, trees.values()))
+    # statement by statement, so that a definition's own body (a
+    # recursive call, say) does not keep it alive
+    uses = [(stmt, _referenced(stmt)) for tree in trees.values() for stmt in tree.body]
+    return [
+        f"{mod}.{name}"
+        for mod, tree in trees.items()
+        for name, node in _defined(tree)
+        if name not in exported
+        and not any(name in names for stmt, names in uses if stmt is not node)
+    ]
+
+
+def test_guard_sees_a_dead_definition():
+    sources = {
+        "a": "LIMIT = 3\ndef f(x):\n    return f(x - 1) if x else LIMIT\n"
+             "def g():\n    pass\nclass K:\n    pass\n",
+        "b": "from .a import g\nimport a\nprint(a.K, g)\n",
+    }
+    assert dead_definitions(sources) == ["a.f"]
+    sources["b"] += "__all__ = ['f']\n"
+    assert dead_definitions(sources) == []
+
+
+def test_package_has_no_dead_definitions():
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    dead = dead_definitions(sources)
+    assert sorted(dead) == sorted(DEAD_ALLOWED)

@@ -139,8 +139,8 @@ def test_report_documents_serialize(params321):
 
 
 def test_gluing_tree_document(params321):
-    tree = completely_p_glued(params321)
-    doc = _roundtrip(jsonio.gluing_obj(params321, tree))
+    comb = completely_p_glued(params321)
+    doc = _roundtrip(jsonio.gluing_obj(params321, comb))
     node = doc["tree"]
     assert node["type"] == "glued"
     seen_free = 0
