@@ -8,12 +8,20 @@ through such splits, one element at a time.  The degree-q exponent set
 T of a Veronese cone is peeled in one fixed order, every non-axis
 generator in turn, down to the n axes q*e_i; that every such peel is a
 p-gluing is proved, so no other order is ever searched.
+
+The comb does each piece of work once.  The order d of every beta
+modulo L(rest) comes from one backward fold: starting from the echelon
+basis of the axes, each beta is read against the basis of the betas
+peeled after it and then folded in, so no echelon basis is ever of a
+whole rest.  Membership runs on T packed once into ints, one field per
+coordinate with a guard bit on top as in the Groebner kernel: a pick is
+one subtraction, valid when every guard survives, and each peel only
+deletes its beta from the packed list.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from operator import sub
 from typing import Optional, Union
 
 from .combinatorics import VeroneseParams, exponent_vectors
@@ -75,12 +83,99 @@ class SemigroupGens:
         return len(echelon_basis(self.gens)) == len(self.gens)
 
 
+class PackedGens:
+    """Generators packed into ints for the membership search.
+
+    Coordinate i of a vector sits in field i of ``width`` bits, whose
+    top bit is a guard; every entry of a generator or target stays below
+    the guard.  A remainder carries its coordinates with every guard
+    set, so subtracting a generator is one integer subtraction that
+    borrows from no other field, and it keeps every guard exactly when
+    no coordinate goes negative.  ``gens`` lists the packed generators
+    in the order of the vectors given; ``remove`` deletes one in place.
+    """
+
+    __slots__ = ("dim", "width", "guards", "gens")
+
+    def __init__(self, vectors, top: int):
+        """Fields wide enough for every entry of vectors and for targets
+        with entries up to top."""
+        self.dim = len(vectors[0])
+        w = self.width = max(top, *map(max, vectors)).bit_length() + 1
+        self.guards = sum(1 << (i * w + w - 1) for i in range(self.dim))
+        self.gens = [self.pack(v) for v in vectors]
+
+    def pack(self, v) -> int:
+        return sum(x << (i * self.width) for i, x in enumerate(v))
+
+    def remove(self, v) -> None:
+        self.gens.remove(self.pack(v))
+
+    def member(self, target):
+        """Multiplicity vector writing target as an N-combination of the
+        generators, or None.
+
+        The search is depth first over picks in generator order and
+        returns the first witness in that order.  Every pick lowers the
+        coordinate sum, so the search is finite and always decides.  A
+        target with an entry at or above the guard raises ValueError.
+        """
+        if min(target) < 0:
+            return None
+        if max(target) >> (self.width - 1):
+            raise ValueError(
+                f"target {tuple(target)} does not fit {self.width}-bit fields"
+            )
+        glist, guards = self.gens, self.guards
+        end = len(glist)
+        # an explicit stack, so deep targets cannot exhaust the recursion
+        # limit: frames[d] is [rest, next generator to try] and picks[d]
+        # the generator frame d descended through.  Picks never decrease,
+        # so pick sequences are visited in lexicographic order.  A rest
+        # that found no split goes into failed and is never searched
+        # again, even where a later visit may pick earlier generators:
+        # if the picks P that first reached it and some split R of it
+        # used a generator before P's last, sorted(P + R) would be a
+        # witness lexicographically before P, found before P was reached.
+        failed: set = set()
+        picks: list = []
+        root = self.pack(target) | guards
+        frames = [[root, 0]] if root != guards else []
+        found = not frames
+        while frames and not found:
+            frame = frames[-1]
+            rest, i = frame
+            for i in range(i, end):
+                left = rest - glist[i]
+                if left & guards != guards:
+                    continue
+                if left == guards:
+                    found = True
+                elif left in failed:
+                    continue
+                else:
+                    frame[1] = i + 1
+                    frames.append([left, i])
+                picks.append(i)
+                break
+            else:
+                failed.add(rest)
+                frames.pop()
+                if picks:
+                    picks.pop()
+        if not found:
+            return None
+        counts = [0] * len(glist)
+        for i in picks:
+            counts[i] += 1
+        return tuple(counts)
+
+
 def semigroup_member(gens: SemigroupGens, target):
     """Multiplicity vector writing target as an N-combination, or None.
 
-    The search is depth first over picks in generator order and returns
-    the first witness in that order.  Every pick lowers the coordinate
-    sum, so the search is finite and always decides, graded or not.  A
+    The first witness in generator order, found by the packed search of
+    ``PackedGens.member`` with fields as wide as the target needs.  A
     target whose sum is not a multiple of the generators' common degree
     is refused at once.
     """
@@ -92,43 +187,7 @@ def semigroup_member(gens: SemigroupGens, target):
     deg = gens.graded_degree()
     if deg is not None and sum(target) % deg:
         return None
-
-    glist = gens.gens
-    failed: set = set()
-    # an explicit stack, so deep targets cannot exhaust the recursion
-    # limit: frames[d] is [rest, start, next generator to try] and
-    # picks[d] the generator frame d descended through.  A (rest, start)
-    # that found no split goes into failed and is never searched again.
-    picks: list = []
-    frames = [[target, 0, 0]] if any(target) else []
-    found = not frames
-    while frames and not found:
-        frame = frames[-1]
-        rest, start, i = frame
-        for i in range(i, len(glist)):
-            left = tuple(map(sub, rest, glist[i]))
-            if min(left) < 0:
-                continue
-            if not any(left):
-                found = True
-            elif (left, i) in failed:
-                continue
-            else:
-                frame[2] = i + 1
-                frames.append([left, i, i])
-            picks.append(i)
-            break
-        else:
-            failed.add((rest, start))
-            frames.pop()
-            if picks:
-                picks.pop()
-    if not found:
-        return None
-    counts = [0] * len(glist)
-    for i in picks:
-        counts[i] += 1
-    return tuple(counts)
+    return PackedGens(gens.gens, max(target)).member(target)
 
 
 @dataclass(frozen=True)
@@ -148,29 +207,31 @@ class NoGluing:
 
 
 def check_p_gluing(
-    rest: SemigroupGens,
+    rest: PackedGens,
     beta: tuple,
+    d: int,
     p: int,
     s_cap: int,
 ) -> Union[GluingWitness, NoGluing]:
     """Decide whether (rest, {beta}) is a p-gluing of their union.
 
-    L(rest) meets Z*beta in Z*(d*beta), d the order of beta modulo
-    L(rest) (0 when beta is outside its span), so alpha = d*beta.  Over
+    d is the order of beta modulo L(rest), 0 when beta is outside its
+    span: L(rest) meets Z*beta in Z*(d*beta), so alpha = d*beta.  Over
     {beta} alone p^s*alpha has the one representation p^s*d; only rest
-    is searched, for the least s.
+    is searched, for the least s.  rest must be packed for targets up
+    to p^s_cap*d*max(beta), or a search that reaches past its fields
+    raises ValueError.
     """
     if len(beta) != rest.dim:
         raise ValueError("beta and rest live in different dimensions")
     if s_cap < 0:
         raise ValueError(f"s_cap must be >= 0, got {s_cap}")
-    d = quotient_order(rest.gens, beta)
     if not d:
         return NoGluing("intersection rank 0 != 1")
     alpha = tuple(d * x for x in beta)
     scaled = alpha
     for s in range(s_cap + 1):
-        rep1 = semigroup_member(rest, scaled)
+        rep1 = rest.member(scaled)
         if rep1 is not None:
             return GluingWitness(alpha, s, rep1, (p**s * d,))
         scaled = tuple(p * x for x in scaled)
@@ -212,6 +273,20 @@ class GluingComb:
     free: SemigroupGens
 
 
+def _peel_orders(axes: list, betas: list) -> list:
+    """The order d of each beta modulo L(rest), where rest is the axes
+    and the betas after it.  The lattices grow backwards from the axes:
+    each beta is read against the echelon basis of the axes and the
+    betas after it, then folded into that basis, so every echelon basis
+    is built from at most n + 1 vectors, never from a whole rest."""
+    basis = echelon_basis(axes)
+    orders = []
+    for beta in reversed(betas):
+        orders.append(quotient_order(basis, beta))
+        basis = echelon_basis(basis + [beta])
+    return orders[::-1]
+
+
 def completely_p_glued(params: VeroneseParams) -> GluingComb:
     """The gluing comb of T, peeling one non-axis generator at a time.
 
@@ -220,15 +295,21 @@ def completely_p_glued(params: VeroneseParams) -> GluingComb:
     lies in N(rest), hence d divides q = p^h, and with d = p^j the axis
     witness gives s <= h - j <= h.  Each peel is therefore a p-gluing
     under the cap h, and the n axes are the free leaf left at the end.
+    T is packed once, with fields for the largest target any peel may
+    search under the cap, and each peel deletes its beta from it.
     """
     p, h = params.p, params.h
     gens = SemigroupGens.of(exponent_vectors(params))
-    rest = gens
+    betas = [g for g in gens.gens if sum(1 for x in g if x) > 1]
+    axes = [g for g in gens.gens if sum(1 for x in g if x) == 1]
+    orders = _peel_orders(axes, betas)
+    top = p**h * max((d * max(b) for b, d in zip(betas, orders)), default=0)
+    rest = PackedGens(gens.gens, top)
     peels = []
-    for beta in [g for g in gens.gens if sum(1 for x in g if x) > 1]:
-        rest = rest.without(beta)
-        w = check_p_gluing(rest, beta, p, h)
+    for beta, d in zip(betas, orders):
+        rest.remove(beta)
+        w = check_p_gluing(rest, beta, d, p, h)
         if isinstance(w, NoGluing):
             raise RuntimeError(f"peel of {beta} is no p-gluing: {w.reason}")
         peels.append((beta, w))
-    return GluingComb(gens, tuple(peels), rest)
+    return GluingComb(gens, tuple(peels), SemigroupGens(gens.dim, tuple(axes)))

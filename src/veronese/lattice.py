@@ -240,15 +240,16 @@ def echelon_basis(cols: Iterable[Sequence[int]]) -> list:
     return basis
 
 
-def quotient_order(cols: Iterable[Sequence[int]], beta: Sequence[int]) -> int:
-    """Order of beta in Z^n / L, L the lattice spanned by cols.
+def quotient_order(basis: Sequence[Sequence[int]], beta: Sequence[int]) -> int:
+    """Order of beta in Z^n / L, L the lattice with echelon basis basis
+    (as ``echelon_basis`` returns it).
 
     That is the least d > 0 with d*beta in L, so that L meets Z*beta in
     Z*(d*beta); it is 0 when beta lies outside the rational span of L.
     """
     v = list(beta)
     d = 1
-    for b in echelon_basis(cols):
+    for b in basis:
         if len(b) != len(v):
             raise ValueError("ambient dimensions differ")
         i = next(k for k, x in enumerate(b) if x)

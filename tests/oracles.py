@@ -1,18 +1,23 @@
 """Independent reference implementations used only to cross-check test
 expectations.  Everything here is either elementary (minor gcds, brute
 enumeration) or delegates to sympy; nothing imports the package's own
-linear algebra or Groebner code paths beyond data types.
+linear algebra or Groebner code paths beyond data types, except that
+the rebuilt gluing comb reads ``d`` from the package's echelon basis of
+each whole rest, as the comb was first built.
 """
 
 from __future__ import annotations
 
 from itertools import combinations, combinations_with_replacement, product
 from math import gcd, prod
+from operator import sub
 
 import sympy
 from sympy import GF, Matrix
 from sympy.matrices.normalforms import smith_normal_form
 from sympy.polys.matrices import DomainMatrix
+
+from veronese.lattice import echelon_basis, quotient_order
 
 
 def invariant_factors_minor_gcd(rows) -> list:
@@ -199,6 +204,75 @@ def semigroup_member_brute(gens, target) -> bool:
                     nxt.append(cand)
         frontier = nxt
     return False
+
+
+def semigroup_member_dfs(gens, target):
+    """The first multiplicity vector, in generator order, writing target
+    as an N-combination of gens, or None.
+
+    Depth first over picks on exponent tuples: frames[d] is [rest,
+    start, next generator to try] and picks[d] the generator frame d
+    descended through; a (rest, start) that found no split is never
+    searched again.
+    """
+    target = tuple(target)
+    if any(x < 0 for x in target):
+        return None
+    failed: set = set()
+    picks: list = []
+    frames = [[target, 0, 0]] if any(target) else []
+    found = not frames
+    while frames and not found:
+        frame = frames[-1]
+        rest, start, i = frame
+        for i in range(i, len(gens)):
+            left = tuple(map(sub, rest, gens[i]))
+            if min(left) < 0:
+                continue
+            if not any(left):
+                found = True
+            elif (left, i) in failed:
+                continue
+            else:
+                frame[2] = i + 1
+                frames.append([left, i, i])
+            picks.append(i)
+            break
+        else:
+            failed.add((rest, start))
+            frames.pop()
+            if picks:
+                picks.pop()
+    if not found:
+        return None
+    counts = [0] * len(gens)
+    for i in picks:
+        counts[i] += 1
+    return tuple(counts)
+
+
+def glued_comb_rebuilt(gens, p: int, h: int) -> tuple:
+    """The gluing comb of gens with every peel built from scratch.
+
+    The non-axis generators are peeled in list order.  Each peel reads
+    d from an echelon basis of its whole rest and searches the least
+    s <= h by ``semigroup_member_dfs``.  Returns ((beta, alpha, s, rep1,
+    rep2), ...) in peel order and the free leaf.
+    """
+    rest = list(gens)
+    peels = []
+    for beta in [g for g in gens if sum(1 for x in g if x) > 1]:
+        rest.remove(beta)
+        d = quotient_order(echelon_basis(rest), beta)
+        alpha = tuple(d * x for x in beta)
+        for s in range(h + 1):
+            rep1 = semigroup_member_dfs(rest, tuple(p**s * x for x in alpha))
+            if rep1 is not None:
+                break
+        else:
+            raise AssertionError(f"no s <= {h} for the peel of {beta}")
+        peels.append((beta, alpha, s, rep1, (p**s * d,)))
+    return tuple(peels), tuple(rest)
 
 
 def semigroup_least_picks(gens, target):

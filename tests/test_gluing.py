@@ -2,6 +2,8 @@ import random
 import sys
 
 import pytest
+from hypothesis import example, given, settings
+from hypothesis import strategies as st
 
 import oracles
 from conftest import make_params
@@ -9,12 +11,14 @@ from veronese import cli, exponent_vectors, gluing, lattice
 from veronese.gluing import (
     GluingWitness,
     NoGluing,
+    PackedGens,
     SemigroupGens,
     check_p_gluing,
     completely_p_glued,
     semigroup_member,
     validate_witness,
 )
+from veronese.lattice import echelon_basis, quotient_order
 
 
 def _splits(comb):
@@ -23,6 +27,14 @@ def _splits(comb):
     for beta, w in comb.peels:
         rest = rest.without(beta)
         yield rest, SemigroupGens(rest.dim, (beta,)), w
+
+
+def _check(rest, beta, p, s_cap):
+    """check_p_gluing on a plain generator set: d read from a fresh
+    echelon basis, fields as wide as the largest target under the cap."""
+    d = quotient_order(echelon_basis(rest.gens), beta)
+    packed = PackedGens(rest.gens, p**s_cap * d * max(beta))
+    return check_p_gluing(packed, beta, d, p, s_cap)
 
 
 def test_semigroup_gens_validation():
@@ -95,6 +107,7 @@ def test_semigroup_member_bound_cut_is_not_a_failure():
     rep = semigroup_member(gens, (29,))
     assert rep is not None
     assert sum(c * g[0] for c, g in zip(rep, gens.gens)) == 29
+    assert rep == oracles.semigroup_member_dfs(gens.gens, (29,))
 
 
 def test_semigroup_member_ungraded_matches_least_picks():
@@ -123,10 +136,74 @@ def test_semigroup_member_ungraded_matches_least_picks():
             assert combo == target
 
 
+# the largest entry per dimension that keeps a search at most ~20,000
+# remainders, and the field boundaries 2^k - 1, 2^k, 2^k + 1 below it
+_ENTRY_CAP = {1: 300, 2: 140, 3: 26, 4: 10, 5: 6}
+
+
+def _composition(cuts, deg) -> tuple:
+    """The parts of deg between sorted cut points."""
+    cuts = sorted(cuts)
+    return tuple(b - a for a, b in zip([0] + cuts, cuts + [deg]))
+
+
+@st.composite
+def _membership_cases(draw):
+    dim = draw(st.integers(1, 5))
+    cap = _ENTRY_CAP[dim]
+    edges = sorted({e for k in range(1, cap.bit_length())
+                    for e in (2**k - 1, 2**k, 2**k + 1) if e <= cap})
+    entry = st.one_of(st.integers(0, cap), st.sampled_from(edges))
+    if dim > 1 and draw(st.booleans()):
+        # graded: every generator a composition of one degree
+        deg = draw(st.one_of(st.integers(1, cap), st.sampled_from(edges)))
+        cuts = st.lists(st.integers(0, deg), min_size=dim - 1, max_size=dim - 1)
+        vector = cuts.map(lambda c: _composition(c, deg))
+    else:
+        vector = st.tuples(*[entry] * dim).filter(any)
+    vectors = draw(st.lists(vector, min_size=1, max_size=5, unique=True))
+    picks = draw(st.lists(st.sampled_from(vectors), max_size=4))
+    combo = tuple(map(sum, zip(*picks))) if picks else (0,) * dim
+    # a random target, a combination of generators, or one next to it
+    nudge = st.tuples(*[st.integers(-1, 1)] * dim)
+    target = draw(st.one_of(
+        st.tuples(*[entry] * dim),
+        st.just(combo).filter(lambda t: max(t) <= cap),
+        nudge.map(lambda e: tuple(max(0, min(cap, x + y)) for x, y in zip(combo, e))),
+    ))
+    return vectors, target
+
+
+@settings(derandomize=True, max_examples=300, deadline=None)
+@given(_membership_cases())
+@example(([(1, 0), (0, 1)], (3, 4)))
+@example(([(7, 0), (1, 8)], (8, 8)))  # a field emptied exactly: 8 - 7 - 1 = 0
+@example(([(2, 2), (1, 3), (0, 4)], (3, 5)))
+@example(([(255,), (257,)], (256,)))
+def test_packed_search_matches_the_tuple_oracle(case):
+    # the same first witness as the search on tuples, not only the same
+    # yes or no; wider fields than the target needs change nothing
+    vectors, target = case
+    gens = SemigroupGens.of(vectors)
+    want = oracles.semigroup_member_dfs(gens.gens, target)
+    assert semigroup_member(gens, target) == want
+    assert PackedGens(gens.gens, 2 * max(target) + 1).member(target) == want
+
+
+def test_packed_fields_refuse_a_target_past_the_guard():
+    # fields sized for entries up to 7 are 4 bits wide; 8 would set a guard
+    packed = PackedGens([(1, 0), (0, 1)], 7)
+    assert packed.width == 4
+    assert packed.member((7, 7)) == (7, 7)
+    with pytest.raises(ValueError, match="fit"):
+        packed.member((8, 0))
+    assert packed.member((-1, 0)) is None
+
+
 def test_check_p_gluing_frozen_quadratic():
     t1 = SemigroupGens.of([(2, 0), (0, 2)])
     t2 = SemigroupGens.of([(1, 1)])
-    w = check_p_gluing(t1, (1, 1), 2, 1)
+    w = _check(t1, (1, 1), 2, 1)
     assert isinstance(w, GluingWitness)
     assert w.alpha == (2, 2)
     assert w.s == 0
@@ -138,7 +215,7 @@ def test_check_p_gluing_needs_positive_power():
         [(2, 0, 0), (0, 2, 0), (0, 0, 2), (0, 1, 1), (1, 0, 1)]
     )
     t2 = SemigroupGens.of([(1, 1, 0)])
-    w = check_p_gluing(t1, (1, 1, 0), 2, 1)
+    w = _check(t1, (1, 1, 0), 2, 1)
     assert isinstance(w, GluingWitness)
     assert w.alpha == (1, 1, 0)
     assert w.s == 1
@@ -147,11 +224,11 @@ def test_check_p_gluing_needs_positive_power():
 
 def test_check_p_gluing_single_generator_outside_span():
     t1 = SemigroupGens.of([(1, 0, 0), (0, 1, 0)])
-    res = check_p_gluing(t1, (0, 0, 1), 2, 1)
+    res = _check(t1, (0, 0, 1), 2, 1)
     assert res == NoGluing("intersection rank 0 != 1")
     # the quotient order is read in the echelon basis, not by a search
     t1 = SemigroupGens.of([(4, 0), (0, 4)])
-    w = check_p_gluing(t1, (1, 3), 2, 2)
+    w = _check(t1, (1, 3), 2, 2)
     assert w == GluingWitness((4, 12), 0, (1, 3), (4,))
     assert validate_witness(t1, SemigroupGens.of([(1, 3)]), 2, w)
 
@@ -160,18 +237,41 @@ def test_check_p_gluing_s_cap():
     t1 = SemigroupGens.of(
         [(2, 0, 0), (0, 2, 0), (0, 0, 2), (0, 1, 1), (1, 0, 1)]
     )
-    res = check_p_gluing(t1, (1, 1, 0), 2, s_cap=0)
+    res = _check(t1, (1, 1, 0), 2, s_cap=0)
     assert isinstance(res, NoGluing)
+    packed = PackedGens(t1.gens, 2)
     with pytest.raises(ValueError, match="s_cap"):
-        check_p_gluing(t1, (1, 1, 0), 2, s_cap=-1)
+        check_p_gluing(packed, (1, 1, 0), 1, 2, s_cap=-1)
     with pytest.raises(ValueError, match="dimensions"):
-        check_p_gluing(t1, (1, 1), 2, 1)
+        check_p_gluing(packed, (1, 1), 1, 2, 1)
+
+
+def test_check_p_gluing_searches_up_to_the_cap():
+    # N(rest) = <3,5> x <3,5> lacks the axis witness of a Veronese rest,
+    # so d = 1 and the least s is 3: (8,8) = (3,0)+(5,0)+(0,3)+(0,5)
+    rest = SemigroupGens.of([(3, 0), (5, 0), (0, 3), (0, 5)])
+    beta = (1, 1)
+    w = _check(rest, beta, 2, 3)
+    assert w == GluingWitness((1, 1), 3, (1, 1, 1, 1), (8,))
+    assert w.rep1 == oracles.semigroup_member_dfs(rest.gens, (8, 8))
+    assert validate_witness(rest, SemigroupGens.of([beta]), 2, w)
+    assert _check(rest, beta, 2, 2) == NoGluing("no admissible s <= 2")
+    # fields sized from the wrong bound p^s*d <= 4 cannot hold (8,8):
+    # the search raises instead of borrowing across fields
+    with pytest.raises(ValueError, match="fit"):
+        check_p_gluing(PackedGens(rest.gens, 4), beta, 1, 2, 3)
+    # no s at all: N(rest) misses the ray of beta = (0,1), d = 2, and
+    # every s up to the cap is refuted, the last target (0, 2^13) in
+    # fields of 15 bits
+    rest = PackedGens([(1, 0), (1, 2)], 2**12 * 2 * 1)
+    assert rest.width == 15
+    assert check_p_gluing(rest, (0, 1), 2, 2, 12) == NoGluing("no admissible s <= 12")
 
 
 def test_validate_witness_rejects_tampering():
     t1 = SemigroupGens.of([(2, 0), (0, 2)])
     t2 = SemigroupGens.of([(1, 1)])
-    w = check_p_gluing(t1, (1, 1), 2, 1)
+    w = _check(t1, (1, 1), 2, 1)
     assert not validate_witness(t1, t2, 2, GluingWitness((2, 0), w.s, w.rep1, w.rep2))
     assert not validate_witness(t1, t2, 2, GluingWitness(w.alpha, w.s + 1, w.rep1, w.rep2))
     assert not validate_witness(t1, t2, 2, GluingWitness(w.alpha, w.s, (9, 9), w.rep2))
@@ -206,6 +306,20 @@ def test_completely_glued_partitions_and_free_leaves():
             assert params.q % d == 0, (n, p, h, w)
             j = next(j for j in range(h + 1) if p**j == d)
             assert w.s <= h - j, (n, p, h, w)
+
+
+@pytest.mark.parametrize("npq", [(4, 2, 3), (3, 2, 4), (5, 3, 1), (3, 5, 1), (12, 2, 1)])
+def test_completely_glued_matches_the_rebuilt_comb(npq):
+    # the backward lattice fold and the packed search give, peel for
+    # peel, the comb built with a fresh echelon basis of every rest and
+    # the tuple search
+    n, p, h = npq
+    params = make_params(n, p, h)
+    comb = completely_p_glued(params)
+    peels, free = oracles.glued_comb_rebuilt(comb.gens.gens, p, h)
+    got = tuple((beta, w.alpha, w.s, w.rep1, w.rep2) for beta, w in comb.peels)
+    assert got == peels
+    assert comb.free.gens == free
 
 
 def test_completely_glued_peels_in_a_loop(capsys):

@@ -146,7 +146,7 @@ def test_echelon_order_matches_snf_intersection(case):
         assert oracles.lattice_member_sympy(basis, c)
     for c in basis:
         assert oracles.lattice_member_sympy(snf_basis, c)
-    d = quotient_order(rest, beta)
+    d = quotient_order(basis, beta)
     inter = lattice_intersection(
         IntMatrix.from_cols(rest), IntMatrix.from_cols([beta])
     )
