@@ -17,12 +17,11 @@ from typing import Optional, Sequence
 from .combinatorics import (
     VeroneseParams,
     index_tuples,
-    integer_ring,
     parametrize,
     pure_tuple,
 )
 from .fields import PrimeField
-from .polys import Poly
+from .polys import Poly, mono_support, pair_exponents
 
 
 class RootOfUnityError(ValueError):
@@ -77,11 +76,7 @@ def jacobian_rank(
         raise ValueError(f"point needs {len(tuples)} coordinates")
     w = tuple(field.normalize(x) for x in w)
 
-    rows = []
-    for g in generators:
-        gr = g.map_field(field)
-        rows.append([gr.derivative(v).evaluate(w) for v in tuples])
-    rank = matrix_rank_mod(rows, r)
+    rank = matrix_rank_mod([_jacobian_row(g.raw_terms(), w, r) for g in generators], r)
 
     perm = tuple(range(1, params.n + 1))
     candidates = [
@@ -100,7 +95,7 @@ def jacobian_rank(
             {1: j, j: 1}.get(i, i) for i in range(1, params.n + 1)
         )
     wp = _permuted_point(params, w, perm)
-    ok, diag = _triangular_check(params, wp, field)
+    ok, diag = _triangular_check(params, wp, r)
     return JacobianReport(params, r, w, rank, ok, diag, perm)
 
 
@@ -115,34 +110,53 @@ def _permuted_point(params: VeroneseParams, w: tuple, perm: tuple) -> tuple:
     return tuple(out)
 
 
-def _triangular_check(params: VeroneseParams, w: tuple, field: PrimeField):
-    """Rows F_t = x_{1..1} x_t - x_{1..1 i_q} x_{1 i_1..i_{q-1}} for
-    non-minimal t, differentiated, evaluated, restricted to those t.
+def _jacobian_row(terms: dict, w: tuple, r: int) -> list:
+    """Gradient at w mod r of the polynomial with terms {exps: c}.
 
-    Entries right of the diagonal must vanish and the diagonal must be
-    the value of the distinguished pure coordinate.
+    Each term c*x^e adds c*e_i*w_i^(e_i-1)*prod_{j != i} w_j^(e_j) at
+    each position i of its support; no other position is visited.
     """
-    ring = integer_ring(params)
+    row = [0] * len(w)
+    for e, c in terms.items():
+        factors = mono_support(e)
+        for i, x in factors:
+            v = c * x * pow(w[i], x - 1, r)
+            for j, y in factors:
+                if j != i:
+                    v = v * pow(w[j], y, r)
+            row[i] = (row[i] + v) % r
+    return row
+
+
+def _triangular_submatrix(params: VeroneseParams, w: tuple, r: int) -> list:
+    """Rows F_t = x_{1..1} x_t - x_{1..1 i_q} x_{1 i_1..i_{q-1}} for
+    non-minimal t, differentiated, evaluated at w mod r, restricted to
+    the columns of those t."""
     tuples = index_tuples(params)
+    m = len(tuples)
     pos = {t: i for i, t in enumerate(tuples)}
     q = params.q
     lead = pure_tuple(params, 1)
     prime = [t for t in tuples if t[: q - 1] != lead[: q - 1]]
-    diag = w[pos[lead]]
-    ok = True
-    for row_i, t in enumerate(prime):
-        a = ring.exps_of([(lead, 1), (t, 1)])
+    cols = [pos[s] for s in prime]
+    out = []
+    for t in prime:
+        a = pair_exponents(m, pos[lead], pos[t])
         b_var1 = tuple(sorted((1,) * (q - 1) + (t[-1],)))
         b_var2 = tuple(sorted((1,) + t[:-1]))
-        b = ring.exps_of([(b_var1, 1), (b_var2, 1)])
-        f = Poly(ring, {a: 1, b: -1}) if a != b else ring.zero()
-        fr = f.map_field(field)
-        for col_j, s in enumerate(prime):
-            val = fr.derivative(s).evaluate(w)
-            if col_j > row_i and val:
-                ok = False
-            if col_j == row_i and val != diag:
-                ok = False
+        b = pair_exponents(m, pos[b_var1], pos[b_var2])
+        row = _jacobian_row({a: 1, b: -1} if a != b else {}, w, r)
+        out.append([row[c] for c in cols])
+    return out
+
+
+def _triangular_check(params: VeroneseParams, w: tuple, r: int):
+    """(ok, diag): entries right of the submatrix's diagonal vanish and
+    the diagonal holds diag, the value of the distinguished pure
+    coordinate."""
+    diag = w[index_tuples(params).index(pure_tuple(params, 1))]
+    sub = _triangular_submatrix(params, w, r)
+    ok = all(row[i] == diag and not any(row[i + 1 :]) for i, row in enumerate(sub))
     return ok, diag
 
 

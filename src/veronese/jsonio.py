@@ -61,7 +61,7 @@ def params_from_obj(obj: dict) -> VeroneseParams:
 
 def monomial_obj(ring: PolyRing, exps: Exponents) -> list:
     """[variable, exponent] pairs, zero exponents omitted."""
-    return [[list(v), e] for v, e in zip(ring.variables, exps) if e]
+    return [[list(v), e] for v, e in compress(zip(ring.variables, exps), exps)]
 
 
 def binomial_obj(g: Poly) -> dict:

@@ -9,7 +9,10 @@ exponent tuples to nonzero coefficients.
 
 from __future__ import annotations
 
-from typing import Iterable, Mapping, Sequence, Union
+from collections.abc import Mapping
+from itertools import compress
+from operator import neg
+from typing import Iterable, Sequence, Union
 
 from .fields import IntegerRing
 
@@ -28,7 +31,7 @@ def variable_name(v) -> str:
 def _degrevlex_key(exps: Exponents):
     """Sort key: key(a) > key(b) iff monomial a > monomial b."""
     # graded, ties broken so the last differing exponent decides reversed
-    return (sum(exps), tuple(-x for x in reversed(exps)))
+    return (sum(exps), tuple(map(neg, reversed(exps))))
 
 
 class PolyRing:
@@ -38,7 +41,7 @@ class PolyRing:
     treats the first-listed variable as the largest.
     """
 
-    __slots__ = ("field", "variables", "_pos")
+    __slots__ = ("field", "variables", "names", "_pos")
 
     key = staticmethod(_degrevlex_key)
 
@@ -50,6 +53,7 @@ class PolyRing:
             raise ValueError("need at least one variable")
         self.field = field
         self.variables = vs
+        self.names = tuple(map(variable_name, vs))
         self._pos = {v: i for i, v in enumerate(vs)}
 
     @property
@@ -64,7 +68,8 @@ class PolyRing:
 
     def exps_of(self, pairs: Union[Mapping, Iterable]) -> Exponents:
         """Dense exponent tuple from (variable, exponent) pairs."""
-        if isinstance(pairs, Mapping):
+        # dict answers at once; the abc check is the slower fallback
+        if isinstance(pairs, (dict, Mapping)):
             pairs = pairs.items()
         e = [0] * self.nvars
         for v, x in pairs:
@@ -99,10 +104,12 @@ class PolyRing:
 
     def with_field(self, field) -> "PolyRing":
         """The same variables over another coefficient ring, sharing the
-        sorted variable tuple and position index instead of rebuilding them."""
+        sorted variable tuple, names and position index instead of
+        rebuilding them."""
         ring = PolyRing.__new__(PolyRing)
         ring.field = field
         ring.variables = self.variables
+        ring.names = self.names
         ring._pos = self._pos
         return ring
 
@@ -124,13 +131,24 @@ def mono_mul(a: Exponents, b: Exponents) -> Exponents:
     return tuple(x + y for x, y in zip(a, b))
 
 
+def mono_support(exps: Exponents) -> list:
+    """(position, exponent) pairs of the nonzero exponents, ascending."""
+    return [(i, exps[i]) for i in compress(range(len(exps)), exps)]
+
+
+def pair_exponents(nvars: int, i: int, j: int) -> Exponents:
+    """Dense exponent tuple of x_i * x_j, by positions in the ring."""
+    e = [0] * nvars
+    e[i] += 1
+    e[j] += 1
+    return tuple(e)
+
+
 def monomial_text(ring: PolyRing, exps: Exponents) -> str:
-    parts = []
-    for v, e in zip(ring.variables, exps):
-        if not e:
-            continue
-        name = variable_name(v)
-        parts.append(name if e == 1 else f"{name}^{e}")
+    parts = [
+        name if e == 1 else f"{name}^{e}"
+        for name, e in compress(zip(ring.names, exps), exps)
+    ]
     return "*".join(parts) if parts else "1"
 
 
@@ -261,26 +279,9 @@ class Poly:
                 out[e] = cc
         return Poly(ring, out)
 
-    def derivative(self, v) -> "Poly":
-        """Formal partial derivative with respect to variable v."""
-        i = self.ring.position(v)
-        f = self.ring.field
-        out = {}
-        for e, c in self._terms.items():
-            if not e[i]:
-                continue
-            cc = f.mul(c, f.normalize(e[i]))
-            if not cc:
-                continue
-            ee = e[:i] + (e[i] - 1,) + e[i + 1 :]
-            out[ee] = f.add(out.get(ee, 0), cc) if ee in out else cc
-            if not out[ee]:
-                del out[ee]
-        return Poly(self.ring, out)
-
     def evaluate(self, values: Union[Sequence[int], Mapping]) -> int:
         """Value at a point; values indexed like ring.variables or by id."""
-        if isinstance(values, Mapping):
+        if isinstance(values, (dict, Mapping)):
             vals = [values[v] for v in self.ring.variables]
         else:
             vals = list(values)
@@ -290,9 +291,8 @@ class Poly:
         total = 0
         for e, c in self._terms.items():
             t = c
-            for x, k in zip(vals, e):
-                if k:
-                    t = f.mul(t, f.pow(x, k))
+            for i, k in mono_support(e):
+                t = f.mul(t, f.pow(vals[i], k))
             total = f.add(total, t)
         return total
 
@@ -316,18 +316,19 @@ class Poly:
         if not self._terms:
             return "0"
         out = []
+        signed = isinstance(self.ring.field, IntegerRing)
         for e in sorted(self._terms, key=self.ring.key, reverse=True):
             c = self._terms[e]
             mono = monomial_text(self.ring, e)
-            neg = isinstance(self.ring.field, IntegerRing) and c < 0
-            mag = -c if neg else c
+            minus = signed and c < 0
+            mag = -c if minus else c
             body = mono if mag == 1 and mono != "1" else (
                 str(mag) if mono == "1" else f"{mag}*{mono}"
             )
             if not out:
-                out.append(f"-{body}" if neg else body)
+                out.append(f"-{body}" if minus else body)
             else:
-                out.append(f"- {body}" if neg else f"+ {body}")
+                out.append(f"- {body}" if minus else f"+ {body}")
         return " ".join(out)
 
 

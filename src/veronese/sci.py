@@ -25,7 +25,7 @@ from .combinatorics import (
     pure_tuple,
 )
 from .fields import PrimeField
-from .polys import Poly
+from .polys import Poly, mono_support
 from .toric import quadratic_generators
 
 DEFAULT_ENUM_BUDGET = 10**7
@@ -179,7 +179,7 @@ def _compiled(binomials, field) -> list:
         gm = g.map_field(field) if g.ring.field != field else g
         compiled = []
         for e, c in gm.raw_terms().items():
-            compiled.append((c, tuple((i, x) for i, x in enumerate(e) if x)))
+            compiled.append((c, tuple(mono_support(e))))
         out.append(compiled)
     return out
 
@@ -324,11 +324,11 @@ def _triangular(binomials, m: int) -> tuple:
         tails = [e for e, c in terms.items() if c == neg_one]
         if len(terms) != 2 or neg_one == 1 or len(heads) != 1 or len(tails) != 1:
             raise ValueError(f"{g.text()} is not a binomial x_t^e - m")
-        support = [(i, e) for i, e in enumerate(heads[0]) if e]
+        support = mono_support(heads[0])
         if len(support) != 1:
             raise ValueError(f"{g.text()}: head is not a power of one variable")
         (t, e), = support
-        rows.append((t, e, tuple((i, x) for i, x in enumerate(tails[0]) if x)))
+        rows.append((t, e, tuple(mono_support(tails[0]))))
     rows.sort()
     solved = {t for t, _, _ in rows}
     if len(solved) != len(rows):
@@ -401,7 +401,7 @@ def point_survey(
     """Certificate survey; full enumeration fibres over the free (pure)
     coordinates, so budget caps the r^n fibre bases visited (and the r^n
     parameter vectors in image-only mode)."""
-    field = _survey_field(mode, r)
+    field = _survey_field(mode, r, budget)
     params = cert.params
     if mode == MODE_IMAGE:
         return _image_only(params, "certificate", field, budget)
@@ -423,7 +423,7 @@ def full_ideal_point_survey(
     through F_r^|T| coordinate by coordinate.  budget caps the r^n
     parameter vectors of the image, and separately the nodes the
     propagation visits."""
-    field = _survey_field(mode, r)
+    field = _survey_field(mode, r, budget)
     if mode == MODE_IMAGE:
         return _image_only(params, "ideal", field, budget)
     _check_budget(r, params.n, budget, "parameter vectors of F_r^n")
@@ -433,9 +433,11 @@ def full_ideal_point_survey(
     return PointSetReport(params, r, "ideal", mode, len(image), count, witness)
 
 
-def _survey_field(mode: str, r: int) -> PrimeField:
+def _survey_field(mode: str, r: int, budget: int) -> PrimeField:
     if mode not in (MODE_FULL, MODE_IMAGE):
         raise ValueError(f"unknown mode {mode!r}")
+    if budget < 0:
+        raise ValueError(f"budget must be >= 0, got {budget}")
     return PrimeField(r)
 
 

@@ -12,16 +12,16 @@ from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement
+from operator import add
 from typing import Optional
 
 from .combinatorics import (
     VeroneseParams,
     exponent_of,
     exponent_vectors,
-    index_tuples,
     integer_ring,
 )
-from .polys import Exponents, Poly, PolyRing
+from .polys import Exponents, Poly, PolyRing, pair_exponents
 
 
 class ZeroBinomialError(ValueError):
@@ -50,14 +50,11 @@ def quadratic_generators(
     """
     ring = integer_ring(params)
     by_content: dict = {}
-    n = params.n
-    exps_by_tuple = dict(zip(index_tuples(params), exponent_vectors(params)))
-    tuples = index_tuples(params)
-    for t1, t2 in combinations_with_replacement(tuples, 2):
-        e = ring.exps_of([(t1, 1), (t2, 1)])
-        a1, a2 = exps_by_tuple[t1], exps_by_tuple[t2]
-        c = tuple(x + y for x, y in zip(a1, a2))
-        by_content.setdefault(c, []).append(e)
+    vecs = exponent_vectors(params)
+    m = len(vecs)
+    for i, j in combinations_with_replacement(range(m), 2):
+        c = tuple(map(add, vecs[i], vecs[j]))
+        by_content.setdefault(c, []).append(pair_exponents(m, i, j))
     out = []
     for c in sorted(by_content):
         group = sorted(by_content[c], reverse=True)  # lex descending

@@ -1,8 +1,20 @@
 import warnings
+from math import comb
 
 import pytest
 
 from veronese import VeroneseParams
+from veronese.combinatorics import MAX_Q
+
+# every (n, p, h) with n >= 2 and |T| <= 36
+GRID_T36 = [
+    (n, p, h)
+    for p in (2, 3, 5, 7, 11, 13)
+    for h in range(1, MAX_Q.bit_length())
+    if p**h <= MAX_Q
+    for n in range(2, 9)
+    if comb(n + p**h - 1, p**h) <= 36
+]
 
 
 def make_params(n: int, p: int, h: int) -> VeroneseParams:

@@ -17,6 +17,13 @@ from sympy import GF, Matrix
 from sympy.matrices.normalforms import smith_normal_form
 from sympy.polys.matrices import DomainMatrix
 
+from veronese.combinatorics import (
+    exponent_vectors,
+    index_tuples,
+    integer_ring,
+    pure_tuple,
+)
+from veronese.fields import PrimeField
 from veronese.lattice import echelon_basis, quotient_order
 
 
@@ -375,3 +382,69 @@ def zero_set_scan(compiled, r: int, m: int, image) -> tuple:
             if witness is None and point not in image:
                 witness = point
     return count, witness
+
+
+def derivative(f, v):
+    """Formal partial derivative of a Poly with respect to variable v,
+    over the whole dense exponent tuple of every term."""
+    i = f.ring.position(v)
+    out = {}
+    for e, c in f.raw_terms().items():
+        if e[i]:
+            ee = e[:i] + (e[i] - 1,) + e[i + 1:]
+            out[ee] = out.get(ee, 0) + c * e[i]
+    return f.ring.poly(out)
+
+
+def jacobian_rows_dense(generators, w, r: int) -> list:
+    """Jacobian of generators at w mod r, one derivative per variable."""
+    field = PrimeField(r)
+    rows = []
+    for g in generators:
+        gr = g.map_field(field)
+        rows.append([derivative(gr, v).evaluate(w) for v in gr.ring.variables])
+    return rows
+
+
+def triangular_check_dense(params, w, r: int) -> tuple:
+    """(ok, diag, submatrix) of the triangular-submatrix check: entry
+    (i, j) is the dense derivative of F_t = x_{1..1} x_t - x_{1..1 t_q}
+    x_{1 t_1..t_(q-1)} by the j-th non-minimal variable at w, for the
+    i-th non-minimal t."""
+    ring = integer_ring(params).with_field(PrimeField(r))
+    tuples = index_tuples(params)
+    q = params.q
+    lead = pure_tuple(params, 1)
+    prime = [t for t in tuples if t[: q - 1] != lead[: q - 1]]
+    diag = w[tuples.index(lead)]
+    ok = True
+    sub = []
+    for row_i, t in enumerate(prime):
+        b1 = tuple(sorted((1,) * (q - 1) + (t[-1],)))
+        b2 = tuple(sorted((1,) + t[:-1]))
+        f = ring.poly({((lead, 1), (t, 1)): 1, ((b1, 1), (b2, 1)): -1})
+        sub.append([derivative(f, s).evaluate(w) for s in prime])
+        for col_j, val in enumerate(sub[-1]):
+            if (col_j > row_i and val) or (col_j == row_i and val != diag):
+                ok = False
+    return ok, diag, sub
+
+
+def quadratic_generators_by_pairs(params, full: bool = False) -> tuple:
+    """The degree-2 generators with each monomial x_t * x_t' built by
+    ``exps_of`` from its pair of variables: groups by content, lex
+    descending, each member against the leader (or every pair when full),
+    the lex-larger monomial with +1."""
+    ring = integer_ring(params)
+    tuples = index_tuples(params)
+    vec = dict(zip(tuples, exponent_vectors(params)))
+    by_content: dict = {}
+    for t1, t2 in combinations_with_replacement(tuples, 2):
+        c = tuple(x + y for x, y in zip(vec[t1], vec[t2]))
+        by_content.setdefault(c, []).append(ring.exps_of([(t1, 1), (t2, 1)]))
+    out = []
+    for c in sorted(by_content):
+        group = sorted(by_content[c], reverse=True)
+        pairs = combinations(group, 2) if full else ((group[0], m) for m in group[1:])
+        out += [ring.poly({big: 1, small: -1}) for big, small in pairs]
+    return tuple(out)

@@ -4,7 +4,7 @@ from itertools import product
 import pytest
 
 import oracles
-from conftest import make_params
+from conftest import GRID_T36, make_params
 from veronese import (
     PrimeField,
     fiber_check,
@@ -14,7 +14,13 @@ from veronese import (
     quadratic_generators,
 )
 from veronese.fields import is_prime
-from veronese.geometry import RootOfUnityError, matrix_rank_mod
+from veronese.geometry import (
+    RootOfUnityError,
+    _jacobian_row,
+    _triangular_check,
+    _triangular_submatrix,
+    matrix_rank_mod,
+)
 
 
 def test_matrix_rank_mod_frozen():
@@ -59,16 +65,40 @@ def test_jacobian_rank_frozen(params321):
 def test_jacobian_rank_matches_sympy(params321):
     rng = random.Random(53)
     gens = quadratic_generators(params321)
-    f5 = PrimeField(5)
     tuples = index_tuples(params321)
     for _ in range(20):
         w = tuple(rng.randrange(5) for _ in tuples)
         rep = jacobian_rank(params321, gens, w, 5)
-        rows = [
-            [g.map_field(f5).derivative(v).evaluate(w) for v in tuples]
-            for g in gens
-        ]
+        rows = oracles.jacobian_rows_dense(gens, w, 5)
         assert rep.rank == oracles.rank_mod_sympy(rows, 5)
+
+
+def _sample_points(params, r, rng):
+    """The origin, a parametrized point with a zero coordinate u_1, a
+    random point with about half its coordinates zero, and a random point."""
+    m = params.cardinality()
+    u = [0] + [rng.randrange(1, r) for _ in range(params.n - 1)]
+    sparse = tuple(rng.randrange(r) if rng.random() < 0.5 else 0 for _ in range(m))
+    return [
+        (0,) * m,
+        parametrize(params, u, PrimeField(r)),
+        sparse,
+        tuple(rng.randrange(r) for _ in range(m)),
+    ]
+
+
+@pytest.mark.parametrize("nph", GRID_T36, ids=lambda nph: "%d%d%d" % nph)
+def test_jacobian_rows_match_dense_derivatives(nph):
+    params = make_params(*nph)
+    gens = quadratic_generators(params)
+    rng = random.Random(71)
+    for r in (5, 7, 11):
+        for w in _sample_points(params, r, rng):
+            rows = [_jacobian_row(g.raw_terms(), w, r) for g in gens]
+            assert rows == oracles.jacobian_rows_dense(gens, w, r), (r, w)
+            ok, diag, sub = oracles.triangular_check_dense(params, w, r)
+            assert _triangular_submatrix(params, w, r) == sub, (r, w)
+            assert _triangular_check(params, w, r) == (ok, diag), (r, w)
 
 
 def test_jacobian_full_rank_on_cone_points():

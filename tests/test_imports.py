@@ -61,6 +61,57 @@ def test_package_has_no_unused_imports():
     assert not unused
 
 
+def typing_isinstance(source: str) -> list:
+    """(line, name) of each isinstance test against a name from typing.
+
+    The typing aliases (``typing.Mapping`` and the like) answer
+    isinstance through a slow generic hook; ``dict`` or the
+    ``collections.abc`` class answers the same question directly.
+    """
+    tree = ast.parse(source)
+    names, modules = set(), set()
+    for node in ast.walk(tree):
+        if isinstance(node, ast.ImportFrom) and node.module == "typing":
+            names |= {a.asname or a.name for a in node.names}
+        elif isinstance(node, ast.Import):
+            modules |= {a.asname or a.name for a in node.names if a.name == "typing"}
+    found = []
+    for node in ast.walk(tree):
+        if not (isinstance(node, ast.Call) and isinstance(node.func, ast.Name)
+                and node.func.id == "isinstance" and len(node.args) == 2):
+            continue
+        classes = node.args[1]
+        for c in classes.elts if isinstance(classes, ast.Tuple) else [classes]:
+            if isinstance(c, ast.Name) and c.id in names:
+                found.append((node.lineno, c.id))
+            elif (isinstance(c, ast.Attribute) and isinstance(c.value, ast.Name)
+                  and c.value.id in modules):
+                found.append((node.lineno, f"{c.value.id}.{c.attr}"))
+    return found
+
+
+def test_guard_sees_isinstance_against_typing():
+    src = (
+        "import typing as t\n"
+        "from typing import Mapping, Sequence\n"
+        "from collections.abc import Iterable\n"
+        "def f(x: Sequence):\n"
+        "    return isinstance(x, Mapping), isinstance(x, (dict, t.Sequence))\n"
+        "def g(x):\n"
+        "    return isinstance(x, (dict, Iterable))\n"
+    )
+    assert typing_isinstance(src) == [(5, "Mapping"), (5, "t.Sequence")]
+
+
+def test_package_has_no_isinstance_against_typing():
+    found = {
+        path.name: hits
+        for path in sorted(PACKAGE.glob("*.py"))
+        if (hits := typing_isinstance(path.read_text()))
+    }
+    assert not found
+
+
 # defined for callers outside the package: name -> why it stays
 DEAD_ALLOWED = {
     "polys.frobenius_power": "perfbench/spans.py wraps it to count Frobenius work",

@@ -209,8 +209,13 @@ def test_cli_verify_negative_exit(capsys):
     "argv",
     [
         ("verify-sci", "--n", "3", "--p", "2", "--h", "1", "--k-max", "-1"),
+        ("points", "--n", "3", "--p", "2", "--h", "1", "--r", "3", "--budget", "-1"),
+        ("points", "--n", "3", "--p", "2", "--h", "1", "--r", "3", "--set", "ideal",
+         "--budget", "-1"),
+        ("points", "--n", "3", "--p", "2", "--h", "1", "--r", "3", "--mode",
+         "image-only", "--budget", "-1"),
     ],
-    ids=["k-max"],
+    ids=["k-max", "budget", "budget-ideal", "budget-image-only"],
 )
 def test_cli_negative_cap_is_usage_error(capsys, argv):
     # a negative cap is out of range: no verdict, one error line
@@ -370,6 +375,8 @@ def _pinned_digest(out: str, fmt: str) -> str:
 
 
 _P321 = ("--n", "3", "--p", "2", "--h", "1")
+# two-digit indices: variables named x{1,10} ... x{10,10}
+_P1021 = ("--n", "10", "--p", "2", "--h", "1")
 
 # argv of each case without --format; "@payload" is replaced by a file
 # holding the case's block-form binomial
@@ -390,6 +397,9 @@ _FROZEN_ARGV = {
     "jacobian": ("jacobian",) + _P321 + ("--r", "5", "--u", "1,1,1"),
     "fibers": ("fibers",) + _P321 + ("--r", "5", "--u", "1,2,3"),
     "cohomology": ("cohomology", "--q", "4", "--a", "3"),
+    "generators-n10": ("generators",) + _P1021,
+    "certificate-n10": ("certificate",) + _P1021,
+    "verify-sci-n10": ("verify-sci",) + _P1021,
 }
 
 _FROZEN_PAYLOADS = {
@@ -430,6 +440,12 @@ _FROZEN_DOCUMENTS = (
     ("jacobian", "text", 0, "1a4f16f7e8ac449d1ab87a35a9ce1d8a196189f4f4af49216dc1f88f9d7d4209"),
     ("fibers", "text", 0, "98c3b61d60896b919c35dbb88c3d45dd2aed1320f6f0b46cee23e20ed5e78daa"),
     ("cohomology", "text", 0, "4d4abccf028a9fdb5ef60a29386f37d752fbe52e921f23bf2bd0670a721bfbfd"),
+    ("generators-n10", "json", 0, "e6951336530782c6d088c600d7f07e393bb851c70c07a931ac6af053db24aa1a"),
+    ("generators-n10", "text", 0, "48a077044d9e2c0b7f07baae0a172abaab23633435752cb055bdbd7caba2ef9a"),
+    ("certificate-n10", "json", 0, "1ac45b04a74a0a3bd665b24575ce73ee4626e4394636cc4160a0cd5f8658f0cf"),
+    ("certificate-n10", "text", 0, "32796c0a621d14c4aacb9da8b92ab4dfd95f12da9291f0b8e9fe1d38ecf4f006"),
+    ("verify-sci-n10", "json", 0, "77ce9a21c601166c10057f1ee287f92ffaaa4cc6766957789093be909a27b2ca"),
+    ("verify-sci-n10", "text", 0, "09addf0d32cc1e48bc7f904ceec937cded7836b0ce59b6bc273ded6f39af6525"),
 )
 
 

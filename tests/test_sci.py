@@ -338,6 +338,16 @@ def test_invalid_mode_rejected(params321):
         point_survey(build_certificate(params321), 3, mode="sample")
 
 
+@pytest.mark.parametrize("mode", [MODE_FULL, MODE_IMAGE])
+def test_negative_budget_rejected(params321, mode):
+    # a negative cap is a bad argument, not a budget overrun
+    with pytest.raises(ValueError, match="budget"):
+        point_survey(build_certificate(params321), 3, mode=mode, budget=-1)
+    with pytest.raises(ValueError, match="budget"):
+        full_ideal_point_survey(params321, 3, mode=mode, budget=-1)
+    assert point_survey(build_certificate(params321), 2, mode=mode, budget=8).r == 2
+
+
 def _brute(params, binomials, r):
     field = PrimeField(r)
     compiled = _compiled(binomials, field)

@@ -5,7 +5,7 @@ from itertools import combinations_with_replacement
 import pytest
 
 import oracles
-from conftest import make_params
+from conftest import GRID_T36, make_params
 from veronese.combinatorics import index_tuples, integer_ring
 from veronese.fields import PrimeField
 from veronese.toric import (
@@ -18,6 +18,17 @@ from veronese.toric import (
 )
 
 F5 = PrimeField(5)
+
+
+@pytest.mark.parametrize("nph", GRID_T36, ids=lambda nph: "%d%d%d" % nph)
+def test_quadratic_generators_match_pairwise_build(nph):
+    params = make_params(*nph)
+    for full in (False, True):
+        got = quadratic_generators(params, full)
+        want = oracles.quadratic_generators_by_pairs(params, full)
+        assert [list(g.raw_terms().items()) for g in got] == [
+            list(g.raw_terms().items()) for g in want
+        ], full
 
 
 def test_generator_count_star_vs_full():
