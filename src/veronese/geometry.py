@@ -29,27 +29,31 @@ class RootOfUnityError(ValueError):
 
 
 def matrix_rank_mod(rows: Sequence[Sequence[int]], r: int) -> int:
-    """Row-echelon rank of an integer matrix reduced mod a prime r."""
-    work = [[x % r for x in row] for row in rows]
-    if not work:
-        return 0
-    ncols = len(work[0])
-    rank = 0
-    for col in range(ncols):
-        piv = next((i for i in range(rank, len(work)) if work[i][col]), None)
-        if piv is None:
-            continue
-        work[rank], work[piv] = work[piv], work[rank]
-        inv = pow(work[rank][col], -1, r)
-        work[rank] = [x * inv % r for x in work[rank]]
-        for i in range(len(work)):
-            if i != rank and work[i][col]:
-                c = work[i][col]
-                work[i] = [(a - c * b) % r for a, b in zip(work[i], work[rank])]
-        rank += 1
-        if rank == len(work):
-            break
-    return rank
+    """Row-echelon rank of an integer matrix reduced mod a prime r.
+
+    Rows are eliminated one at a time as sparse dicts {column: value}
+    against the monic pivot rows kept so far, each under its leading
+    column: a row left nonzero becomes a new pivot row.  Jacobian rows
+    have at most four nonzero entries, so this touches only those.
+    """
+    pivots: dict = {}
+    for row in rows:
+        v = {j: x % r for j, x in enumerate(row) if x % r}
+        while v:
+            col = min(v)
+            piv = pivots.get(col)
+            if piv is None:
+                inv = pow(v[col], -1, r)
+                pivots[col] = {j: x * inv % r for j, x in v.items()}
+                break
+            c = v[col]
+            for j, x in piv.items():
+                s = (v.get(j, 0) - c * x) % r
+                if s:
+                    v[j] = s
+                else:
+                    del v[j]
+    return len(pivots)
 
 
 @dataclass(frozen=True)

@@ -18,21 +18,28 @@ for an S-pair whose lcm would pass it.
 
 Tuned for the binomial ideals that arise here: reducer lookup is indexed
 by leading-monomial support, pairs with coprime leading terms are never
-queued, and the pair queue is capped so runaway inputs fail loudly.
+queued, an installed element queues only its first partner of each
+distinct lcm (Gebauer-Moeller criterion F; Gebauer and Moeller, "On an
+installation of Buchberger's algorithm", J. Symb. Comput. 1988), and
+the pair queue is capped so runaway inputs fail loudly.  S-polynomials
+are reduced term by term from a cache of monomial normal forms that is
+cleared whenever a reducer is added, so each monomial is divided once
+per reducer set.
 """
 
 from __future__ import annotations
 
 import heapq
+import struct
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable
+from typing import Iterable, Optional
 
 from .fields import PrimeField
 from .polys import Poly, PolyRing
 
 PAIR_CAP = 200_000  # S-pairs one basis may process
-FIELD_BITS = 16
+FIELD_BITS = 16  # the width of struct's "H", which pack and unpack use
 MAX_DEGREE = (1 << (FIELD_BITS - 1)) - 1  # the largest value a field holds
 
 
@@ -43,13 +50,15 @@ class PairLimitExceeded(Exception):
 class _Layout:
     """Field offsets and masks of the packed monomials in n variables."""
 
-    __slots__ = ("nvars", "shift", "ones", "guards")
+    __slots__ = ("nvars", "shift", "ones", "guards", "fields")
 
     def __init__(self, nvars: int):
         self.nvars = nvars
         self.shift = nvars * FIELD_BITS  # S, the offset of the degree
         self.ones = sum(1 << (i * FIELD_BITS) for i in range(nvars))
         self.guards = self.ones << (FIELD_BITS - 1)  # G
+        # the n fields and the degree as little-endian 16-bit words
+        self.fields = struct.Struct(f"<{nvars + 1}H")
 
     def pack(self, exps: tuple) -> int:
         d = sum(exps)
@@ -57,14 +66,13 @@ class _Layout:
             raise ValueError(
                 f"total degree {d} exceeds the packed-monomial limit {MAX_DEGREE}"
             )
-        m = d
-        for x in reversed(exps):
-            m = (m << FIELD_BITS) | x
-        return m
+        try:
+            return int.from_bytes(self.fields.pack(*exps, d), "little")
+        except struct.error:
+            raise ValueError(f"exponents {exps} do not fit the packed fields") from None
 
     def unpack(self, m: int) -> tuple:
-        mask = (1 << FIELD_BITS) - 1
-        return tuple((m >> (i * FIELD_BITS)) & mask for i in range(self.nvars))
+        return self.fields.unpack(m.to_bytes(self.fields.size, "little"))[:-1]
 
     def key(self, m: int) -> int:
         """key(a) > key(b) iff a > b in degrevlex: the degree decides,
@@ -173,14 +181,20 @@ def _monic(terms: dict, lay: _Layout, r: int) -> dict:
 @dataclass(frozen=True)
 class GroebnerBasis:
     """Reduced Groebner basis: monic, tail-reduced, sorted by leading term.
-    Its one reducer index is built here and shared by every reduce."""
+    Its one reducer index is shared by every reduce.  Public construction
+    validates the polys and builds the index; ``buchberger`` hands over
+    the index it has already built as ``_red``."""
 
     ring: PolyRing
     polys: tuple
     pairs_processed: int = 0
-    _red: _Reducers = field(init=False, repr=False, compare=False)
+    _red: Optional[_Reducers] = field(
+        default=None, repr=False, compare=False, kw_only=True
+    )
 
     def __post_init__(self):
+        if self._red is not None:
+            return
         _check_ring(self.ring, self.polys)
         red = _Reducers(self.ring)
         for g in self.polys:
@@ -233,27 +247,81 @@ def reduce(f: Poly, gb: GroebnerBasis) -> Poly:
     return _unpacked(f.ring, rem, lay)
 
 
-def _s_terms(red: _Reducers, i: int, j: int, lcm: int, r: int) -> dict:
-    """S-polynomial of the monic reducers i and j: the leads cancel, so
-    it is tail_i shifted to lcm minus tail_j shifted to lcm."""
-    di, dj = lcm - red.lead[i], lcm - red.lead[j]
-    out = {e + di: c for e, c in red.tail[i]}
-    for e, c in red.tail[j]:
-        e += dj
-        s = (out.get(e, 0) - c) % r
-        if s:
-            out[e] = s
-        else:
-            out.pop(e, None)
-    return out
+def _monomial_nf(m: int, red: _Reducers, cache: dict, r: int) -> dict:
+    """Remainder of the monomial m on division by red, with the remainder
+    of every monomial met on the way stored in cache.
+
+    The division remainder is linear in the dividend when each monomial
+    is always reduced by the same reducer (the one ``find`` returns), so
+    the remainder of m is its own when no lead divides it, and otherwise
+    minus the sum of the remainders of its reducer's shifted tail terms.
+    Those are smaller than m, so the walk ends; it runs on an explicit
+    stack, and ``shifted`` keeps each monomial's tail between its two
+    visits.  The cached dicts are shared and never mutated.
+    """
+    find, lead, tails = red.find, red.lead, red.tail
+    shifted: dict = {}
+    stack = [m]
+    while stack:
+        t = stack[-1]
+        if t in cache:
+            stack.pop()
+            continue
+        tail = shifted.get(t)
+        if tail is None:
+            i = find(t)
+            if i is None:
+                cache[t] = {t: 1}
+                stack.pop()
+                continue
+            delta = t - lead[i]
+            tail = shifted[t] = [(e + delta, c) for e, c in tails[i]]
+            missing = [e for e, _ in tail if e not in cache]
+            if missing:
+                stack += missing
+                continue
+        stack.pop()
+        nf: dict = {}
+        for e, c in tail:
+            for f, cf in cache[e].items():
+                s = (nf.get(f, 0) - c * cf) % r
+                if s:
+                    nf[f] = s
+                else:
+                    del nf[f]
+        cache[t] = nf
+    return cache[m]
+
+
+def _add_remainder(out: dict, tail, delta: int, sign: int,
+                   red: _Reducers, cache: dict, r: int) -> None:
+    """Add sign times the remainder on division by red of the packed
+    terms of tail, each shifted by delta, into out.  The remainder is
+    summed from the remainders of the monomials in cache; equal to
+    ``_normal_form_terms`` of the same terms."""
+    for e, c in tail:
+        m = e + delta
+        nf = cache.get(m)
+        if nf is None:
+            nf = _monomial_nf(m, red, cache, r)
+        c *= sign
+        for f, cf in nf.items():
+            s = (out.get(f, 0) + c * cf) % r
+            if s:
+                out[f] = s
+            else:
+                del out[f]
 
 
 def buchberger(gens: Iterable[Poly]) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by gens.
 
-    S-pairs with coprime leading terms are never queued, so PAIR_CAP
-    and pairs_processed count only pairs whose leads share a variable.
-    Raises PairLimitExceeded rather than truncating when PAIR_CAP is hit.
+    An S-pair is queued only when its leads share a variable (the
+    product criterion), and when an element is installed only its first
+    partner of each distinct lcm is queued (Gebauer-Moeller criterion
+    F).  PAIR_CAP and pairs_processed count the queued pairs, each
+    reduced once; PairLimitExceeded is raised rather than truncating
+    when PAIR_CAP is hit.
     """
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
@@ -279,14 +347,21 @@ def buchberger(gens: Iterable[Poly]) -> GroebnerBasis:
 
     def push_pairs(i: int) -> None:
         # product criterion: a pair whose leads share no variable reduces
-        # to zero, so only the partners in i's lead buckets are pushed
+        # to zero, so only the partners in i's lead buckets are pushed.
+        # criterion F: a partner k whose lcm with i equals that of an
+        # earlier partner j is dropped, since lead_j divides that lcm and
+        # the pairs (j, k) and (j, i) are treated as well (chain criterion)
         nonlocal counter
         lead = red.lead[i]
         partners = {
             j for v in lay.support(lead) for j in red.buckets[v] if j < i
         }
+        lcms = set()
         for j in sorted(partners):
             lcm = lay.lcm(red.lead[j], lead)
+            if lcm in lcms:
+                continue
+            lcms.add(lcm)
             if lcm >> lay.shift > MAX_DEGREE:
                 raise ValueError(
                     f"an S-pair of degree {lcm >> lay.shift} exceeds the "
@@ -298,6 +373,9 @@ def buchberger(gens: Iterable[Poly]) -> GroebnerBasis:
     for i in range(len(red.lead)):
         push_pairs(i)
 
+    # remainders of monomials against the current reducers; cleared
+    # whenever a reducer is added, so every entry stays a remainder
+    cache: dict = {}
     processed = 0
     while heap:
         _, _, i, j, lcm = heapq.heappop(heap)
@@ -306,18 +384,25 @@ def buchberger(gens: Iterable[Poly]) -> GroebnerBasis:
             raise PairLimitExceeded(
                 f"S-pair limit {PAIR_CAP} exceeded ({len(red.lead)} basis elements)"
             )
-        rt = _normal_form_terms(_s_terms(red, i, j, lcm, r), red, r)
+        # the S-polynomial of the monic i and j: the leads cancel, so it
+        # is tail_i shifted to lcm minus tail_j shifted to lcm
+        rt: dict = {}
+        _add_remainder(rt, red.tail[i], lcm - red.lead[i], 1, red, cache, r)
+        _add_remainder(rt, red.tail[j], lcm - red.lead[j], -1, red, cache, r)
         if not rt:
             continue
         push_pairs(red.add_monic(_monic(rt, lay, r)))
+        cache.clear()
 
-    return GroebnerBasis(ring, _reduced(red, r), processed)
+    polys, kept = _reduced(red, cache, r)
+    return GroebnerBasis(ring, polys, processed, _red=kept)
 
 
-def _reduced(red: _Reducers, r: int) -> tuple:
+def _reduced(red: _Reducers, cache: dict, r: int) -> tuple:
     """Minimalize, then replace each tail by its normal form against the
     whole basis: the remainder is canonical, and an element's own lead
-    never fires because a lead never divides a smaller term."""
+    never fires because a lead never divides a smaller term.  Returns
+    the polys sorted by leading term and their reducer index."""
     lay = red.lay
     order = sorted(range(len(red.lead)), key=lambda i: lay.key(red.lead[i]))
     kept = _Reducers(red.ring)
@@ -326,7 +411,8 @@ def _reduced(red: _Reducers, r: int) -> tuple:
         lm = red.lead[i]
         if kept.find(lm) is not None:
             continue
-        kept.add(lm, [])
-        tail = _normal_form_terms(red.tail[i], red, r)
+        tail: dict = {}
+        _add_remainder(tail, red.tail[i], 0, 1, red, cache, r)
+        kept.add(lm, list(tail.items()))
         out.append(_unpacked(red.ring, {lm: 1, **tail}, lay))
-    return tuple(out)
+    return tuple(out), kept

@@ -8,6 +8,7 @@ each whole rest, as the comb was first built.
 
 from __future__ import annotations
 
+from collections import deque
 from itertools import combinations, combinations_with_replacement, product
 from math import gcd, prod
 from operator import sub
@@ -188,6 +189,44 @@ def normal_form(f, basis):
             else:
                 work.pop(e, None)
     return ring.poly(remainder)
+
+
+def buchberger_textbook(gens) -> list:
+    """Reduced degrevlex Groebner basis of gens over a prime field by the
+    textbook algorithm on dense exponent tuples.
+
+    Pairs are taken first in, first out; a pair whose leads share no
+    variable is skipped (the product criterion, the only one used), and
+    every other S-polynomial goes through ``normal_form`` against the
+    whole current basis, with nothing cached.  The basis is then made
+    monic, minimal and tail-reduced.
+    """
+    basis = [g for g in gens if not g.is_zero()]
+    pairs = deque((i, j) for j in range(len(basis)) for i in range(j))
+    while pairs:
+        i, j = pairs.popleft()
+        a, b = basis[i].leading()[0], basis[j].leading()[0]
+        if not any(x and y for x, y in zip(a, b)):
+            continue
+        h = normal_form(s_polynomial(basis[i], basis[j]), basis)
+        if h:
+            pairs.extend((k, len(basis)) for k in range(len(basis)))
+            basis.append(h)
+    leads = [g.leading()[0] for g in basis]
+    minimal = [
+        g.monic()
+        for i, (g, a) in enumerate(zip(basis, leads))
+        if not any(
+            k != i and mono_divides(b, a) and (b != a or k < i)
+            for k, b in enumerate(leads)
+        )
+    ]
+    out = []
+    for g in minimal:
+        lm = g.leading()[0]
+        tail = g.ring.poly({e: c for e, c in g.raw_terms().items() if e != lm})
+        out.append(g.ring.poly({lm: 1}) + normal_form(tail, minimal))
+    return out
 
 
 def semigroup_member_brute(gens, target) -> bool:

@@ -1,14 +1,14 @@
 import hashlib
 import random
 from functools import lru_cache
-from itertools import combinations
+from math import comb
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import make_params
+from conftest import GRID_T36, make_params
 from veronese import PrimeField, buchberger, groebner, index_tuples, reduce
 from veronese.combinatorics import integer_ring, polynomial_ring
 from veronese.groebner import (
@@ -117,17 +117,25 @@ def test_buchberger_pair_cap(monkeypatch):
 
 def test_buchberger_queues_only_pairs_with_shared_variables():
     # the star quadrics are already the reduced basis, so no element is
-    # added and the pairs processed are exactly the lead pairs that share
-    # a variable; the coprime ones never reach the queue
-    for nph in ((3, 2, 1), (3, 2, 2), (2, 3, 1), (4, 3, 1)):
+    # added and the pairs processed are exactly those queued as each
+    # generator is installed: one per distinct lcm with the earlier
+    # generators whose leads share a variable with it (criterion F); the
+    # coprime ones never reach the queue
+    for nph, want in (((3, 2, 1), 8), ((3, 2, 2), 536), ((2, 3, 1), 2), ((4, 3, 1), 1200)):
         gens = list(generators_over(make_params(*nph), F5))
         gb = buchberger(gens)
         assert len(gb) == len(gens)
-        leads = [g.leading()[0] for g in gb.polys]
-        sharing = sum(
-            1 for a, b in combinations(leads, 2) if any(x and y for x, y in zip(a, b))
+        leads = [g.leading()[0] for g in gens]
+        first_per_lcm = sum(
+            len({
+                oracles.mono_lcm(a, b)
+                for a in leads[:i]
+                if any(x and y for x, y in zip(a, b))
+            })
+            for i, b in enumerate(leads)
         )
-        assert gb.pairs_processed == sharing < len(leads) * (len(leads) - 1) // 2
+        pairs = len(leads) * (len(leads) - 1) // 2
+        assert gb.pairs_processed == first_per_lcm == want < pairs
 
 
 def test_buchberger_rejects_integer_coefficients(params321):
@@ -199,6 +207,39 @@ def test_buchberger_matches_sympy_on_random_ideals():
         assert oracles.poly_key_set(gb.polys) == oracles.groebner_sympy(
             gens, index_tuples(params), r
         )
+
+
+_GRID_T21 = [nph for nph in GRID_T36 if comb(nph[0] + nph[1] ** nph[2] - 1, nph[1] ** nph[2]) <= 21]
+
+
+@pytest.mark.parametrize("nph", _GRID_T21, ids=lambda nph: "%d%d%d" % nph)
+def test_buchberger_matches_the_textbook_oracle(nph):
+    gens = list(generators_over(make_params(*nph), F5))
+    assert oracles.poly_key_set(buchberger(gens).polys) == oracles.poly_key_set(
+        oracles.buchberger_textbook(gens)
+    )
+
+
+@pytest.mark.parametrize("r, seed", [(r, seed) for r in (5, 7) for seed in range(12)])
+def test_buchberger_matches_the_textbook_oracle_on_random_ideals(r, seed, monkeypatch):
+    # elements are added while pairs are still queued, so the monomial
+    # normal forms are dropped and rebuilt, and tails carry several terms;
+    # each basis takes at most about a hundred pairs, and a stale normal
+    # form would keep adding elements, so the low cap makes that fail fast
+    monkeypatch.setattr(groebner, "PAIR_CAP", 1000)
+    ring = polynomial_ring(make_params(2, 2, 1), PrimeField(r))
+    rng = random.Random(seed)
+    gens = [
+        ring.poly({tuple(rng.randint(0, 2) for _ in range(3)): rng.randint(1, r - 1)
+                   for _ in range(3)})
+        for _ in range(3)
+    ]
+    gb = buchberger(gens)
+    assert {g.leading()[0] for g in gb.polys} - {g.leading()[0] for g in gens}
+    assert max(len(g) for g in gb.polys) >= 3
+    assert oracles.poly_key_set(gb.polys) == oracles.poly_key_set(
+        oracles.buchberger_textbook(gens)
+    )
 
 
 # SHA-256 of the newline-joined text() of buchberger's output over F_5,
@@ -305,6 +346,9 @@ def test_packed_degree_limit(params321):
         reduce(over, gb)
     assert buchberger([top]).polys == (top,)
     assert reduce(top, gb) == oracles.normal_form(top, gb.polys)
+    # a negative exponent would borrow from the next field
+    with pytest.raises(ValueError, match="do not fit"):
+        buchberger([ring.poly({(2, -1, 0, 0, 0, 0): 1})])
     # two leads within the limit whose S-pair is not
     with pytest.raises(ValueError, match=f"limit {MAX_DEGREE}"):
         buchberger([top, mono(((1, 1), 1), ((1, 2), MAX_DEGREE - 1))])
