@@ -22,9 +22,10 @@ queued, an installed element queues only its first partner of each
 distinct lcm (Gebauer-Moeller criterion F; Gebauer and Moeller, "On an
 installation of Buchberger's algorithm", J. Symb. Comput. 1988), and
 the pair queue is capped so runaway inputs fail loudly.  S-polynomials
-are reduced term by term from a cache of monomial normal forms that is
-cleared whenever a reducer is added, so each monomial is divided once
-per reducer set.
+and ``reduce``'s argument are reduced term by term from a cache of
+monomial normal forms; ``buchberger`` keeps one cache per run and clears
+it whenever a reducer is added, so each monomial is divided once per
+reducer set, and ``reduce`` starts a new cache at every call.
 """
 
 from __future__ import annotations
@@ -39,7 +40,9 @@ from .fields import PrimeField
 from .polys import Poly, PolyRing
 
 PAIR_CAP = 200_000  # S-pairs one basis may process
-FIELD_BITS = 16  # the width of struct's "H", which pack and unpack use
+FIELD_BITS = 16
+# the struct code of an unsigned int FIELD_BITS wide, for pack and unpack
+_FIELD_CODE = {8: "B", 16: "H", 32: "I", 64: "Q"}[FIELD_BITS]
 MAX_DEGREE = (1 << (FIELD_BITS - 1)) - 1  # the largest value a field holds
 
 
@@ -57,8 +60,8 @@ class _Layout:
         self.shift = nvars * FIELD_BITS  # S, the offset of the degree
         self.ones = sum(1 << (i * FIELD_BITS) for i in range(nvars))
         self.guards = self.ones << (FIELD_BITS - 1)  # G
-        # the n fields and the degree as little-endian 16-bit words
-        self.fields = struct.Struct(f"<{nvars + 1}H")
+        # the n fields and the degree as little-endian words
+        self.fields = struct.Struct(f"<{nvars + 1}{_FIELD_CODE}")
 
     def pack(self, exps: tuple) -> int:
         d = sum(exps)
@@ -210,43 +213,6 @@ class GroebnerBasis:
         return len(self.polys)
 
 
-def _normal_form_terms(terms, red: _Reducers, r: int) -> dict:
-    """Remainder of packed terms on division by red, largest term first."""
-    work = dict(terms)
-    remainder: dict = {}
-    key, find = red.lay.key, red.find
-    lead, tails = red.lead, red.tail
-    while work:
-        m = max(work, key=key)
-        c = work.pop(m)
-        i = find(m)
-        if i is None:
-            remainder[m] = c
-            continue
-        delta = m - lead[i]
-        for eg, cg in tails[i]:
-            e = eg + delta
-            s = (work.get(e, 0) - c * cg) % r
-            if s:
-                work[e] = s
-            else:
-                work.pop(e, None)
-    return remainder
-
-
-def reduce(f: Poly, gb: GroebnerBasis) -> Poly:
-    """Normal form of f modulo the ideal of gb.
-
-    The remainder on division by a Groebner basis is canonical, so the
-    result is zero exactly for ideal members.
-    """
-    if f.ring != gb.ring:
-        raise ValueError("f and the basis live in different rings")
-    lay = gb._red.lay
-    rem = _normal_form_terms(_packed(f, lay), gb._red, f.ring.field.r)
-    return _unpacked(f.ring, rem, lay)
-
-
 def _monomial_nf(m: int, red: _Reducers, cache: dict, r: int) -> dict:
     """Remainder of the monomial m on division by red, with the remainder
     of every monomial met on the way stored in cache.
@@ -297,8 +263,8 @@ def _add_remainder(out: dict, tail, delta: int, sign: int,
                    red: _Reducers, cache: dict, r: int) -> None:
     """Add sign times the remainder on division by red of the packed
     terms of tail, each shifted by delta, into out.  The remainder is
-    summed from the remainders of the monomials in cache; equal to
-    ``_normal_form_terms`` of the same terms."""
+    summed from the remainders of the monomials in cache, so it is the
+    remainder that dividing largest term first would leave."""
     for e, c in tail:
         m = e + delta
         nf = cache.get(m)
@@ -311,6 +277,20 @@ def _add_remainder(out: dict, tail, delta: int, sign: int,
                 out[f] = s
             else:
                 del out[f]
+
+
+def reduce(f: Poly, gb: GroebnerBasis) -> Poly:
+    """Normal form of f modulo the ideal of gb.
+
+    The remainder on division by a Groebner basis is canonical, so the
+    result is zero exactly for ideal members.
+    """
+    if f.ring != gb.ring:
+        raise ValueError("f and the basis live in different rings")
+    red, r = gb._red, f.ring.field.r
+    rem: dict = {}
+    _add_remainder(rem, _packed(f, red.lay).items(), 0, 1, red, {}, r)
+    return _unpacked(f.ring, rem, red.lay)
 
 
 def buchberger(gens: Iterable[Poly]) -> GroebnerBasis:
