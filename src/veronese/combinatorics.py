@@ -117,12 +117,12 @@ def parametrize(params: VeroneseParams, u, field: PrimeField) -> tuple:
     """Point of the variety with coordinates ordered like index_tuples."""
     if len(u) != params.n:
         raise ValueError(f"need {params.n} coordinates, got {len(u)}")
-    vals = [field.normalize(x) for x in u]
+    r = field.r
     out = []
     for a in exponent_vectors(params):
-        w = field.one
-        for x, e in zip(vals, a):
+        w = 1
+        for x, e in zip(u, a):
             if e:
-                w = field.mul(w, field.pow(x, e))
+                w = w * pow(x, e, r) % r
         out.append(w)
     return tuple(out)

@@ -1,8 +1,9 @@
 """Coefficient rings: prime fields F_r and the ring of integers.
 
-Both expose the same small protocol (normalize/add/sub/mul/neg/inv/pow,
-characteristic) so the polynomial layer can stay agnostic.  Elements are
-plain Python ints; a prime field keeps them reduced to range(r).
+Elements are plain Python ints.  The polynomial layer computes with
+them directly and passes each result to the ring's one method,
+``normalize``: a prime field reduces it into range(r), the integers keep
+it as it is.  Code that needs a modulus reads ``PrimeField.r``.
 """
 
 from __future__ import annotations
@@ -32,44 +33,8 @@ class PrimeField:
             raise ValueError(f"modulus {r!r} is not prime")
         self.r = r
 
-    @property
-    def characteristic(self) -> int:
-        return self.r
-
-    @property
-    def zero(self) -> int:
-        return 0
-
-    @property
-    def one(self) -> int:
-        return 1
-
     def normalize(self, c: int) -> int:
         return c % self.r
-
-    def add(self, a: int, b: int) -> int:
-        return (a + b) % self.r
-
-    def sub(self, a: int, b: int) -> int:
-        return (a - b) % self.r
-
-    def mul(self, a: int, b: int) -> int:
-        return (a * b) % self.r
-
-    def neg(self, a: int) -> int:
-        return (-a) % self.r
-
-    def inv(self, a: int) -> int:
-        a %= self.r
-        if a == 0:
-            raise ZeroDivisionError(f"0 has no inverse in F_{self.r}")
-        return pow(a, -1, self.r)
-
-    def pow(self, a: int, e: int) -> int:
-        return pow(a, e, self.r)
-
-    def elements(self) -> range:
-        return range(self.r)
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, PrimeField) and other.r == self.r
@@ -82,45 +47,14 @@ class PrimeField:
 
 
 class IntegerRing:
-    """Exact integer coefficients; used for telescoping identities and
-    formal derivatives, never for Groebner arithmetic."""
+    """Exact integer coefficients for the generators and the telescoping
+    identities, never for Groebner arithmetic.  Formal derivatives over
+    them live only in the tests, as the Jacobian's oracle."""
 
     __slots__ = ()
 
-    @property
-    def characteristic(self) -> int:
-        return 0
-
-    @property
-    def zero(self) -> int:
-        return 0
-
-    @property
-    def one(self) -> int:
-        return 1
-
     def normalize(self, c: int) -> int:
         return c
-
-    def add(self, a: int, b: int) -> int:
-        return a + b
-
-    def sub(self, a: int, b: int) -> int:
-        return a - b
-
-    def mul(self, a: int, b: int) -> int:
-        return a * b
-
-    def neg(self, a: int) -> int:
-        return -a
-
-    def inv(self, a: int) -> int:
-        if a in (1, -1):
-            return a
-        raise ZeroDivisionError(f"{a} is not a unit in Z")
-
-    def pow(self, a: int, e: int) -> int:
-        return a**e
 
     def __eq__(self, other: object) -> bool:
         return isinstance(other, IntegerRing)

@@ -3,9 +3,10 @@
 The Jacobian of the quadratic generators has rank 0 at the origin and
 full codimension rank elsewhere on the variety; the proof's square
 submatrix (one row per non-minimal coordinate, built from products with
-the distinguished pure coordinate) is reproduced and checked for its
-triangular shape.  Fibers of the parametrization over fields containing
-the q-th roots of unity are orbits of the scalar root-of-unity action.
+the distinguished pure coordinate) is lower triangular by construction,
+and the report gives its diagonal.  Fibers of the parametrization over
+fields containing the q-th roots of unity are orbits of the scalar
+root-of-unity action.
 """
 
 from __future__ import annotations
@@ -21,7 +22,7 @@ from .combinatorics import (
     pure_tuple,
 )
 from .fields import PrimeField
-from .polys import Poly, mono_support, pair_exponents
+from .polys import Poly, mono_support
 
 
 class RootOfUnityError(ValueError):
@@ -62,8 +63,8 @@ class JacobianReport:
     r: int
     point: tuple
     rank: int
-    # shape check of the distinguished square submatrix; None when no
-    # pure coordinate is nonzero at the point
+    # True, with the triangular submatrix's diagonal, when some pure
+    # coordinate is nonzero at the point; None for both otherwise
     triangular_ok: Optional[bool]
     diagonal_value: Optional[int]
     permutation: tuple
@@ -73,7 +74,19 @@ def jacobian_rank(
     params: VeroneseParams, generators: Sequence[Poly], w: Sequence[int], r: int
 ) -> JacobianReport:
     """Rank of the Jacobian of generators at w over F_r, plus the
-    triangular-submatrix diagnostic."""
+    diagonal of the proof's triangular submatrix.
+
+    Pick j with w[(j..j)] nonzero and swap u_1 with u_j (``permutation``).
+    For each non-minimal t, the row of F_t = x_(1..1) x_t -
+    x_(1..1 t_q) x_(1 t_1..t_(q-1)), restricted to the columns of the
+    non-minimal tuples, has x_(1..1) in column t; its only other entry is
+    in column (1 t_1..t_(q-1)), which comes before t, and x_(1..1 t_q)
+    and x_(1..1) are not columns.  So the submatrix is lower triangular
+    with w[(j..j)] on its diagonal at every point: a nonzero pure
+    coordinate proves rank >= |T| - n.  The report gives that diagonal
+    (``triangular_ok`` True) without rebuilding the matrix, and None for
+    both when every pure coordinate is zero.
+    """
     field = PrimeField(r)
     tuples = index_tuples(params)
     if len(w) != len(tuples):
@@ -83,35 +96,18 @@ def jacobian_rank(
     rank = matrix_rank_mod([_jacobian_row(g.raw_terms(), w, r) for g in generators], r)
 
     perm = tuple(range(1, params.n + 1))
-    candidates = [
-        jj
-        for jj in range(1, params.n + 1)
-        if w[tuples.index(pure_tuple(params, jj))]
-    ]
-    if not candidates:
+    diagonal = {
+        jj: d for jj in perm if (d := w[tuples.index(pure_tuple(params, jj))])
+    }
+    if not diagonal:
         return JacobianReport(params, r, w, rank, None, None, perm)
     support = {
-        jj: sum(1 for t, x in zip(tuples, w) if x and jj in t) for jj in candidates
+        jj: sum(1 for t, x in zip(tuples, w) if x and jj in t) for jj in diagonal
     }
-    j = max(candidates, key=lambda jj: (support[jj], -jj))
+    j = max(diagonal, key=lambda jj: (support[jj], -jj))
     if j != 1:
-        perm = tuple(
-            {1: j, j: 1}.get(i, i) for i in range(1, params.n + 1)
-        )
-    wp = _permuted_point(params, w, perm)
-    ok, diag = _triangular_check(params, wp, r)
-    return JacobianReport(params, r, w, rank, ok, diag, perm)
-
-
-def _permuted_point(params: VeroneseParams, w: tuple, perm: tuple) -> tuple:
-    """Coordinates after relabeling u_i as u_perm(i)."""
-    tuples = index_tuples(params)
-    pos = {t: i for i, t in enumerate(tuples)}
-    out = []
-    for t in tuples:
-        src = tuple(sorted(perm[i - 1] for i in t))
-        out.append(w[pos[src]])
-    return tuple(out)
+        perm = tuple({1: j, j: 1}.get(i, i) for i in perm)
+    return JacobianReport(params, r, w, rank, True, diagonal[j], perm)
 
 
 def _jacobian_row(terms: dict, w: tuple, r: int) -> list:
@@ -130,38 +126,6 @@ def _jacobian_row(terms: dict, w: tuple, r: int) -> list:
                     v = v * pow(w[j], y, r)
             row[i] = (row[i] + v) % r
     return row
-
-
-def _triangular_submatrix(params: VeroneseParams, w: tuple, r: int) -> list:
-    """Rows F_t = x_{1..1} x_t - x_{1..1 i_q} x_{1 i_1..i_{q-1}} for
-    non-minimal t, differentiated, evaluated at w mod r, restricted to
-    the columns of those t."""
-    tuples = index_tuples(params)
-    m = len(tuples)
-    pos = {t: i for i, t in enumerate(tuples)}
-    q = params.q
-    lead = pure_tuple(params, 1)
-    prime = [t for t in tuples if t[: q - 1] != lead[: q - 1]]
-    cols = [pos[s] for s in prime]
-    out = []
-    for t in prime:
-        a = pair_exponents(m, pos[lead], pos[t])
-        b_var1 = tuple(sorted((1,) * (q - 1) + (t[-1],)))
-        b_var2 = tuple(sorted((1,) + t[:-1]))
-        b = pair_exponents(m, pos[b_var1], pos[b_var2])
-        row = _jacobian_row({a: 1, b: -1} if a != b else {}, w, r)
-        out.append([row[c] for c in cols])
-    return out
-
-
-def _triangular_check(params: VeroneseParams, w: tuple, r: int):
-    """(ok, diag): entries right of the submatrix's diagonal vanish and
-    the diagonal holds diag, the value of the distinguished pure
-    coordinate."""
-    diag = w[index_tuples(params).index(pure_tuple(params, 1))]
-    sub = _triangular_submatrix(params, w, r)
-    ok = all(row[i] == diag and not any(row[i + 1 :]) for i, row in enumerate(sub))
-    return ok, diag
 
 
 @dataclass(frozen=True)

@@ -70,7 +70,7 @@ def binomial_obj(g: Poly) -> dict:
     # in plus, which is the honest reading there.
     plus, minus = [], []
     for e, c in g.raw_terms().items():
-        (plus if c == g.ring.field.one else minus).append(monomial_obj(g.ring, e))
+        (plus if c == 1 else minus).append(monomial_obj(g.ring, e))
     return {"plus": plus, "minus": minus, "text": g.text()}
 
 

@@ -14,7 +14,7 @@ from itertools import compress
 from operator import neg
 from typing import Iterable, Sequence, Union
 
-from .fields import IntegerRing
+from .fields import IntegerRing, PrimeField
 
 Exponents = tuple  # dense exponent tuple aligned with PolyRing.variables
 
@@ -81,15 +81,17 @@ class PolyRing:
     def poly(self, terms: Mapping) -> "Poly":
         """Polynomial from {exps|pairs: coefficient}."""
         acc: dict = {}
+        norm = self.field.normalize
         for m, c in terms.items():
             if isinstance(m, tuple) and len(m) == self.nvars and all(
                 isinstance(x, int) for x in m
             ):
+                if min(m) < 0:
+                    raise ValueError(f"negative exponent in {m!r}")
                 exps = m
             else:
                 exps = self.exps_of(m)
-            c = self.field.normalize(c)
-            c = self.field.add(acc.get(exps, 0), c) if exps in acc else c
+            c = norm(acc.get(exps, 0) + c)
             if c:
                 acc[exps] = c
             else:
@@ -100,7 +102,7 @@ class PolyRing:
         return Poly(self, {})
 
     def one(self) -> "Poly":
-        return Poly(self, {(0,) * self.nvars: self.field.one})
+        return Poly(self, {(0,) * self.nvars: 1})
 
     def with_field(self, field) -> "PolyRing":
         """The same variables over another coefficient ring, sharing the
@@ -193,10 +195,10 @@ class Poly:
 
     def __add__(self, other: "Poly") -> "Poly":
         self._check(other)
-        f = self.ring.field
+        norm = self.ring.field.normalize
         out = dict(self._terms)
         for e, c in other._terms.items():
-            s = f.add(out.get(e, 0), c)
+            s = norm(out.get(e, 0) + c)
             if s:
                 out[e] = s
             else:
@@ -205,10 +207,10 @@ class Poly:
 
     def __sub__(self, other: "Poly") -> "Poly":
         self._check(other)
-        f = self.ring.field
+        norm = self.ring.field.normalize
         out = dict(self._terms)
         for e, c in other._terms.items():
-            s = f.sub(out.get(e, 0), c)
+            s = norm(out.get(e, 0) - c)
             if s:
                 out[e] = s
             else:
@@ -216,18 +218,18 @@ class Poly:
         return Poly(self.ring, out)
 
     def __neg__(self) -> "Poly":
-        f = self.ring.field
-        return Poly(self.ring, {e: f.neg(c) for e, c in self._terms.items()})
+        norm = self.ring.field.normalize
+        return Poly(self.ring, {e: norm(-c) for e, c in self._terms.items()})
 
     def __mul__(self, other: Union["Poly", int]) -> "Poly":
-        f = self.ring.field
+        norm = self.ring.field.normalize
         if isinstance(other, int):
-            c0 = f.normalize(other)
+            c0 = norm(other)
             if not c0:
                 return self.ring.zero()
             out = {}
             for e, c in self._terms.items():
-                cc = f.mul(c, c0)
+                cc = norm(c * c0)
                 if cc:
                     out[e] = cc
             return Poly(self.ring, out)
@@ -236,7 +238,7 @@ class Poly:
         for ea, ca in self._terms.items():
             for eb, cb in other._terms.items():
                 e = mono_mul(ea, eb)
-                s = f.add(out.get(e, 0), f.mul(ca, cb))
+                s = norm(out.get(e, 0) + ca * cb)
                 if s:
                     out[e] = s
                 else:
@@ -256,16 +258,6 @@ class Poly:
             base = base * base if k > 1 else base
             k >>= 1
         return out
-
-    def monic(self) -> "Poly":
-        if not self._terms:
-            return self
-        f = self.ring.field
-        _, lc = self.leading()
-        if lc == f.one:
-            return self
-        inv = f.inv(lc)
-        return Poly(self.ring, {e: f.mul(c, inv) for e, c in self._terms.items()})
 
     # -- maps ---------------------------------------------------------
 
@@ -287,14 +279,13 @@ class Poly:
             vals = list(values)
             if len(vals) != self.ring.nvars:
                 raise ValueError("wrong number of coordinates")
-        f = self.ring.field
         total = 0
         for e, c in self._terms.items():
             t = c
             for i, k in mono_support(e):
-                t = f.mul(t, f.pow(vals[i], k))
-            total = f.add(total, t)
-        return total
+                t *= vals[i] ** k
+            total += t
+        return self.ring.field.normalize(total)
 
     # -- identity -----------------------------------------------------
 
@@ -336,15 +327,14 @@ def frobenius_power(f: Poly, p: int, k: int) -> Poly:
     """f^(p^k) computed termwise; valid precisely in characteristic p."""
     if not isinstance(k, int) or k < 0:
         raise ValueError("k must be a nonnegative integer")
-    ch = f.ring.field.characteristic
-    if ch != p:
-        raise ValueError(f"characteristic mismatch: ring has {ch}, Frobenius wants {p}")
+    field = f.ring.field
+    if field != PrimeField(p):
+        raise ValueError(f"characteristic mismatch: ring is over {field!r}, Frobenius wants {p}")
     if k == 0:
         return f
     q = p**k
-    fld = f.ring.field
     out = {}
     for e, c in f.raw_terms().items():
         ee = tuple(x * q for x in e)
-        out[ee] = fld.pow(c, q)
+        out[ee] = pow(c, q, p)
     return Poly(f.ring, out)

@@ -154,17 +154,24 @@ def s_polynomial(f, g):
     lf, cf = f.leading()
     lg, cg = g.leading()
     lcm = mono_lcm(lf, lg)
-    fld = f.ring.field
-    mf = f.ring.poly({mono_div(lcm, lf): fld.inv(cf)})
-    mg = g.ring.poly({mono_div(lcm, lg): fld.inv(cg)})
+    r = f.ring.field.r
+    mf = f.ring.poly({mono_div(lcm, lf): pow(cf, -1, r)})
+    mg = g.ring.poly({mono_div(lcm, lg): pow(cg, -1, r)})
     return mf * f - mg * g
+
+
+def monic(f):
+    """f over a prime field scaled so that its leading coefficient is 1."""
+    if f.is_zero():
+        return f
+    return f * pow(f.leading()[1], -1, f.ring.field.r)
 
 
 def normal_form(f, basis):
     """Remainder of f on division by basis, on dense exponent tuples:
     the largest term goes first, to the first element whose lead divides
     it.  The remainder is canonical when basis is a Groebner basis."""
-    ring, fld = f.ring, f.ring.field
+    ring, r = f.ring, f.ring.field.r
     reducers = [(g.leading(), g.raw_terms()) for g in basis]
     work = dict(f.raw_terms())
     remainder = {}
@@ -178,12 +185,12 @@ def normal_form(f, basis):
             remainder[m] = c
             continue
         delta = mono_div(m, lm)
-        scale = fld.mul(c, fld.inv(lc))
+        scale = c * pow(lc, -1, r) % r
         for eg, cg in terms.items():
             if eg == lm:
                 continue
             e = tuple(x + y for x, y in zip(eg, delta))
-            s = fld.sub(work.get(e, 0), fld.mul(scale, cg))
+            s = (work.get(e, 0) - scale * cg) % r
             if s:
                 work[e] = s
             else:
@@ -214,7 +221,7 @@ def buchberger_textbook(gens) -> list:
             basis.append(h)
     leads = [g.leading()[0] for g in basis]
     minimal = [
-        g.monic()
+        monic(g)
         for i, (g, a) in enumerate(zip(basis, leads))
         if not any(
             k != i and mono_divides(b, a) and (b != a or k < i)
@@ -443,6 +450,13 @@ def jacobian_rows_dense(generators, w, r: int) -> list:
         gr = g.map_field(field)
         rows.append([derivative(gr, v).evaluate(w) for v in gr.ring.variables])
     return rows
+
+
+def permuted_point(params, w, perm) -> tuple:
+    """Coordinates of w after relabelling u_i as u_perm(i)."""
+    tuples = index_tuples(params)
+    pos = {t: i for i, t in enumerate(tuples)}
+    return tuple(w[pos[tuple(sorted(perm[i - 1] for i in t))]] for t in tuples)
 
 
 def triangular_check_dense(params, w, r: int) -> tuple:

@@ -13,12 +13,11 @@ from veronese import (
     parametrize,
     quadratic_generators,
 )
+from veronese.combinatorics import pure_tuple
 from veronese.fields import is_prime
 from veronese.geometry import (
     RootOfUnityError,
     _jacobian_row,
-    _triangular_check,
-    _triangular_submatrix,
     matrix_rank_mod,
 )
 
@@ -91,14 +90,28 @@ def _sample_points(params, r, rng):
 def test_jacobian_rows_match_dense_derivatives(nph):
     params = make_params(*nph)
     gens = quadratic_generators(params)
+    tuples = index_tuples(params)
+    pure = [tuples.index(pure_tuple(params, j)) for j in range(1, params.n + 1)]
     rng = random.Random(71)
     for r in (5, 7, 11):
         for w in _sample_points(params, r, rng):
             rows = [_jacobian_row(g.raw_terms(), w, r) for g in gens]
             assert rows == oracles.jacobian_rows_dense(gens, w, r), (r, w)
-            ok, diag, sub = oracles.triangular_check_dense(params, w, r)
-            assert _triangular_submatrix(params, w, r) == sub, (r, w)
-            assert _triangular_check(params, w, r) == (ok, diag), (r, w)
+            # the theorem jacobian_rank reports instead of checking: after
+            # the report's relabelling the dense submatrix is triangular,
+            # with the chosen pure coordinate on its diagonal
+            rep = jacobian_rank(params, gens, w, r)
+            assert sorted(rep.permutation) == list(range(1, params.n + 1))
+            assert (rep.triangular_ok is None) == (not any(w[i] for i in pure))
+            wp = oracles.permuted_point(params, w, rep.permutation)
+            ok, diag, _ = oracles.triangular_check_dense(params, wp, r)
+            assert ok, (r, w)
+            if rep.triangular_ok is None:
+                assert rep.diagonal_value is None
+            else:
+                assert rep.triangular_ok is True
+                j = rep.permutation[0]
+                assert rep.diagonal_value == w[pure[j - 1]] == diag, (r, w)
 
 
 def test_jacobian_full_rank_on_cone_points():

@@ -6,7 +6,9 @@ import counts as used when the module reads it anywhere or lists it in
 ``__all__``; ``from __future__`` imports are compiler directives and
 are skipped.  A module-level def, class or assignment counts as used
 when some module of the package reads, imports or exports its name
-outside the definition itself; dunder names are module protocol.
+outside the definition itself, and so does a method of a module-level
+class when its name is read outside the method; dunder names are
+module and object protocol.
 """
 
 import ast
@@ -122,11 +124,18 @@ DEAD_ALLOWED = {
 
 
 def _defined(tree: ast.Module) -> list:
-    """(name, statement) for each module-level def, class or assignment."""
+    """(name, statement) for each module-level def, class or assignment,
+    and (Class.method, def) for each method of a module-level class."""
     out = []
     for node in tree.body:
         if isinstance(node, (ast.FunctionDef, ast.AsyncFunctionDef, ast.ClassDef)):
             out.append((node.name, node))
+        if isinstance(node, ast.ClassDef):
+            out += [
+                (f"{node.name}.{sub.name}", sub) for sub in node.body
+                if isinstance(sub, (ast.FunctionDef, ast.AsyncFunctionDef))
+                and not sub.name.startswith("__")
+            ]
         elif isinstance(node, (ast.Assign, ast.AnnAssign)):
             targets = node.targets if isinstance(node, ast.Assign) else [node.target]
             for target in targets:
@@ -150,20 +159,42 @@ def _referenced(node: ast.AST) -> set:
     return names
 
 
+def _statements(tree: ast.Module) -> list:
+    """(node, class) for each module-level statement, with a class split
+    into its body statements, bases, keywords and decorators; class is
+    the ClassDef the node came from, or None."""
+    out = []
+    for stmt in tree.body:
+        if isinstance(stmt, ast.ClassDef):
+            parts = stmt.body + stmt.bases + stmt.keywords + stmt.decorator_list
+            out += [(part, stmt) for part in parts]
+        else:
+            out.append((stmt, None))
+    return out
+
+
 def dead_definitions(sources: dict) -> list:
     """module.name of each module-level definition in sources (module ->
-    source text) that no module references outside its own statement."""
+    source text), and module.Class.method of each non-dunder method of a
+    module-level class, that no module references outside the definition
+    itself.  A method counts as referenced by any attribute of its name."""
     trees = {mod: ast.parse(src) for mod, src in sources.items()}
     exported = set().union(*map(_exported, trees.values()))
     # statement by statement, so that a definition's own body (a
     # recursive call, say) does not keep it alive
-    uses = [(stmt, _referenced(stmt)) for tree in trees.values() for stmt in tree.body]
+    uses = [
+        (stmt, cls, _referenced(stmt))
+        for tree in trees.values() for stmt, cls in _statements(tree)
+    ]
     return [
         f"{mod}.{name}"
         for mod, tree in trees.items()
         for name, node in _defined(tree)
         if name not in exported
-        and not any(name in names for stmt, names in uses if stmt is not node)
+        and not any(
+            name.rpartition(".")[2] in names
+            for stmt, cls, names in uses if node is not stmt and node is not cls
+        )
     ]
 
 
@@ -176,6 +207,19 @@ def test_guard_sees_a_dead_definition():
     assert dead_definitions(sources) == ["a.f"]
     sources["b"] += "__all__ = ['f']\n"
     assert dead_definitions(sources) == []
+    # a method is alive when another method or module reads its name;
+    # its own body and dunder methods do not count
+    sources["c"] = (
+        "class C:\n"
+        "    def __init__(self):\n        self.m()\n"
+        "    def m(self):\n        return self.n()\n"
+        "    def n(self):\n        return 1\n"
+        "    def own(self):\n        return self.own()\n"
+        "    def gone(self):\n        pass\n"
+        "class D(C):\n    pass\n"
+        "print(D)\n"
+    )
+    assert dead_definitions(sources) == ["c.C.own", "c.C.gone"]
 
 
 def test_package_has_no_dead_definitions():

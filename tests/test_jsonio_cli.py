@@ -52,8 +52,7 @@ def _signed_terms(ring, doc):
 
 
 def _signs(g):
-    one = g.ring.field.one
-    return {e: 1 if c == one else -1 for e, c in g.raw_terms().items()}
+    return {e: 1 if c == 1 else -1 for e, c in g.raw_terms().items()}
 
 
 def test_params_roundtrip(params321):
