@@ -60,10 +60,6 @@ class CyclicAction:
     def p(self) -> int:
         return prime_power_split(self.q)[0]
 
-    @property
-    def h(self) -> int:
-        return prime_power_split(self.q)[1]
-
     def difference(self) -> int:
         return (self.a - 1) % self.q
 

@@ -10,11 +10,11 @@ monomials is ``+``, ``a`` divides ``b`` exactly when subtracting ``a``
 from ``b`` with every guard set borrows from no guard,
 ``((b | G) - a) & G == G``, and ``((m >> S) << (S + 1)) - m`` is an int
 that orders monomials as degrevlex does.  Terms are packed once on the
-way in (``buchberger``'s generators, a ``GroebnerBasis``'s elements,
-``reduce``'s argument) and unpacked once on the way out, so ``Poly``
-and every signature here keep dense exponent tuples.  A total degree
-above ``MAX_DEGREE`` raises ``ValueError``, both for an input term and
-for an S-pair whose lcm would pass it.
+way in (``buchberger``'s generators and ``reduce``'s argument) and
+unpacked once on the way out, so ``Poly`` and every signature here keep
+dense exponent tuples.  A total degree above ``MAX_DEGREE`` raises
+``ValueError``, both for an input term and for an S-pair whose lcm would
+pass it.
 
 Tuned for the binomial ideals that arise here: reducer lookup is indexed
 by leading-monomial support, pairs with coprime leading terms are never
@@ -34,7 +34,7 @@ import heapq
 import struct
 from dataclasses import dataclass, field
 from functools import lru_cache
-from typing import Iterable, Optional
+from typing import Iterable
 
 from .fields import PrimeField
 from .polys import Poly, PolyRing
@@ -161,13 +161,6 @@ class _Reducers:
         return None
 
 
-def _check_ring(ring: PolyRing, polys) -> None:
-    if not isinstance(ring.field, PrimeField):
-        raise ValueError("Groebner computation requires prime-field coefficients")
-    if any(g.ring != ring for g in polys):
-        raise ValueError("polynomials live in different rings")
-
-
 def _packed(f: Poly, lay: _Layout) -> dict:
     return {lay.pack(e): c for e, c in f.raw_terms().items()}
 
@@ -184,27 +177,13 @@ def _monic(terms: dict, lay: _Layout, r: int) -> dict:
 @dataclass(frozen=True)
 class GroebnerBasis:
     """Reduced Groebner basis: monic, tail-reduced, sorted by leading term.
-    Its one reducer index is shared by every reduce.  Public construction
-    validates the polys and builds the index; ``buchberger`` hands over
-    the index it has already built as ``_red``."""
+    Built only by ``buchberger``, which hands over the reducer index it
+    has already built as ``_red``; every reduce shares it."""
 
     ring: PolyRing
     polys: tuple
-    pairs_processed: int = 0
-    _red: Optional[_Reducers] = field(
-        default=None, repr=False, compare=False, kw_only=True
-    )
-
-    def __post_init__(self):
-        if self._red is not None:
-            return
-        _check_ring(self.ring, self.polys)
-        red = _Reducers(self.ring)
-        for g in self.polys:
-            if g.leading()[1] != 1:
-                raise ValueError("basis elements must be monic")
-            red.add_monic(_packed(g, red.lay))
-        object.__setattr__(self, "_red", red)
+    pairs_processed: int
+    _red: _Reducers = field(repr=False, compare=False)
 
     def __iter__(self):
         return iter(self.polys)
@@ -307,7 +286,10 @@ def buchberger(gens: Iterable[Poly]) -> GroebnerBasis:
     if not gens:
         raise ValueError("no nonzero generators")
     ring = gens[0].ring
-    _check_ring(ring, gens)
+    if not isinstance(ring.field, PrimeField):
+        raise ValueError("Groebner computation requires prime-field coefficients")
+    if any(g.ring != ring for g in gens):
+        raise ValueError("polynomials live in different rings")
     r = ring.field.r
 
     red = _Reducers(ring)
@@ -375,7 +357,7 @@ def buchberger(gens: Iterable[Poly]) -> GroebnerBasis:
         cache.clear()
 
     polys, kept = _reduced(red, cache, r)
-    return GroebnerBasis(ring, polys, processed, _red=kept)
+    return GroebnerBasis(ring, polys, processed, kept)
 
 
 def _reduced(red: _Reducers, cache: dict, r: int) -> tuple:

@@ -99,7 +99,7 @@ def certificate_obj(cert: SciCertificate) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
         "params": params_obj(cert.params),
-        "count": len(cert.binomials),
+        "count": len(cert),
         "binomials": [binomial_obj(g) for g in cert.binomials],
     }
 

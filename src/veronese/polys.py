@@ -101,9 +101,6 @@ class PolyRing:
     def zero(self) -> "Poly":
         return Poly(self, {})
 
-    def one(self) -> "Poly":
-        return Poly(self, {(0,) * self.nvars: 1})
-
     def with_field(self, field) -> "PolyRing":
         """The same variables over another coefficient ring, sharing the
         sorted variable tuple, names and position index instead of
@@ -177,13 +174,6 @@ class Poly:
     def raw_terms(self) -> dict:
         return self._terms
 
-    def leading(self) -> tuple:
-        """(exponent tuple, coefficient) of the order-largest term."""
-        if not self._terms:
-            raise ValueError("zero polynomial has no leading term")
-        e = max(self._terms, key=self.ring.key)
-        return e, self._terms[e]
-
     # -- arithmetic ---------------------------------------------------
 
     def _check(self, other: "Poly") -> None:
@@ -246,18 +236,6 @@ class Poly:
         return Poly(self.ring, out)
 
     __rmul__ = __mul__
-
-    def __pow__(self, k: int) -> "Poly":
-        if not isinstance(k, int) or k < 0:
-            raise ValueError("exponent must be a nonnegative integer")
-        out = self.ring.one()
-        base = self
-        while k:
-            if k & 1:
-                out = out * base
-            base = base * base if k > 1 else base
-            k >>= 1
-        return out
 
     # -- maps ---------------------------------------------------------
 

@@ -20,7 +20,6 @@ from typing import Optional
 from .combinatorics import (
     VeroneseParams,
     exponent_vectors,
-    index_tuples,
     integer_ring,
     pure_tuple,
 )
@@ -39,29 +38,59 @@ class BudgetExceededError(Exception):
 
 @dataclass(frozen=True)
 class SciCertificate:
-    """|T| - n binomials x_t^q - prod_j x_{j..j}^{a_j(t)}, t non-pure."""
+    """|T| - n binomials x_t^q - prod_j x_{j..j}^{a_j(t)}, t non-pure,
+    held as triangular rows ``(t, e, tail)``: the binomial x_t^e minus
+    the monomial whose ``(position, exponent)`` pairs are ``tail``.
+
+    The rows solve for increasing positions t, and no tail touches a
+    solved position; the fibred scan and the Frobenius normal form rely
+    on both, so any other rows raise ValueError.
+    """
 
     params: VeroneseParams
-    binomials: tuple
+    rows: tuple
+
+    def __post_init__(self):
+        solved = [t for t, _, _ in self.rows]
+        if any(a >= b for a, b in zip(solved, solved[1:])):
+            raise ValueError("rows must solve for distinct positions in increasing order")
+        solved = set(solved)
+        for t, _, tail in self.rows:
+            if any(i in solved for i, _ in tail):
+                raise ValueError(f"the tail solving for x_{t} is not in the free variables")
 
     def __len__(self) -> int:
-        return len(self.binomials)
+        return len(self.rows)
+
+    def free(self) -> list:
+        """The positions no row solves for, ascending."""
+        solved = {t for t, _, _ in self.rows}
+        return [i for i in range(self.params.cardinality()) if i not in solved]
+
+    @property
+    def binomials(self) -> tuple:
+        """The rows rendered as integer binomials, for output."""
+        ring = integer_ring(self.params)
+        out = []
+        for t, e, tail in self.rows:
+            head, mono = [0] * ring.nvars, [0] * ring.nvars
+            head[t] = e
+            for i, a in tail:
+                mono[i] = a
+            out.append(Poly(ring, {tuple(head): 1, tuple(mono): -1}))
+        return tuple(out)
 
 
 def build_certificate(params: VeroneseParams) -> SciCertificate:
     ring = integer_ring(params)
-    q, n = params.q, params.n
-    pures = {pure_tuple(params, j) for j in range(1, n + 1)}
-    out = []
-    for t, a in zip(index_tuples(params), exponent_vectors(params)):
-        if t in pures:
-            continue
-        left = ring.exps_of([(t, q)])
-        right = ring.exps_of(
-            [(pure_tuple(params, j), a[j - 1]) for j in range(1, n + 1) if a[j - 1]]
-        )
-        out.append(Poly(ring, {left: 1, right: -1}))
-    return SciCertificate(params, tuple(out))
+    q = params.q
+    pures = [ring.position(pure_tuple(params, j)) for j in range(1, params.n + 1)]
+    rows = tuple(
+        (t, q, tuple((j, x) for j, x in zip(pures, a) if x))
+        for t, a in enumerate(exponent_vectors(params))
+        if q not in a
+    )
+    return SciCertificate(params, rows)
 
 
 @dataclass(frozen=True)
@@ -135,8 +164,7 @@ def verify_char_p(cert: SciCertificate, k_max: Optional[int] = None) -> Frobeniu
         k_max = 2 * params.h + 2
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
-    rows, _ = _triangular(cert.binomials, params.cardinality())
-    heads = {t: (e, factors) for t, e, factors in rows}
+    heads = {t: (e, tail) for t, e, tail in cert.rows}
     powers = [p**k for k in range(k_max + 1)]
     field = PrimeField(p)
     entries = []
@@ -308,38 +336,6 @@ def _propagate(compiled, r: int, m: int, image: frozenset,
     return count, witness
 
 
-def _triangular(binomials, m: int) -> tuple:
-    """Read binomials as x_t^e - (monomial in the free variables).
-
-    Returns ``(rows, free)``: rows are ``(t, e, factors)`` with factors
-    the ``(position, exponent)`` pairs of the tail, sorted by ``t``, and
-    free lists the positions no binomial solves for.  Raises ValueError
-    for any other shape.
-    """
-    rows = []
-    for g in binomials:
-        neg_one = g.ring.field.normalize(-1)
-        terms = g.raw_terms()
-        heads = [e for e, c in terms.items() if c == 1]
-        tails = [e for e, c in terms.items() if c == neg_one]
-        if len(terms) != 2 or neg_one == 1 or len(heads) != 1 or len(tails) != 1:
-            raise ValueError(f"{g.text()} is not a binomial x_t^e - m")
-        support = mono_support(heads[0])
-        if len(support) != 1:
-            raise ValueError(f"{g.text()}: head is not a power of one variable")
-        (t, e), = support
-        rows.append((t, e, tuple(mono_support(tails[0]))))
-    rows.sort()
-    solved = {t for t, _, _ in rows}
-    if len(solved) != len(rows):
-        raise ValueError("two binomials solve for the same variable")
-    free = [i for i in range(m) if i not in solved]
-    for t, _, factors in rows:
-        if any(i in solved for i, _ in factors):
-            raise ValueError(f"the tail solving for x_{t} is not in the free variables")
-    return rows, free
-
-
 def _fibred_scan(rows, free, r: int, m: int, image: frozenset):
     """Zero-set count and lex-first point off the image, for a
     triangular system.
@@ -370,24 +366,14 @@ def _fibred_scan(rows, free, r: int, m: int, image: frozenset):
             lists.append(lst)
         else:
             count += prod(len(lst) for lst in lists)
-            idx = [0] * len(rows)
-            while True:
-                for (t, _, _), lst, k in zip(rows, lists, idx):
-                    point[t] = lst[k]
+            for values in product(*lists):
+                for (t, _, _), v in zip(rows, values):
+                    point[t] = v
                 pt = tuple(point)
                 if witness is not None and pt >= witness:
                     break
                 if pt not in image:
                     witness = pt
-                    break
-                j = len(rows) - 1
-                while j >= 0:
-                    idx[j] += 1
-                    if idx[j] < len(lists[j]):
-                        break
-                    idx[j] = 0
-                    j -= 1
-                if j < 0:
                     break
     return count, witness
 
@@ -406,10 +392,10 @@ def point_survey(
     if mode == MODE_IMAGE:
         return _image_only(params, "certificate", field, budget)
     m = params.cardinality()
-    rows, free = _triangular(cert.binomials, m)
+    free = cert.free()
     _check_budget(r, len(free), budget, "fibre bases")
     image = _image_set(params, field)
-    count, witness = _fibred_scan(rows, free, r, m, image)
+    count, witness = _fibred_scan(cert.rows, free, r, m, image)
     return PointSetReport(params, r, "certificate", mode, len(image), count, witness)
 
 

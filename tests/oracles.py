@@ -132,6 +132,27 @@ def poly_key_set(polys) -> set:
     return out
 
 
+def leading(f) -> tuple:
+    """(exponent tuple, coefficient) of the degrevlex-largest term of f."""
+    if f.is_zero():
+        raise ValueError("zero polynomial has no leading term")
+    e = max(f.raw_terms(), key=f.ring.key)
+    return e, f.raw_terms()[e]
+
+
+def power(f, k: int):
+    """f^k by repeated squaring of Poly products."""
+    if not isinstance(k, int) or k < 0:
+        raise ValueError("exponent must be a nonnegative integer")
+    out = f.ring.poly({(0,) * f.ring.nvars: 1})
+    while k:
+        if k & 1:
+            out = out * f
+        f = f * f if k > 1 else f
+        k >>= 1
+    return out
+
+
 def mono_divides(a, b) -> bool:
     """True when x^a divides x^b (dense exponent tuples)."""
     return all(x <= y for x, y in zip(a, b))
@@ -151,8 +172,8 @@ def mono_lcm(a, b) -> tuple:
 
 def s_polynomial(f, g):
     """S-polynomial by Poly products on dense exponent tuples."""
-    lf, cf = f.leading()
-    lg, cg = g.leading()
+    lf, cf = leading(f)
+    lg, cg = leading(g)
     lcm = mono_lcm(lf, lg)
     r = f.ring.field.r
     mf = f.ring.poly({mono_div(lcm, lf): pow(cf, -1, r)})
@@ -164,7 +185,7 @@ def monic(f):
     """f over a prime field scaled so that its leading coefficient is 1."""
     if f.is_zero():
         return f
-    return f * pow(f.leading()[1], -1, f.ring.field.r)
+    return f * pow(leading(f)[1], -1, f.ring.field.r)
 
 
 def normal_form(f, basis):
@@ -172,7 +193,7 @@ def normal_form(f, basis):
     the largest term goes first, to the first element whose lead divides
     it.  The remainder is canonical when basis is a Groebner basis."""
     ring, r = f.ring, f.ring.field.r
-    reducers = [(g.leading(), g.raw_terms()) for g in basis]
+    reducers = [(leading(g), g.raw_terms()) for g in basis]
     work = dict(f.raw_terms())
     remainder = {}
     while work:
@@ -212,14 +233,14 @@ def buchberger_textbook(gens) -> list:
     pairs = deque((i, j) for j in range(len(basis)) for i in range(j))
     while pairs:
         i, j = pairs.popleft()
-        a, b = basis[i].leading()[0], basis[j].leading()[0]
+        a, b = leading(basis[i])[0], leading(basis[j])[0]
         if not any(x and y for x, y in zip(a, b)):
             continue
         h = normal_form(s_polynomial(basis[i], basis[j]), basis)
         if h:
             pairs.extend((k, len(basis)) for k in range(len(basis)))
             basis.append(h)
-    leads = [g.leading()[0] for g in basis]
+    leads = [leading(g)[0] for g in basis]
     minimal = [
         monic(g)
         for i, (g, a) in enumerate(zip(basis, leads))
@@ -230,7 +251,7 @@ def buchberger_textbook(gens) -> list:
     ]
     out = []
     for g in minimal:
-        lm = g.leading()[0]
+        lm = leading(g)[0]
         tail = g.ring.poly({e: c for e, c in g.raw_terms().items() if e != lm})
         out.append(g.ring.poly({lm: 1}) + normal_form(tail, minimal))
     return out
@@ -400,6 +421,26 @@ def certificate_zero_count_closed_form(n: int, q: int, r: int) -> int:
             )
             total += ((r - 1) // g) ** size * kernel * g ** len(inside)
     return total
+
+
+def triangular_rows(binomials) -> tuple:
+    """Read each binomial as x_t^e - (monomial) and return the rows
+    ``(t, e, tail)``, tail the monomial's (position, exponent) pairs,
+    sorted by t.  Raises ValueError for any other shape."""
+    rows = []
+    for g in binomials:
+        neg_one = g.ring.field.normalize(-1)
+        terms = g.raw_terms()
+        heads = [e for e, c in terms.items() if c == 1]
+        tails = [e for e, c in terms.items() if c == neg_one]
+        if len(terms) != 2 or neg_one == 1 or len(heads) != 1 or len(tails) != 1:
+            raise ValueError(f"{g.text()} is not a binomial x_t^e - m")
+        support = [(i, x) for i, x in enumerate(heads[0]) if x]
+        if len(support) != 1:
+            raise ValueError(f"{g.text()}: head is not a power of one variable")
+        (t, e), = support
+        rows.append((t, e, tuple((i, x) for i, x in enumerate(tails[0]) if x)))
+    return tuple(sorted(rows))
 
 
 def zero_set_scan(compiled, r: int, m: int, image) -> tuple:

@@ -37,7 +37,7 @@ def test_action_validation():
     with pytest.raises(ValueError):
         CyclicAction(4, 4)  # out of range
     act = CyclicAction(9, 4)
-    assert act.p == 3 and act.h == 2
+    assert act.p == 3
     assert act.difference() == 3
     assert act.norm() == 0
     # exactly the units with a^q = 1 mod q are accepted

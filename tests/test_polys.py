@@ -70,7 +70,7 @@ def test_leading_term_text_frozen():
     ring = ring_over(ZZ)
     g = ring.poly({(((1, 1), 1), ((2, 2), 1)): 1, (((1, 2), 2),): -1})
     assert g.text() == "-x12^2 + x11*x22"
-    exps, c = g.leading()
+    exps, c = oracles.leading(g)
     assert c == -1
     assert exps == ring.exps_of([((1, 2), 2)])
 
@@ -94,7 +94,7 @@ def test_ring_axioms_seeded():
             assert f - f == ring.zero()
             assert f * g == g * f
             assert (f + g) + h == f + (g + h)
-            assert f * ring.one() == f
+            assert f * ring.poly({(0,) * len(VARS): 1}) == f
             assert -(-f) == f
 
 
@@ -140,7 +140,7 @@ def test_monic_and_map_field():
     ring = ring_over(PrimeField(5))
     f = ring.poly({(((1, 1), 1),): 3, (((2, 2), 1),): 1})
     m = oracles.monic(f)
-    assert m.leading()[1] == 1
+    assert oracles.leading(m)[1] == 1
     assert m * 3 == f
     zz = ring_over(ZZ)
     g = zz.poly({(((1, 1), 1),): 7, (((2, 2), 1),): -1})
@@ -153,9 +153,9 @@ def test_pow_matches_repeated_multiplication():
     ring = ring_over(PrimeField(3))
     for _ in range(10):
         f = random_poly(rng, ring, max_terms=3, max_exp=2)
-        acc = ring.one()
+        acc = ring.poly({(0,) * len(VARS): 1})
         for k in range(4):
-            assert f**k == acc
+            assert oracles.power(f, k) == acc
             acc = acc * f
 
 
@@ -167,7 +167,7 @@ def test_frobenius_power_is_termwise():
             f = random_poly(rng, ring, max_terms=3, max_exp=2)
             g = random_poly(rng, ring, max_terms=3, max_exp=2)
             for k in (1, 2):
-                assert frobenius_power(f, p, k) == f ** (p**k)
+                assert frobenius_power(f, p, k) == oracles.power(f, p**k)
                 assert frobenius_power(f + g, p, k) == frobenius_power(
                     f, p, k
                 ) + frobenius_power(g, p, k)
@@ -179,7 +179,7 @@ def test_frobenius_power_requires_matching_characteristic():
     with pytest.raises(ValueError):
         frobenius_power(f, 3, 1)
     with pytest.raises(ValueError):
-        frobenius_power(ring_over(ZZ).one(), 2, 1)
+        frobenius_power(var(ring_over(ZZ), (1, 1)), 2, 1)
 
 
 def test_mixed_ring_operations_rejected():

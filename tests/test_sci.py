@@ -7,7 +7,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import make_params
+from conftest import GRID_T36, make_params
 from veronese import (
     PrimeField,
     build_certificate,
@@ -19,9 +19,9 @@ from veronese import (
     verify_char_p,
 )
 from veronese.checks import GLUING_PARAMS
-from veronese.combinatorics import pure_tuple
+from veronese.combinatorics import exponent_vectors, integer_ring, pure_tuple
 from veronese.groebner import GroebnerBasis, buchberger, reduce
-from veronese.polys import Poly, frobenius_power
+from veronese.polys import frobenius_power
 from veronese.sci import (
     DEFAULT_ENUM_BUDGET,
     MODE_FULL,
@@ -33,7 +33,6 @@ from veronese.sci import (
     _frobenius_normal_form,
     _image_set,
     _propagate,
-    _triangular,
 )
 
 
@@ -83,7 +82,7 @@ def test_certificate_leading_terms_coprime():
         params = make_params(n, p, h)
         cert = build_certificate(params)
         gb = certificate_groebner(cert)
-        leads = [g.leading()[0] for g in gb.polys]
+        leads = [oracles.leading(g)[0] for g in gb.polys]
         for i in range(len(leads)):
             for j in range(i + 1, len(leads)):
                 lcm = oracles.mono_lcm(leads[i], leads[j])
@@ -147,8 +146,7 @@ def test_verify_char_p_matches_groebner_reduction(nph):
 def _certificate_case(nph):
     params = make_params(*nph)
     cert = build_certificate(params)
-    rows, _ = _triangular(cert.binomials, params.cardinality())
-    heads = {t: (e, fs) for t, e, fs in rows}
+    heads = {t: (e, fs) for t, e, fs in cert.rows}
     return params, heads, certificate_groebner(cert)
 
 
@@ -524,19 +522,16 @@ def test_fibred_survey_matches_brute_scan_on_other_tails():
     for (n, p, h), r in (((3, 2, 1), 5), ((2, 3, 1), 7), ((2, 2, 2), 5)):
         params = make_params(n, p, h)
         cert = build_certificate(params)
-        ring = cert.binomials[0].ring
-        pures = [pure_tuple(params, j) for j in range(1, n + 1)]
+        pures = cert.free()
         for _ in range(4):
-            binomials = []
-            for g in cert.binomials:
-                head = max(g.raw_terms(), key=g.raw_terms().get)
-                tail = ring.exps_of(
-                    [(v, rng.randrange(3)) for v in pures]
-                )
-                binomials.append(Poly(ring, {head: 1, tail: -1}))
-            report = point_survey(SciCertificate(params, tuple(binomials)), r)
+            rows = []
+            for t, e, _ in cert.rows:
+                xs = [rng.randrange(3) for _ in pures]
+                rows.append((t, e, tuple((i, x) for i, x in zip(pures, xs) if x)))
+            other = SciCertificate(params, tuple(rows))
+            report = point_survey(other, r)
             assert (report.count_zero_set, report.witness) == _brute(
-                params, binomials, r
+                params, other.binomials, r
             )
 
 
@@ -556,7 +551,7 @@ def test_fibred_witness_walk_skips_deep_into_fibres():
             if all(g.evaluate(pt) == 0 for g in gens)
         ]
         compiled = _compiled(gens, field)
-        rows, free = _triangular(cert.binomials, m)
+        rows, free = cert.rows, cert.free()
         fibres = {}
         for pt in zero_set:
             fibres.setdefault(tuple(pt[i] for i in free), []).append(pt)
@@ -570,29 +565,45 @@ def test_fibred_witness_walk_skips_deep_into_fibres():
 
 
 def test_malformed_certificate_rejected(params321):
-    cert = build_certificate(params321)
-    ring = cert.binomials[0].ring
-    x12_sq = ring.exps_of([((1, 2), 2)])
-    x11x22 = ring.exps_of([((1, 1), 1), ((2, 2), 1)])
+    # x12^2 - x11*x22, x13^2 - x11*x33 and x23^2 - x22*x33, by position
+    rows = build_certificate(params321).rows
+    assert rows == (
+        (1, 2, ((0, 1), (3, 1))),
+        (2, 2, ((0, 1), (5, 1))),
+        (4, 2, ((3, 1), (5, 1))),
+    )
     bad = [
-        # head is not a power of one variable
-        {ring.exps_of([((1, 2), 1), ((1, 3), 1)]): 1, x11x22: -1},
-        # wrong signs
-        {x12_sq: 1, x11x22: 1},
-        # three terms
-        {x12_sq: 1, x11x22: -1, ring.exps_of([((3, 3), 1)]): -1},
-        # the tail involves x13, which another binomial solves for
-        {x12_sq: 1, ring.exps_of([((1, 1), 1), ((1, 3), 1)]): -1},
+        # two rows solving for x12
+        rows[:1] + rows,
+        # the rows out of position order
+        rows[::-1],
+        # the tail solving for x12 involves x13, which another row solves for
+        ((1, 2, ((0, 1), (2, 1))),) + rows[1:],
     ]
-    assert cert.binomials[0].raw_terms() == {x12_sq: 1, x11x22: -1}
-    for terms in bad:
-        binomials = (Poly(ring, terms),) + cert.binomials[1:]
+    for other in bad:
         with pytest.raises(ValueError):
-            point_survey(SciCertificate(params321, binomials), 3)
-    # two binomials solving for the same variable
-    twice = SciCertificate(params321, cert.binomials + cert.binomials[:1])
-    with pytest.raises(ValueError):
-        point_survey(twice, 3)
+            SciCertificate(params321, other)
+
+
+@pytest.mark.parametrize("nph", GRID_T36, ids=lambda nph: "%d%d%d" % nph)
+def test_certificate_rows_match_its_binomials(nph):
+    # the rows against the binomials built from index tuples, and read
+    # back by the generic parser; term order fixes the JSON bytes
+    params = make_params(*nph)
+    cert = build_certificate(params)
+    ring = integer_ring(params)
+    q = params.q
+    pures = [pure_tuple(params, j) for j in range(1, params.n + 1)]
+    want = [
+        ring.poly({((t, q),): 1, tuple(zip(pures, a)): -1})
+        for t, a in zip(index_tuples(params), exponent_vectors(params))
+        if t not in pures
+    ]
+    got = cert.binomials
+    assert [list(g.raw_terms().items()) for g in got] == [
+        list(g.raw_terms().items()) for g in want
+    ]
+    assert cert.rows == oracles.triangular_rows(got)
 
 
 def test_certificate_survey_past_the_scan_wall():
