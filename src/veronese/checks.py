@@ -166,6 +166,7 @@ def _gluing():
     details = []
     for n, p, h in GLUING_PARAMS:
         params = _params(n, p, h)
+        q = params.q
         gens = exponent_vectors(params)
         comb = completely_p_glued(params)
         rest = SemigroupGens.of(gens)
@@ -173,12 +174,13 @@ def _gluing():
             rest = rest.without(beta)
             if not validate_witness(rest, SemigroupGens(rest.dim, (beta,)), p, w):
                 return False, f"witness failed revalidation at {(n, p, h)}: {w}"
-            # the rest keeps every axis q*e_i, so q*beta lies in N(rest):
-            # d | q, and d = p^j leaves s <= h - j, i.e. d | p^(h-s)
+            # alpha = d*beta was just recomputed by a fresh SNF; the
+            # peel-order lemma: d = q exactly for beta = e_j + (q-1)*e_n,
+            # else 1, and s = 0 exactly when d = q
             i = next(i for i, x in enumerate(beta) if x)
             d = w.alpha[i] // beta[i]
-            if w.s > h or p ** (h - w.s) % d:
-                return False, f"witness outside d | q, s <= h - v_p(d) at " \
+            if d != (q if beta[-1] == q - 1 else 1) or (w.s == 0) != (d == q):
+                return False, f"witness outside the peel-order lemma at " \
                               f"{(n, p, h)}: {w}"
         # the leaves partition T; a single beta is free, the axes must be
         if sorted(comb.free.gens + tuple(b for b, _ in comb.peels)) != sorted(gens):
@@ -286,7 +288,7 @@ def _full_ideal_point_counts():
         g = gcd(q, r - 1)
         if image != 1 + (r**n - 1) // g:
             return False, f"{where}; |image| != 1 + (r^n - 1)/{g}"
-        gens = [b.map_field(field) for b in quadratic_generators(params)]
+        gens = generators_over(params, field)
         for pt in sorted(cone):
             if any(b.evaluate(pt) != 0 for b in gens):
                 return False, f"{where}; cone point {pt} is off Zero(B)"

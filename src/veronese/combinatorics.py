@@ -56,7 +56,8 @@ class VeroneseParams:
             warnings.warn(
                 f"n={self.n}: below n=3 the variety is a point or a line "
                 "and most checks degenerate",
-                stacklevel=2,
+                # past __post_init__ and the dataclass __init__ to the caller
+                stacklevel=3,
             )
 
     @property

@@ -9,11 +9,10 @@ T of a Veronese cone is peeled in one fixed order, every non-axis
 generator in turn, down to the n axes q*e_i; that every such peel is a
 p-gluing is proved, so no other order is ever searched.
 
-The comb does each piece of work once.  The order d of every beta
-modulo L(rest) comes from one backward fold: starting from the echelon
-basis of the axes, each beta is read against the basis of the betas
-peeled after it and then folded in, so no echelon basis is ever of a
-whole rest.  Membership runs on T packed once into ints, one field per
+The order d of each beta modulo L(rest) is a lemma, not a computation:
+in that order d = q when beta = e_j + (q-1)*e_n and d = 1 otherwise
+(proved in ``completely_p_glued``), so building a comb does no lattice
+work.  Membership runs on T packed once into ints, one field per
 coordinate with a guard bit on top as in the Groebner kernel: a pick is
 one subtraction, valid when every guard survives, and each peel only
 deletes its beta from the packed list.
@@ -25,12 +24,8 @@ from dataclasses import dataclass
 from typing import Optional, Union
 
 from .combinatorics import VeroneseParams, exponent_vectors
-from .lattice import (
-    IntMatrix,
-    echelon_basis,
-    lattice_intersection,
-    quotient_order,
-)
+from .lattice import IntMatrix, echelon_basis, lattice_intersection
+
 
 @dataclass(frozen=True)
 class SemigroupGens:
@@ -273,36 +268,42 @@ class GluingComb:
     free: SemigroupGens
 
 
-def _peel_orders(axes: list, betas: list) -> list:
-    """The order d of each beta modulo L(rest), where rest is the axes
-    and the betas after it.  The lattices grow backwards from the axes:
-    each beta is read against the echelon basis of the axes and the
-    betas after it, then folded into that basis, so every echelon basis
-    is built from at most n + 1 vectors, never from a whole rest."""
-    basis = echelon_basis(axes)
-    orders = []
-    for beta in reversed(betas):
-        orders.append(quotient_order(basis, beta))
-        basis = echelon_basis(basis + [beta])
-    return orders[::-1]
-
-
 def completely_p_glued(params: VeroneseParams) -> GluingComb:
     """The gluing comb of T, peeling one non-axis generator at a time.
 
-    The non-axis generators beta are peeled in list order, so the rest
-    always keeps every axis q*e_i.  Then q*beta = sum beta_i*(q*e_i)
-    lies in N(rest), hence d divides q = p^h, and with d = p^j the axis
-    witness gives s <= h - j <= h.  Each peel is therefore a p-gluing
-    under the cap h, and the n axes are the free leaf left at the end.
-    T is packed once, with fields for the largest target any peel may
-    search under the cap, and each peel deletes its beta from it.
+    The non-axis generators beta are peeled in list order, the ascending
+    lex order of their index tuples, so the rest of a peel is the n axes
+    q*e_i and the betas after beta.  Lemma: the order d of beta modulo
+    L(rest) is q when beta = e_j + (q-1)*e_n with j < n, and 1 for every
+    other beta.  Let j be the least index of beta's tuple, m times in it.
+
+    - beta = e_j + (q-1)*e_n: its tuple (j, n, ..., n) is the largest
+      one starting with j, so every later beta' has beta'_j = 0, and the
+      axes give multiples of q in coordinate j; hence q | d.  And
+      q*beta lies in L(axes), so d | q.
+    - m >= 2: for any k > j in the support of beta,
+      beta = (beta - e_j + e_k) + (e_j + (q-1)*e_k) - q*e_k, and both
+      tuples come after beta's, so d = 1.
+    - m = 1 otherwise: e_j + (q-1)*e_n is a later tuple, and beta minus
+      it has coordinate sum 0 and support in (j, n], so it is an
+      integer sum of e_l - e_k with j < k < l <= n, and each
+      e_l - e_k = ((q-1)*e_k + e_l) - q*e_k is a later tuple minus an
+      axis; so d = 1.
+
+    Corollary: s = 0 exactly when d = q.  When d = q, alpha = q*beta
+    lies in N(axes); when d = 1, alpha = beta has degree q, and the only
+    degree-q elements of N(rest) are the generators of rest, which beta
+    is not.  Since q*beta always lies in N(axes), s <= h, so each peel
+    is a p-gluing under the cap h, and the n axes are the free leaf
+    left at the end.  T is packed once, with fields for the largest
+    target any peel may search under the cap, and each peel deletes its
+    beta from it.
     """
-    p, h = params.p, params.h
+    p, h, q = params.p, params.h, params.q
     gens = SemigroupGens.of(exponent_vectors(params))
     betas = [g for g in gens.gens if sum(1 for x in g if x) > 1]
     axes = [g for g in gens.gens if sum(1 for x in g if x) == 1]
-    orders = _peel_orders(axes, betas)
+    orders = [q if b[-1] == q - 1 else 1 for b in betas]
     top = p**h * max((d * max(b) for b, d in zip(betas, orders)), default=0)
     rest = PackedGens(gens.gens, top)
     peels = []

@@ -2,15 +2,13 @@
 
 Everything is plain Python ints, no floating point anywhere.  Lattices
 are given by integer matrices whose columns generate them.  An integer
-echelon basis (Cohen, GTM 138, section 2.4) answers the one question the
-gluing peel asks, the order of a vector modulo a lattice, without a
-Smith normal form.
+echelon basis (Cohen, GTM 138, section 2.4) gives the rank of a
+generating set without a Smith normal form.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
 from typing import Iterable, Sequence
 
 
@@ -238,27 +236,3 @@ def echelon_basis(cols: Iterable[Sequence[int]]) -> list:
         basis.append(tuple(piv))
         work = [c for c in work if c is not piv and any(c)]
     return basis
-
-
-def quotient_order(basis: Sequence[Sequence[int]], beta: Sequence[int]) -> int:
-    """Order of beta in Z^n / L, L the lattice with echelon basis basis
-    (as ``echelon_basis`` returns it).
-
-    That is the least d > 0 with d*beta in L, so that L meets Z*beta in
-    Z*(d*beta); it is 0 when beta lies outside the rational span of L.
-    """
-    v = list(beta)
-    d = 1
-    for b in basis:
-        if len(b) != len(v):
-            raise ValueError("ambient dimensions differ")
-        i = next(k for k, x in enumerate(b) if x)
-        if any(v[:i]):
-            return 0
-        f = b[i] // gcd(v[i], b[i])
-        if f > 1:
-            d *= f
-            v = [f * x for x in v]
-        k = v[i] // b[i]
-        v = [x - k * y for x, y in zip(v, b)]
-    return 0 if any(v) else d

@@ -25,7 +25,7 @@ from .combinatorics import (
 )
 from .fields import PrimeField
 from .polys import Poly, mono_support
-from .toric import quadratic_generators
+from .toric import generators_over
 
 DEFAULT_ENUM_BUDGET = 10**7
 MODE_FULL = "full-enumeration"
@@ -165,19 +165,19 @@ def verify_char_p(cert: SciCertificate, k_max: Optional[int] = None) -> Frobeniu
     if k_max < 0:
         raise ValueError(f"k_max must be >= 0, got {k_max}")
     heads = {t: (e, tail) for t, e, tail in cert.rows}
-    powers = [p**k for k in range(k_max + 1)]
-    field = PrimeField(p)
     entries = []
-    for g0 in quadratic_generators(params):
-        m1, m2 = (_quadric_support(e) for e in g0.raw_terms())
+    for g in generators_over(params, PrimeField(p)):
+        m1, m2 = (_quadric_support(e) for e in g.raw_terms())
         found = None
-        for k, power in enumerate(powers):
+        power = 1
+        for k in range(k_max + 1):
             if _frobenius_normal_form(heads, m1, power) == _frobenius_normal_form(
                 heads, m2, power
             ):
                 found = k
                 break
-        entries.append((g0.map_field(field), found))
+            power *= p
+        entries.append((g, found))
     return FrobeniusReport(params, k_max, tuple(entries))
 
 
@@ -200,16 +200,13 @@ class PointSetReport:
         return self.count_zero_set == self.count_image
 
 
-def _compiled(binomials, field) -> list:
-    """[(terms, coeffs)] with terms as (position, exponent) lists."""
-    out = []
-    for g in binomials:
-        gm = g.map_field(field) if g.ring.field != field else g
-        compiled = []
-        for e, c in gm.raw_terms().items():
-            compiled.append((c, tuple(mono_support(e))))
-        out.append(compiled)
-    return out
+def _compiled(binomials) -> list:
+    """[(coeff, factors)] per binomial, factors its (position, exponent)
+    pairs; the binomials are over the field of the survey."""
+    return [
+        [(c, tuple(mono_support(e))) for e, c in g.raw_terms().items()]
+        for g in binomials
+    ]
 
 
 def _image_set(params: VeroneseParams, field: PrimeField) -> frozenset:
@@ -387,13 +384,12 @@ def point_survey(
     """Certificate survey; full enumeration fibres over the free (pure)
     coordinates, so budget caps the r^n fibre bases visited (and the r^n
     parameter vectors in image-only mode)."""
-    field = _survey_field(mode, r, budget)
     params = cert.params
     if mode == MODE_IMAGE:
-        return _image_only(params, "certificate", field, budget)
+        return _image_only(params, "certificate", r, budget)
     m = params.cardinality()
     free = cert.free()
-    _check_budget(r, len(free), budget, "fibre bases")
+    field = _survey_field(mode, r, budget, len(free), "fibre bases")
     image = _image_set(params, field)
     count, witness = _fibred_scan(cert.rows, free, r, m, image)
     return PointSetReport(params, r, "certificate", mode, len(image), count, witness)
@@ -409,32 +405,31 @@ def full_ideal_point_survey(
     through F_r^|T| coordinate by coordinate.  budget caps the r^n
     parameter vectors of the image, and separately the nodes the
     propagation visits."""
-    field = _survey_field(mode, r, budget)
     if mode == MODE_IMAGE:
-        return _image_only(params, "ideal", field, budget)
-    _check_budget(r, params.n, budget, "parameter vectors of F_r^n")
+        return _image_only(params, "ideal", r, budget)
+    field = _survey_field(mode, r, budget, params.n, "parameter vectors of F_r^n")
     image = _image_set(params, field)
-    compiled = _compiled(quadratic_generators(params), field)
+    compiled = _compiled(generators_over(params, field))
     count, witness = _propagate(compiled, r, params.cardinality(), image, budget)
     return PointSetReport(params, r, "ideal", mode, len(image), count, witness)
 
 
-def _survey_field(mode: str, r: int, budget: int) -> PrimeField:
+def _survey_field(mode: str, r: int, budget: int, k: int, what: str) -> PrimeField:
+    """F_r for a survey that visits r^k of what.  The mode, the budget
+    and r^k against it are checked before r is tested for primality,
+    which takes seconds for a huge r."""
     if mode not in (MODE_FULL, MODE_IMAGE):
         raise ValueError(f"unknown mode {mode!r}")
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
-    return PrimeField(r)
-
-
-def _check_budget(r: int, k: int, budget: int, what: str) -> None:
-    if r**k > budget:
+    if isinstance(r, int) and r > 1 and r**k > budget:
         raise BudgetExceededError(
             f"{r}^{k} = {r**k} {what} exceeds the enumeration budget {budget}"
         )
+    return PrimeField(r)
 
 
-def _image_only(params, label, field, budget) -> PointSetReport:
-    _check_budget(field.r, params.n, budget, "parameter vectors of F_r^n")
+def _image_only(params, label, r, budget) -> PointSetReport:
+    field = _survey_field(MODE_IMAGE, r, budget, params.n, "parameter vectors of F_r^n")
     image = _image_set(params, field)
-    return PointSetReport(params, field.r, label, MODE_IMAGE, len(image), None, None)
+    return PointSetReport(params, r, label, MODE_IMAGE, len(image), None, None)

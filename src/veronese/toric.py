@@ -73,7 +73,10 @@ def quadratic_generators(
     return tuple(out)
 
 
+@lru_cache(maxsize=None)
 def generators_over(params: VeroneseParams, field, full: bool = False) -> tuple:
+    """quadratic_generators mapped to another coefficient ring, cached
+    per ring, so each generator set is mapped once."""
     return tuple(g.map_field(field) for g in quadratic_generators(params, full))
 
 

@@ -16,6 +16,16 @@ GRID_T36 = [
     if comb(n + p**h - 1, p**h) <= 36
 ]
 
+# every (n, p, h) with |T| <= 600, n = 1 and 2 included; |T| >= n
+GRID_T600 = [
+    (n, p, h)
+    for p in (2, 3, 5, 7, 11, 13)
+    for h in range(1, MAX_Q.bit_length())
+    if p**h <= MAX_Q
+    for n in range(1, 601)
+    if comb(n + p**h - 1, p**h) <= 600
+]
+
 
 def make_params(n: int, p: int, h: int) -> VeroneseParams:
     # n < 3 warns by design; tests that sweep small n silence it

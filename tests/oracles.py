@@ -2,8 +2,8 @@
 expectations.  Everything here is either elementary (minor gcds, brute
 enumeration) or delegates to sympy; nothing imports the package's own
 linear algebra or Groebner code paths beyond data types, except that
-the rebuilt gluing comb reads ``d`` from the package's echelon basis of
-each whole rest, as the comb was first built.
+the rebuilt gluing comb reads ``d`` by ``quotient_order`` from the
+package's echelon basis of each whole rest, as the comb was first built.
 """
 
 from __future__ import annotations
@@ -25,7 +25,7 @@ from veronese.combinatorics import (
     pure_tuple,
 )
 from veronese.fields import PrimeField
-from veronese.lattice import echelon_basis, quotient_order
+from veronese.lattice import echelon_basis
 
 
 def invariant_factors_minor_gcd(rows) -> list:
@@ -323,6 +323,30 @@ def semigroup_member_dfs(gens, target):
     for i in picks:
         counts[i] += 1
     return tuple(counts)
+
+
+def quotient_order(basis, beta) -> int:
+    """Order of beta in Z^n / L, L the lattice with echelon basis basis
+    (as ``echelon_basis`` returns it).
+
+    That is the least d > 0 with d*beta in L, so that L meets Z*beta in
+    Z*(d*beta); it is 0 when beta lies outside the rational span of L.
+    """
+    v = list(beta)
+    d = 1
+    for b in basis:
+        if len(b) != len(v):
+            raise ValueError("ambient dimensions differ")
+        i = next(k for k, x in enumerate(b) if x)
+        if any(v[:i]):
+            return 0
+        f = b[i] // gcd(v[i], b[i])
+        if f > 1:
+            d *= f
+            v = [f * x for x in v]
+        k = v[i] // b[i]
+        v = [x - k * y for x, y in zip(v, b)]
+    return 0 if any(v) else d
 
 
 def glued_comb_rebuilt(gens, p: int, h: int) -> tuple:

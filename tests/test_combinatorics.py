@@ -103,8 +103,10 @@ def test_params_validation():
     with pytest.raises(ValueError, match="exceeds the cap"):
         VeroneseParams(10**100, 2, 4)
     assert VeroneseParams(4, 2, 3).cardinality() == 165
-    with pytest.warns(UserWarning):
+    with pytest.warns(UserWarning) as caught:
         VeroneseParams(2, 2, 1)
+    # the warning points at the line that built the parameters
+    assert [w.filename for w in caught] == [__file__]
 
 
 def test_degenerate_dimensions():

@@ -6,7 +6,7 @@ from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import make_params
+from conftest import GRID_T600, make_params
 from veronese import cli, exponent_vectors, gluing, lattice
 from veronese.gluing import (
     GluingWitness,
@@ -18,7 +18,7 @@ from veronese.gluing import (
     semigroup_member,
     validate_witness,
 )
-from veronese.lattice import echelon_basis, quotient_order
+from veronese.lattice import echelon_basis
 
 
 def _splits(comb):
@@ -32,7 +32,7 @@ def _splits(comb):
 def _check(rest, beta, p, s_cap):
     """check_p_gluing on a plain generator set: d read from a fresh
     echelon basis, fields as wide as the largest target under the cap."""
-    d = quotient_order(echelon_basis(rest.gens), beta)
+    d = oracles.quotient_order(echelon_basis(rest.gens), beta)
     packed = PackedGens(rest.gens, p**s_cap * d * max(beta))
     return check_p_gluing(packed, beta, d, p, s_cap)
 
@@ -299,20 +299,51 @@ def test_completely_glued_partitions_and_free_leaves():
         betas = [beta for beta, _ in comb.peels]
         assert sorted(comb.free.gens + tuple(betas)) == sorted(gens.gens)
         assert len(comb.free.gens) == n
-        # the proved bound: d | q, and s <= h - j for d = p^j
+        # the peel-order lemma: d = q exactly for beta = e_j + (q-1)*e_n,
+        # else 1, and s = 0 exactly when d = q
         for beta, w in comb.peels:
-            i = next(i for i, x in enumerate(beta) if x)
-            d = w.alpha[i] // beta[i]
-            assert params.q % d == 0, (n, p, h, w)
-            j = next(j for j in range(h + 1) if p**j == d)
-            assert w.s <= h - j, (n, p, h, w)
+            d = _order(beta, w)
+            assert d == (params.q if beta[-1] == params.q - 1 else 1), (n, p, h, w)
+            assert (w.s == 0) == (d == params.q), (n, p, h, w)
+
+
+def _order(beta, w) -> int:
+    """The d of a peel, read off its witness alpha = d*beta."""
+    return next(a // x for a, x in zip(w.alpha, beta) if x)
+
+
+def _fold_orders(gens) -> list:
+    """d of every beta modulo L(rest) by the oracle: an echelon basis of
+    each rest, grown backwards from the axes one beta at a time."""
+    axes = [g for g in gens if sum(1 for x in g if x) == 1]
+    betas = [g for g in gens if sum(1 for x in g if x) > 1]
+    basis = echelon_basis(axes)
+    orders = []
+    for beta in reversed(betas):
+        orders.append(oracles.quotient_order(basis, beta))
+        basis = echelon_basis(basis + [beta])
+    return orders[::-1]
+
+
+def test_peel_orders_are_the_closed_form():
+    # the d each peel of the comb carries, against quotient orders over
+    # echelon bases of every rest: the lemma of completely_p_glued, on
+    # every set with |T| <= 600 and on the 990 peels of (45,2,1)
+    assert len(GRID_T600) == 89
+    for n, p, h in GRID_T600 + [(45, 2, 1)]:
+        params = make_params(n, p, h)
+        comb = completely_p_glued(params)
+        got = [_order(beta, w) for beta, w in comb.peels]
+        assert got == _fold_orders(comb.gens.gens), (n, p, h)
+        assert got == [params.q if b[-1] == params.q - 1 else 1 for b, _ in comb.peels]
+        assert all((w.s == 0) == (d == params.q) for (_, w), d in zip(comb.peels, got))
 
 
 @pytest.mark.parametrize("npq", [(4, 2, 3), (3, 2, 4), (5, 3, 1), (3, 5, 1), (12, 2, 1)])
 def test_completely_glued_matches_the_rebuilt_comb(npq):
-    # the backward lattice fold and the packed search give, peel for
-    # peel, the comb built with a fresh echelon basis of every rest and
-    # the tuple search
+    # the closed-form orders and the packed search give, peel for peel,
+    # the comb built with a fresh echelon basis of every rest and the
+    # tuple search
     n, p, h = npq
     params = make_params(n, p, h)
     comb = completely_p_glued(params)

@@ -245,6 +245,14 @@ def test_cli_points_exit_codes(capsys):
             "--set", which, "--mode", "image-only", "--budget", "1",
         )
         assert code == 3
+        # a small bad modulus is a usage error; a huge one is over budget
+        # before its primality is tested, composite or not
+        for r, want in (("4", 2), (str(10**16), 3)):
+            code, _ = run_cli(
+                capsys, "points", "--n", "3", "--p", "2", "--h", "1", "--r", r,
+                "--set", which,
+            )
+            assert code == want
 
 
 def test_cli_ideal_survey_budget_counts_nodes(capsys):

@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from functools import lru_cache
 from itertools import product
 
@@ -11,6 +12,7 @@ from conftest import GRID_T36, make_params
 from veronese import (
     PrimeField,
     build_certificate,
+    fields,
     full_ideal_point_survey,
     index_tuples,
     parametrize,
@@ -21,7 +23,7 @@ from veronese import (
 from veronese.checks import GLUING_PARAMS
 from veronese.combinatorics import exponent_vectors, integer_ring, pure_tuple
 from veronese.groebner import GroebnerBasis, buchberger, reduce
-from veronese.polys import frobenius_power
+from veronese.polys import Poly, frobenius_power
 from veronese.sci import (
     DEFAULT_ENUM_BUDGET,
     MODE_FULL,
@@ -34,6 +36,7 @@ from veronese.sci import (
     _image_set,
     _propagate,
 )
+from veronese.toric import generators_over
 
 
 def certificate_groebner(cert: SciCertificate) -> GroebnerBasis:
@@ -98,6 +101,36 @@ def test_verify_char_p_frozen(params321):
     assert report.success
     assert sorted(report.k_values) == [0, 0, 0, 1, 1, 1]
     assert report.k_max == 4
+
+
+def test_verify_char_p_memory_stays_flat_in_k_max(params321):
+    # every generator succeeds at k <= h, so a cap of 20,000 builds no
+    # power past p^h: the report is the default one, in under 2 MB
+    cert = build_certificate(params321)
+    want = verify_char_p(cert)
+    tracemalloc.start()
+    try:
+        report = verify_char_p(cert, k_max=20_000)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 2 * 2**20
+    assert report.entries == want.entries and report.k_max == 20_000
+
+
+def test_generator_sets_are_mapped_to_a_field_once(monkeypatch, params321):
+    # the F_p generators of the Frobenius check and the F_r ones of the
+    # ideal survey come from one cached map per field
+    verify_char_p(build_certificate(params321))
+    full_ideal_point_survey(params321, 3)
+    calls = []
+    map_field = Poly.map_field
+    monkeypatch.setattr(Poly, "map_field", lambda g, f: calls.append(f) or map_field(g, f))
+    report = verify_char_p(build_certificate(params321))
+    assert full_ideal_point_survey(params321, 3).count_zero_set == 27
+    assert calls == []
+    cached = generators_over(params321, PrimeField(2))
+    assert all(g is c for (g, _), c in zip(report.entries, cached, strict=True))
 
 
 def test_verify_char_p_parameter_sweep():
@@ -331,6 +364,21 @@ def test_budget_guard(params321):
     assert report.count_image == 63
 
 
+def test_budget_is_checked_before_the_primality_test(monkeypatch, params321):
+    # r^3, about 10^48, exceeds the budget: refused without testing r
+    def no_primality_test(m):
+        raise AssertionError(f"primality test of {m}")
+
+    monkeypatch.setattr(fields, "is_prime", no_primality_test)
+    cert = build_certificate(params321)
+    r = 10_000_000_000_000_061
+    for mode in (MODE_FULL, MODE_IMAGE):
+        with pytest.raises(BudgetExceededError, match=f"{r}\\^3"):
+            point_survey(cert, r, mode=mode)
+        with pytest.raises(BudgetExceededError, match=f"{r}\\^3"):
+            full_ideal_point_survey(params321, r, mode=mode)
+
+
 def test_invalid_mode_rejected(params321):
     with pytest.raises(ValueError):
         point_survey(build_certificate(params321), 3, mode="sample")
@@ -348,7 +396,7 @@ def test_negative_budget_rejected(params321, mode):
 
 def _brute(params, binomials, r):
     field = PrimeField(r)
-    compiled = _compiled(binomials, field)
+    compiled = _compiled([g.map_field(field) for g in binomials])
     image = _image_set(params, field)
     return oracles.zero_set_scan(compiled, r, params.cardinality(), image)
 
@@ -396,7 +444,7 @@ def test_ideal_witness_walk_skips_declared_image_points():
             pt for pt in product(range(r), repeat=m)
             if all(g.evaluate(pt) == 0 for g in gens)
         ]
-        compiled = _compiled(gens, field)
+        compiled = _compiled(gens)
         groups = {}
         for pt in zero_set:
             groups.setdefault(pt[:-1], []).append(pt)
@@ -436,7 +484,7 @@ def test_propagation_matches_brute_scan_on_quadric_subsets(case):
     params = make_params(*nph)
     field = PrimeField(r)
     quadrics = quadratic_generators(params)
-    compiled = _compiled([quadrics[i] for i in picked], field)
+    compiled = _compiled([quadrics[i].map_field(field) for i in picked])
     m = params.cardinality()
     image = _image_set(params, field)
     assert _propagate(compiled, r, m, image) == oracles.zero_set_scan(
@@ -451,7 +499,7 @@ def test_propagation_branches_on_one_quadric():
     params = make_params(3, 2, 1)
     field = PrimeField(3)
     (g,) = [g for g in quadratic_generators(params) if g.text() == "-x12^2 + x11*x22"]
-    compiled = _compiled([g], field)
+    compiled = _compiled([g.map_field(field)])
     image = _image_set(params, field)
     count, witness = _propagate(compiled, 3, 6, image)
     assert count == (2 * 3 * 3 + 3 * 3) * 3**2
@@ -550,7 +598,7 @@ def test_fibred_witness_walk_skips_deep_into_fibres():
             pt for pt in product(range(r), repeat=m)
             if all(g.evaluate(pt) == 0 for g in gens)
         ]
-        compiled = _compiled(gens, field)
+        compiled = _compiled(gens)
         rows, free = cert.rows, cert.free()
         fibres = {}
         for pt in zero_set:
