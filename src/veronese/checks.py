@@ -174,7 +174,7 @@ def _gluing():
             rest = rest.without(beta)
             if not validate_witness(rest, SemigroupGens(rest.dim, (beta,)), p, w):
                 return False, f"witness failed revalidation at {(n, p, h)}: {w}"
-            # alpha = d*beta was just recomputed by a fresh SNF; the
+            # alpha = d*beta was just recomputed from scratch; the
             # peel-order lemma: d = q exactly for beta = e_j + (q-1)*e_n,
             # else 1, and s = 0 exactly when d = q
             i = next(i for i, x in enumerate(beta) if x)
@@ -309,11 +309,10 @@ def _jacobian():
     details = []
     for n, p, h, r in ((3, 2, 1, 5), (3, 3, 1, 7)):
         params = _params(n, p, h)
-        gens = quadratic_generators(params)
         m = params.cardinality()
         big_n = m - n
 
-        origin = jacobian_rank(params, gens, (0,) * m, r)
+        origin = jacobian_rank(params, (0,) * m, r)
         if origin.rank != 0:
             return False, f"origin rank {origin.rank} != 0 at {(n, p, h)}"
 
@@ -322,7 +321,7 @@ def _jacobian():
             if not any(u):
                 u[rng.randrange(n)] = 1 + rng.randrange(r - 1)
             w = parametrize(params, u, PrimeField(r))
-            rep = jacobian_rank(params, gens, w, r)
+            rep = jacobian_rank(params, w, r)
             if rep.rank != big_n:
                 return False, f"rank {rep.rank} != N = {big_n} at u = {u}, r = {r}"
             if rep.triangular_ok is not True:

@@ -167,7 +167,7 @@ def _cmd_jacobian(args) -> int:
         w = parametrize(params, u, PrimeField(args.r))
     else:
         w = tuple(_int_list(args.point, params.cardinality()))
-    report = jacobian_rank(params, quadratic_generators(params), w, args.r)
+    report = jacobian_rank(params, w, args.r)
     obj = jsonio.jacobian_obj(report)
     big_n = params.cardinality() - params.n
     lines = [

@@ -22,7 +22,8 @@ from .combinatorics import (
     pure_tuple,
 )
 from .fields import PrimeField
-from .polys import Poly, mono_support
+from .polys import mono_support
+from .toric import quadratic_generators
 
 
 class RootOfUnityError(ValueError):
@@ -70,11 +71,12 @@ class JacobianReport:
     permutation: tuple
 
 
-def jacobian_rank(
-    params: VeroneseParams, generators: Sequence[Poly], w: Sequence[int], r: int
-) -> JacobianReport:
-    """Rank of the Jacobian of generators at w over F_r, plus the
-    diagonal of the proof's triangular submatrix.
+def jacobian_rank(params: VeroneseParams, w: Sequence[int], r: int) -> JacobianReport:
+    """Rank at w over F_r of the Jacobian of ``quadratic_generators``,
+    plus the diagonal of the proof's triangular submatrix.
+
+    The generators are built here, not passed in: the triangular
+    diagonal below is a theorem about that set only.
 
     Pick j with w[(j..j)] nonzero and swap u_1 with u_j (``permutation``).
     For each non-minimal t, the row of F_t = x_(1..1) x_t -
@@ -93,7 +95,8 @@ def jacobian_rank(
         raise ValueError(f"point needs {len(tuples)} coordinates")
     w = tuple(field.normalize(x) for x in w)
 
-    rank = matrix_rank_mod([_jacobian_row(g.raw_terms(), w, r) for g in generators], r)
+    rows = [_jacobian_row(g.raw_terms(), w, r) for g in quadratic_generators(params)]
+    rank = matrix_rank_mod(rows, r)
 
     perm = tuple(range(1, params.n + 1))
     diagonal = {
@@ -133,7 +136,6 @@ class FiberReport:
     params: VeroneseParams
     r: int
     u: tuple
-    image_point: tuple
     fiber: tuple
     orbit: tuple
     roots_of_unity: tuple
@@ -161,6 +163,4 @@ def fiber_check(params: VeroneseParams, r: int, u: Sequence[int]) -> FiberReport
     fiber = tuple(v for v in product(*roots) if parametrize(params, v, field) == w)
     mu = tuple(g for g in range(1, r) if pow(g, q, r) == 1)
     orbit = tuple(sorted({tuple(g * x % r for x in u) for g in mu}))
-    return FiberReport(
-        params, r, u, w, fiber, orbit, mu, set(fiber) == set(orbit)
-    )
+    return FiberReport(params, r, u, fiber, orbit, mu, set(fiber) == set(orbit))

@@ -236,7 +236,8 @@ def check_p_gluing(
 def validate_witness(
     t1: SemigroupGens, t2: SemigroupGens, p: int, w: GluingWitness
 ) -> bool:
-    """Recheck a stored witness from scratch with a fresh SNF pass."""
+    """Recheck a stored witness from scratch: one SNF for the kernel,
+    then an echelon basis of the intersection, which must be Z*alpha."""
     basis = lattice_intersection(t1.matrix(), t2.matrix())
     if len(basis) != 1:
         return False

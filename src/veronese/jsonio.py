@@ -8,7 +8,6 @@ arrays, binomials as {plus, minus, text}.
 from __future__ import annotations
 
 from itertools import compress
-from typing import Optional
 
 from .cohomology import CohomologyTable
 from .combinatorics import (
@@ -114,12 +113,12 @@ def type_star_from_obj(obj: dict) -> TypeStarBinomial:
     return TypeStarBinomial(params, blocks, _ints(sigma, "sigma"))
 
 
-def rewrite_obj(cert: RewriteCertificate, binomial: Optional[Poly] = None) -> dict:
+def rewrite_obj(cert: RewriteCertificate, binomial: Poly) -> dict:
     ring = integer_ring(cert.params)
     return {
         "schema_version": SCHEMA_VERSION,
         "params": params_obj(cert.params),
-        "input": binomial_obj(binomial) if binomial is not None else None,
+        "input": binomial_obj(binomial),
         "steps": [
             {
                 "quadratic": binomial_obj(st.quadratic),

@@ -1,9 +1,11 @@
-"""Exact integer matrix algebra: Smith normal form and lattice bases.
+"""Exact integer lattices: one basis routine and one kernel routine.
 
 Everything is plain Python ints, no floating point anywhere.  Lattices
-are given by integer matrices whose columns generate them.  An integer
-echelon basis (Cohen, GTM 138, section 2.4) gives the rank of a
-generating set without a Smith normal form.
+are given by integer matrices whose columns generate them.  Every
+lattice basis is an integer echelon basis (Cohen, GTM 138, section
+2.4); the Smith normal form is kept only for the integer kernel that
+``lattice_intersection`` needs, so it tracks the column transform v and
+nothing else.
 """
 
 from __future__ import annotations
@@ -61,17 +63,16 @@ class IntMatrix:
 
 @dataclass(frozen=True)
 class SnfResult:
-    """u * a * v = diag(d) with u, v unimodular; d has a divisibility chain.
+    """u * a * v = diag(d) for some unimodular u, which is not kept; d
+    has a divisibility chain.
 
-    u_inv and v_inv are the exact inverses, accumulated during reduction;
-    columns of u_inv scaled by d give a basis of the column lattice.
+    Only v is tracked: a * v = u^-1 * diag(d) vanishes past the rank, so
+    the columns of the unimodular v from index rank on are a basis of
+    the integer kernel of a.
     """
 
     d: tuple
-    u: IntMatrix
     v: IntMatrix
-    u_inv: IntMatrix
-    v_inv: IntMatrix
 
     @property
     def rank(self) -> int:
@@ -81,30 +82,20 @@ class SnfResult:
 def smith_normal_form(a: IntMatrix) -> SnfResult:
     m, n = a.shape
     w = [list(row) for row in a.rows]
-    u = [[int(i == j) for j in range(m)] for i in range(m)]
-    ui = [[int(i == j) for j in range(m)] for i in range(m)]
     v = [[int(i == j) for j in range(n)] for i in range(n)]
-    vi = [[int(i == j) for j in range(n)] for i in range(n)]
 
     def row_swap(i, j):
         w[i], w[j] = w[j], w[i]
-        u[i], u[j] = u[j], u[i]
-        for r in ui:
-            r[i], r[j] = r[j], r[i]
 
     def col_swap(i, j):
         for r in w:
             r[i], r[j] = r[j], r[i]
         for r in v:
             r[i], r[j] = r[j], r[i]
-        vi[i], vi[j] = vi[j], vi[i]
 
     def row_add(i, j, c):
         # row i += c * row j
         w[i] = [x + c * y for x, y in zip(w[i], w[j])]
-        u[i] = [x + c * y for x, y in zip(u[i], u[j])]
-        for r in ui:
-            r[j] -= c * r[i]
 
     def col_add(j, i, c):
         # col j += c * col i
@@ -112,13 +103,6 @@ def smith_normal_form(a: IntMatrix) -> SnfResult:
             r[j] += c * r[i]
         for r in v:
             r[j] += c * r[i]
-        vi[i] = [x - c * y for x, y in zip(vi[i], vi[j])]
-
-    def row_negate(i):
-        w[i] = [-x for x in w[i]]
-        u[i] = [-x for x in u[i]]
-        for r in ui:
-            r[i] = -r[i]
 
     t = 0
     limit = min(m, n)
@@ -157,7 +141,7 @@ def smith_normal_form(a: IntMatrix) -> SnfResult:
                         dirty = True
         # pivot must divide the rest of the block for the chain property
         if w[t][t] < 0:
-            row_negate(t)
+            w[t] = [-x for x in w[t]]
         piv = w[t][t]
         fixed = True
         for i in range(t + 1, m):
@@ -171,39 +155,26 @@ def smith_normal_form(a: IntMatrix) -> SnfResult:
         if fixed:
             t += 1
 
-    d = tuple(w[i][i] for i in range(limit))
-    return SnfResult(d, IntMatrix(u), IntMatrix(v), IntMatrix(ui), IntMatrix(vi))
-
-
-def column_lattice_basis(a: IntMatrix) -> list:
-    """Basis vectors of the lattice spanned by the columns of a."""
-    snf = smith_normal_form(a)
-    return [
-        tuple(x * snf.d[i] for x in snf.u_inv.col(i))
-        for i in range(len(snf.d))
-        if snf.d[i]
-    ]
+    return SnfResult(tuple(w[i][i] for i in range(limit)), IntMatrix(v))
 
 
 def lattice_intersection(a: IntMatrix, b: IntMatrix) -> list:
-    """Basis of (column lattice of a) intersect (column lattice of b)."""
+    """Echelon basis of (column lattice of a) intersect (column lattice
+    of b).
+
+    The kernel of [a | -b] pairs each common vector x = a*y = b*z with
+    (y, z); one SNF gives a kernel basis, and its images under a span
+    the intersection.
+    """
     m, ka = a.shape
-    m2, kb = b.shape
-    if m != m2:
+    if m != b.shape[0]:
         raise ValueError("ambient dimensions differ")
     stacked = IntMatrix(
         [list(ra) + [-x for x in rb] for ra, rb in zip(a.rows, b.rows)]
     )
     snf = smith_normal_form(stacked)
-    total = ka + kb
-    kernel_cols = [snf.v.col(j) for j in range(snf.rank, total)]
-    if not kernel_cols:
-        return []
-    image = [a.times_vec(col[:ka]) for col in kernel_cols]
-    nonzero = [w for w in image if any(w)]
-    if not nonzero:
-        return []
-    return column_lattice_basis(IntMatrix.from_cols(nonzero))
+    kernel = (snf.v.col(j) for j in range(snf.rank, stacked.shape[1]))
+    return echelon_basis(a.times_vec(col[:ka]) for col in kernel)
 
 
 def echelon_basis(cols: Iterable[Sequence[int]]) -> list:

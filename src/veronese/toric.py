@@ -74,10 +74,10 @@ def quadratic_generators(
 
 
 @lru_cache(maxsize=None)
-def generators_over(params: VeroneseParams, field, full: bool = False) -> tuple:
+def generators_over(params: VeroneseParams, field) -> tuple:
     """quadratic_generators mapped to another coefficient ring, cached
     per ring, so each generator set is mapped once."""
-    return tuple(g.map_field(field) for g in quadratic_generators(params, full))
+    return tuple(g.map_field(field) for g in quadratic_generators(params))
 
 
 @dataclass(frozen=True)
@@ -208,11 +208,8 @@ def rewrite(binomial: TypeStarBinomial) -> RewriteCertificate:
         if Counter([cur[k], cur[l]]) != Counter([new_k, new_l]):
             mono_left = ring.exps_of([(cur[k], 1), (cur[l], 1)])
             mono_right = ring.exps_of([(new_k, 1), (new_l, 1)])
-            quad = Poly(ring, {mono_left: 1, mono_right: -1})
-            sgn = 1
-            if mono_right > mono_left:  # store sign-normalized quadratic
-                quad = -quad
-                sgn = -1
+            quad = normalize_sign(Poly(ring, {mono_left: 1, mono_right: -1}))
+            sgn = quad.raw_terms()[mono_left]
             cof = [(b, 1) for i, b in enumerate(cur) if i not in (k, l)]
             cof += [(b, 1) for b in spectators]
             steps.append(RewriteStep(quad, ring.exps_of(cof), sgn))

@@ -40,22 +40,19 @@ def test_matrix_rank_mod_matches_sympy():
 
 
 def test_jacobian_rank_frozen(params321):
-    gens = quadratic_generators(params321)
     f5 = PrimeField(5)
 
-    rep = jacobian_rank(params321, gens, parametrize(params321, (1, 1, 1), f5), 5)
+    rep = jacobian_rank(params321, parametrize(params321, (1, 1, 1), f5), 5)
     assert rep.rank == 3
     assert rep.triangular_ok is True
     assert rep.diagonal_value == 1
     assert rep.permutation == (1, 2, 3)
 
-    origin = jacobian_rank(params321, gens, (0,) * 6, 5)
+    origin = jacobian_rank(params321, (0,) * 6, 5)
     assert origin.rank == 0
     assert origin.triangular_ok is None
 
-    moved = jacobian_rank(
-        params321, gens, parametrize(params321, (0, 1, 1), f5), 5
-    )
+    moved = jacobian_rank(params321, parametrize(params321, (0, 1, 1), f5), 5)
     assert moved.rank == 3
     assert moved.permutation != (1, 2, 3)
     assert moved.triangular_ok is True
@@ -67,7 +64,7 @@ def test_jacobian_rank_matches_sympy(params321):
     tuples = index_tuples(params321)
     for _ in range(20):
         w = tuple(rng.randrange(5) for _ in tuples)
-        rep = jacobian_rank(params321, gens, w, 5)
+        rep = jacobian_rank(params321, w, 5)
         rows = oracles.jacobian_rows_dense(gens, w, 5)
         assert rep.rank == oracles.rank_mod_sympy(rows, 5)
 
@@ -100,7 +97,7 @@ def test_jacobian_rows_match_dense_derivatives(nph):
             # the theorem jacobian_rank reports instead of checking: after
             # the report's relabelling the dense submatrix is triangular,
             # with the chosen pure coordinate on its diagonal
-            rep = jacobian_rank(params, gens, w, r)
+            rep = jacobian_rank(params, w, r)
             assert sorted(rep.permutation) == list(range(1, params.n + 1))
             assert (rep.triangular_ok is None) == (not any(w[i] for i in pure))
             wp = oracles.permuted_point(params, w, rep.permutation)
@@ -118,13 +115,12 @@ def test_jacobian_full_rank_on_cone_points():
     rng = random.Random(59)
     for n, p, h, r in ((3, 2, 1, 5), (3, 3, 1, 7)):
         params = make_params(n, p, h)
-        gens = quadratic_generators(params)
         big_n = params.cardinality() - n
         for _ in range(10):
             u = [rng.randrange(r) for _ in range(n)]
             if not any(u):
                 u[0] = 1
-            rep = jacobian_rank(params, gens, parametrize(params, u, PrimeField(r)), r)
+            rep = jacobian_rank(params, parametrize(params, u, PrimeField(r)), r)
             assert rep.rank == big_n
             assert rep.triangular_ok is True
             assert rep.diagonal_value != 0
@@ -147,7 +143,7 @@ def test_triangular_column_ordering_structural():
 
 def test_jacobian_point_length_validated(params321):
     with pytest.raises(ValueError):
-        jacobian_rank(params321, quadratic_generators(params321), (0, 0), 5)
+        jacobian_rank(params321, (0, 0), 5)
 
 
 def test_fiber_frozen_examples(params321):

@@ -1,5 +1,6 @@
 """Every name a module of the package imports is used in that module,
-and every name a module defines is used somewhere in the package.
+every name a module defines is used somewhere in the package, and every
+field of a package dataclass is read somewhere.
 
 Deleting a code path tends to leave its imports and helpers behind.  An
 import counts as used when the module reads it anywhere or lists it in
@@ -8,7 +9,9 @@ are skipped.  A module-level def, class or assignment counts as used
 when some module of the package reads, imports or exports its name
 outside the definition itself, and so does a method of a module-level
 class when its name is read outside the method; dunder names are
-module and object protocol.
+module and object protocol.  A dataclass field counts as read when the
+package or a benchmark module reads an attribute of its name; see
+``unread_fields``.
 """
 
 import ast
@@ -17,6 +20,7 @@ from pathlib import Path
 import veronese
 
 PACKAGE = Path(veronese.__file__).resolve().parent
+PERFBENCH = PACKAGE.parent.parent / "perfbench"
 
 
 def _exported(tree: ast.Module) -> set:
@@ -226,3 +230,62 @@ def test_package_has_no_dead_definitions():
     sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     dead = dead_definitions(sources)
     assert sorted(dead) == sorted(DEAD_ALLOWED)
+
+
+def _is_dataclass(cls: ast.ClassDef) -> bool:
+    """Decorated with dataclass or dataclass(...), by name or attribute."""
+    for dec in cls.decorator_list:
+        target = dec.func if isinstance(dec, ast.Call) else dec
+        if "dataclass" in (getattr(target, "id", None), getattr(target, "attr", None)):
+            return True
+    return False
+
+
+def unread_fields(sources: dict, readers: list) -> list:
+    """module.Class.field of each annotated field of a module-level
+    dataclass in sources (module -> source text) that no source in
+    readers reads as an attribute.
+
+    Fields are matched by attribute name only, whatever the object: a
+    read of ``x.rank`` anywhere keeps every field called ``rank`` alive.
+    So the guard finds fields nobody reads under any name, not every
+    field its own class's users skip.
+    """
+    read = {
+        node.attr
+        for src in readers for node in ast.walk(ast.parse(src))
+        if isinstance(node, ast.Attribute) and isinstance(node.ctx, ast.Load)
+    }
+    return [
+        f"{mod}.{cls.name}.{stmt.target.id}"
+        for mod, src in sources.items()
+        for cls in ast.parse(src).body
+        if isinstance(cls, ast.ClassDef) and _is_dataclass(cls)
+        for stmt in cls.body
+        if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
+        and stmt.target.id not in read
+    ]
+
+
+def test_guard_sees_an_unread_field():
+    sources = {
+        "a": "from dataclasses import dataclass\n"
+             "@dataclass(frozen=True)\n"
+             "class R:\n    kept: int\n    lost: int\n    stored: int\n"
+             "class Plain:\n    lost: int\n"
+             "def f(r):\n    r.stored = 1\n    return r.kept\n",
+        "b": "import dataclasses\n@dataclasses.dataclass\nclass S:\n    gone: int\n",
+    }
+    # a store is not a read, and a plain class has no fields
+    assert unread_fields(sources, list(sources.values())) == [
+        "a.R.lost", "a.R.stored", "b.S.gone"
+    ]
+    # any object's attribute of the name counts
+    assert unread_fields(sources, ["print(w.kept, x.gone, y.lost, z.stored)"]) == []
+
+
+def test_package_dataclasses_have_no_unread_fields():
+    sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
+    bench = [path.read_text() for path in sorted(PERFBENCH.glob("*.py"))]
+    assert bench
+    assert unread_fields(sources, list(sources.values()) + bench) == []

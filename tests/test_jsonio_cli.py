@@ -121,10 +121,7 @@ def test_report_documents_serialize(params321):
         jsonio.points_obj(full_ideal_point_survey(params321, 2)),
         jsonio.jacobian_obj(
             jacobian_rank(
-                params321,
-                quadratic_generators(params321),
-                parametrize(params321, (1, 2, 3), PrimeField(5)),
-                5,
+                params321, parametrize(params321, (1, 2, 3), PrimeField(5)), 5
             )
         ),
         jsonio.fiber_obj(fiber_check(params321, 5, (1, 2, 3))),
