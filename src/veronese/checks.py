@@ -176,11 +176,13 @@ def _gluing():
                 return False, f"witness failed revalidation at {(n, p, h)}: {w}"
             # alpha = d*beta was just recomputed from scratch; the
             # peel-order lemma: d = q exactly for beta = e_j + (q-1)*e_n,
-            # else 1, and s = 0 exactly when d = q
+            # else 1, and the exponent lemma: s is the least s with
+            # p^s*d*m >= q, m = beta_j, where d*m <= q
             i = next(i for i, x in enumerate(beta) if x)
             d = w.alpha[i] // beta[i]
-            if d != (q if beta[-1] == q - 1 else 1) or (w.s == 0) != (d == q):
-                return False, f"witness outside the peel-order lemma at " \
+            least = q <= p**w.s * w.alpha[i] < p * q
+            if d != (q if beta[-1] == q - 1 else 1) or not least:
+                return False, f"witness outside the peel lemmas at " \
                               f"{(n, p, h)}: {w}"
         # the leaves partition T; a single beta is free, the axes must be
         if sorted(comb.free.gens + tuple(b for b, _ in comb.peels)) != sorted(gens):

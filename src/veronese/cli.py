@@ -63,7 +63,8 @@ def _cmd_enumerate(args) -> int:
 
 def _cmd_generators(args) -> int:
     params = _params_of(args)
-    gens = quadratic_generators(params, full=args.full)
+    # full only when asked, so the cache keys this call like every other
+    gens = quadratic_generators(params, full=True) if args.full else quadratic_generators(params)
     obj = jsonio.generators_obj(params, gens)
     lines = [f"{len(gens)} quadratic generators"] + [
         f"  {g.text()}" for g in gens

@@ -11,9 +11,7 @@ expression; the table is filled by 2-periodicity above degree 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd
-
-from .fields import is_prime
+from math import gcd, isqrt
 
 # highest degree a table is filled to; the orders repeat with period 2,
 # so a longer table says nothing new and only costs memory
@@ -21,12 +19,11 @@ MAX_DEGREE = 1_000
 
 
 def prime_power_split(q: int) -> tuple:
-    """(p, h) with q = p^h; rejects non prime powers."""
+    """(p, h) with q = p^h; rejects non prime powers.  p is the least
+    divisor of q past 1, hence prime, and q itself if none is <= isqrt(q)."""
     if not isinstance(q, int) or q < 2:
         raise ValueError(f"q must be an integer >= 2, got {q!r}")
-    p = next(d for d in range(2, q + 1) if q % d == 0)
-    if not is_prime(p):
-        raise ValueError(f"{q} is not a prime power")
+    p = next((d for d in range(2, isqrt(q) + 1) if q % d == 0), q)
     h = 0
     m = q
     while m % p == 0:
@@ -64,12 +61,10 @@ class CyclicAction:
         return (self.a - 1) % self.q
 
     def norm(self) -> int:
-        total = 0
-        power = 1
-        for _ in range(self.q):
-            total = (total + power) % self.q
-            power = power * self.a % self.q
-        return total
+        """1 + a + ... + a^(q-1) mod q: (a^q - 1)/(a - 1), read modulo
+        q*(a - 1) to stay exact, and q ones, so 0, when a = 1."""
+        m = self.q * (self.a - 1)
+        return (pow(self.a, self.q, m) - 1) % m // (self.a - 1) if m else 0
 
 
 def admissible_multipliers(q: int) -> tuple:

@@ -41,12 +41,12 @@ class VeroneseParams:
             v = getattr(self, name)
             if not isinstance(v, int) or v < 1:
                 raise ValueError(f"{name} must be a positive integer, got {v!r}")
-        if not is_prime(self.p):
-            raise ValueError(f"p={self.p} is not prime")
-        # p^h >= 2^h > MAX_Q once h reaches the cap's bit length, so a
-        # huge h is refused without computing the power
+        # p^h >= 2^h > MAX_Q once h reaches the cap's bit length: a huge
+        # h is refused without the power, a huge p before the prime test
         if self.h >= MAX_Q.bit_length() or self.p**self.h > MAX_Q:
             raise ValueError(f"q = {self.p}^{self.h} exceeds the cap {MAX_Q}")
+        if not is_prime(self.p):
+            raise ValueError(f"p={self.p} is not prime")
         if self.cardinality() > MAX_CARDINALITY:
             raise ValueError(
                 f"|T| = C(n+q-1, q) = {self.cardinality()} exceeds the cap "

@@ -9,19 +9,20 @@ T of a Veronese cone is peeled in one fixed order, every non-axis
 generator in turn, down to the n axes q*e_i; that every such peel is a
 p-gluing is proved, so no other order is ever searched.
 
-The order d of each beta modulo L(rest) is a lemma, not a computation:
-in that order d = q when beta = e_j + (q-1)*e_n and d = 1 otherwise
-(proved in ``completely_p_glued``), so building a comb does no lattice
-work.  Membership runs on T packed once into ints, one field per
-coordinate with a guard bit on top as in the Groebner kernel: a pick is
-one subtraction, valid when every guard survives, and each peel only
-deletes its beta from the packed list.
+The order d of each beta modulo L(rest) and its least exponent s are
+lemmas, not computations: d = q when beta = e_j + (q-1)*e_n, else 1,
+and s is the least with p^s*d*m >= q, m the first nonzero entry of
+beta (proved in ``completely_p_glued``).  So a comb does no lattice
+work and one membership search per peel.  Membership runs on T packed
+once into ints, one field per coordinate with a guard bit on top as in
+the Groebner kernel: a pick is one subtraction, valid when every guard
+survives, and each peel only deletes its beta from the packed list.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Union
+from typing import Optional
 
 from .combinatorics import VeroneseParams, exponent_vectors
 from .lattice import IntMatrix, echelon_basis, lattice_intersection
@@ -196,41 +197,24 @@ class GluingWitness:
     rep2: tuple
 
 
-@dataclass(frozen=True)
-class NoGluing:
-    reason: str
-
-
 def check_p_gluing(
-    rest: PackedGens,
-    beta: tuple,
-    d: int,
-    p: int,
-    s_cap: int,
-) -> Union[GluingWitness, NoGluing]:
-    """Decide whether (rest, {beta}) is a p-gluing of their union.
+    rest: PackedGens, beta: tuple, d: int, p: int, s: int
+) -> Optional[GluingWitness]:
+    """The witness that (rest, {beta}) is a p-gluing at exponent s, or None.
 
     d is the order of beta modulo L(rest), 0 when beta is outside its
     span: L(rest) meets Z*beta in Z*(d*beta), so alpha = d*beta.  Over
     {beta} alone p^s*alpha has the one representation p^s*d; only rest
-    is searched, for the least s.  rest must be packed for targets up
-    to p^s_cap*d*max(beta), or a search that reaches past its fields
-    raises ValueError.
+    is searched, once, at the given s.  rest must be packed for targets
+    up to p^s*d*max(beta), or the search raises ValueError.
     """
     if len(beta) != rest.dim:
         raise ValueError("beta and rest live in different dimensions")
-    if s_cap < 0:
-        raise ValueError(f"s_cap must be >= 0, got {s_cap}")
     if not d:
-        return NoGluing("intersection rank 0 != 1")
+        return None
     alpha = tuple(d * x for x in beta)
-    scaled = alpha
-    for s in range(s_cap + 1):
-        rep1 = rest.member(scaled)
-        if rep1 is not None:
-            return GluingWitness(alpha, s, rep1, (p**s * d,))
-        scaled = tuple(p * x for x in scaled)
-    return NoGluing(f"no admissible s <= {s_cap}")
+    rep1 = rest.member(tuple(p**s * x for x in alpha))
+    return None if rep1 is None else GluingWitness(alpha, s, rep1, (p**s * d,))
 
 
 def validate_witness(
@@ -291,27 +275,42 @@ def completely_p_glued(params: VeroneseParams) -> GluingComb:
       e_l - e_k = ((q-1)*e_k + e_l) - q*e_k is a later tuple minus an
       axis; so d = 1.
 
-    Corollary: s = 0 exactly when d = q.  When d = q, alpha = q*beta
-    lies in N(axes); when d = 1, alpha = beta has degree q, and the only
-    degree-q elements of N(rest) are the generators of rest, which beta
-    is not.  Since q*beta always lies in N(axes), s <= h, so each peel
-    is a p-gluing under the cap h, and the n axes are the free leaf
-    left at the end.  T is packed once, with fields for the largest
-    target any peel may search under the cap, and each peel deletes its
-    beta from it.
+    Lemma: the least s with p^s*alpha in N(rest) is the least s with
+    p^s*d*m >= q.  When d = q, alpha = q*beta is a sum of axes and
+    s = 0.  When d = 1, the witness found at that s is the proof that
+    it suffices (a peel whose search finds none raises RuntimeError);
+    for leastness, write p^s*beta as a sum of p^s generators of rest
+    (all have degree q), each 0 below j, so no axis q*e_i with i < j.
+    A later beta' that is 0 below j has beta'_j <= m, as a tuple with
+    more j's comes earlier.  If q*e_j is not picked, the picks' j-th
+    entries, each at most m, sum to p^s*m, so each is m; past its m j's
+    each pick's tuple is still later than beta's, and the argument
+    repeats at beta's next index until every pick is beta, which is
+    not in rest.  So q*e_j is picked, and p^s*m >= q.
+
+    So each peel is a p-gluing found by one search, s <= h, s = 0
+    exactly when d = q (m < q otherwise), and the n axes are the free
+    leaf left at the end.  T is packed once, with fields for the largest
+    target p^s*d*max(beta) of any peel, and each peel deletes its beta
+    from it.
     """
     p, h, q = params.p, params.h, params.q
     gens = SemigroupGens.of(exponent_vectors(params))
     betas = [g for g in gens.gens if sum(1 for x in g if x) > 1]
     axes = [g for g in gens.gens if sum(1 for x in g if x) == 1]
-    orders = [q if b[-1] == q - 1 else 1 for b in betas]
-    top = p**h * max((d * max(b) for b, d in zip(betas, orders)), default=0)
+    plan = []
+    for beta in betas:
+        d = q if beta[-1] == q - 1 else 1
+        # the least s with p^s*d*m >= q: the number of k < h short of q
+        dm = d * next(x for x in beta if x)
+        plan.append((beta, d, sum(p**k * dm < q for k in range(h))))
+    top = max((p**s * d * max(b) for b, d, s in plan), default=0)
     rest = PackedGens(gens.gens, top)
     peels = []
-    for beta, d in zip(betas, orders):
+    for beta, d, s in plan:
         rest.remove(beta)
-        w = check_p_gluing(rest, beta, d, p, h)
-        if isinstance(w, NoGluing):
-            raise RuntimeError(f"peel of {beta} is no p-gluing: {w.reason}")
+        w = check_p_gluing(rest, beta, d, p, s)
+        if w is None:
+            raise RuntimeError(f"peel of {beta} is no p-gluing at s = {s}")
         peels.append((beta, w))
     return GluingComb(gens, tuple(peels), SemigroupGens(gens.dim, tuple(axes)))

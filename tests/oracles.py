@@ -3,7 +3,9 @@ expectations.  Everything here is either elementary (minor gcds, brute
 enumeration) or delegates to sympy; nothing imports the package's own
 linear algebra or Groebner code paths beyond data types, except that
 the rebuilt gluing comb reads ``d`` by ``quotient_order`` from the
-package's echelon basis of each whole rest, as the comb was first built.
+package's echelon basis of each whole rest, as the comb was first built,
+and ``least_gluing_exponent`` runs the package's packed membership
+search at every exponent, as the comb once did.
 """
 
 from __future__ import annotations
@@ -373,6 +375,18 @@ def glued_comb_rebuilt(gens, p: int, h: int) -> tuple:
     return tuple(peels), tuple(rest)
 
 
+def least_gluing_exponent(rest, alpha, p: int, s_cap: int):
+    """(s, rep1) for the least s <= s_cap with p^s*alpha in N(rest), or
+    None: a packed search at every s from 0, so every s below the least
+    one is refuted.  rest is a ``PackedGens`` with fields wide enough
+    for p^s_cap*alpha."""
+    for s in range(s_cap + 1):
+        rep1 = rest.member(tuple(p**s * x for x in alpha))
+        if rep1 is not None:
+            return s, rep1
+    return None
+
+
 def semigroup_least_picks(gens, target):
     """Least total multiplicity of an N-combination of gens equal to
     target, or None; BFS by number of picks, nonzero nonnegative gens."""
@@ -393,6 +407,15 @@ def semigroup_least_picks(gens, target):
         frontier = nxt
         picks += 1
     return None
+
+
+def cyclic_norm(q: int, a: int) -> int:
+    """1 + a + ... + a^(q-1) mod q, one term at a time."""
+    total, power = 0, 1
+    for _ in range(q):
+        total = (total + power) % q
+        power = power * a % q
+    return total
 
 
 def symmetric_rank_le_one_count(r: int) -> int:

@@ -1,6 +1,9 @@
 from math import gcd
 
 import pytest
+import sympy
+
+import oracles
 
 from veronese import CyclicAction, cohomology_orders
 from veronese.cohomology import (
@@ -16,6 +19,9 @@ def test_prime_power_split():
     assert prime_power_split(8) == (2, 3)
     assert prime_power_split(9) == (3, 2)
     assert prime_power_split(27) == (3, 3)
+    # trial division stops at isqrt(q): a prime q is its own p
+    assert prime_power_split(10_000_019) == (10_000_019, 1)
+    assert prime_power_split(2**40) == (2, 40)
     for bad in (1, 6, 12, 0, -4):
         with pytest.raises(ValueError):
             prime_power_split(bad)
@@ -104,6 +110,18 @@ def test_norm_times_difference_vanishes():
         for a in admissible_multipliers(q):
             act = CyclicAction(q, a)
             assert act.norm() * act.difference() % q == 0
+
+
+def test_norm_matches_the_loop():
+    # the closed form against the sum taken term by term, on every
+    # admissible (q, a) with q <= 1,000
+    pairs = 0
+    for q in range(2, 1001):
+        if len(sympy.primefactors(q)) == 1:
+            for a in admissible_multipliers(q):
+                assert CyclicAction(q, a).norm() == oracles.cyclic_norm(q, a), (q, a)
+                pairs += 1
+    assert pairs == 1395
 
 
 def test_invariant_element():

@@ -8,6 +8,8 @@ from conftest import make_params
 from veronese import (
     PrimeField,
     VeroneseParams,
+    cli,
+    combinatorics,
     exponent_vectors,
     index_tuples,
     parametrize,
@@ -107,6 +109,20 @@ def test_params_validation():
         VeroneseParams(2, 2, 1)
     # the warning points at the line that built the parameters
     assert [w.filename for w in caught] == [__file__]
+
+
+def test_q_cap_is_checked_before_the_primality_test(monkeypatch, capsys):
+    # q = p^1 past the cap is refused without testing p, however large
+    def no_primality_test(m):
+        raise AssertionError(f"primality test of {m}")
+
+    monkeypatch.setattr(combinatorics, "is_prime", no_primality_test)
+    for p in (18, 1_000_000_000_000_000_003):
+        with pytest.raises(ValueError, match=f"q = {p}\\^1 exceeds the cap 16"):
+            VeroneseParams(3, p, 1)
+    code = cli.main(["enumerate", "--n", "3", "--p", "1000000000000000003", "--h", "1"])
+    assert code == 2
+    assert "exceeds the cap" in capsys.readouterr().err
 
 
 def test_degenerate_dimensions():

@@ -10,7 +10,6 @@ from conftest import GRID_T600, make_params
 from veronese import cli, exponent_vectors, gluing, lattice
 from veronese.gluing import (
     GluingWitness,
-    NoGluing,
     PackedGens,
     SemigroupGens,
     check_p_gluing,
@@ -29,12 +28,12 @@ def _splits(comb):
         yield rest, SemigroupGens(rest.dim, (beta,)), w
 
 
-def _check(rest, beta, p, s_cap):
+def _check(rest, beta, p, s):
     """check_p_gluing on a plain generator set: d read from a fresh
-    echelon basis, fields as wide as the largest target under the cap."""
+    echelon basis, fields as wide as the target p^s*d*max(beta)."""
     d = oracles.quotient_order(echelon_basis(rest.gens), beta)
-    packed = PackedGens(rest.gens, p**s_cap * d * max(beta))
-    return check_p_gluing(packed, beta, d, p, s_cap)
+    packed = PackedGens(rest.gens, p**s * d * max(beta))
+    return check_p_gluing(packed, beta, d, p, s)
 
 
 def test_semigroup_gens_validation():
@@ -203,7 +202,7 @@ def test_packed_fields_refuse_a_target_past_the_guard():
 def test_check_p_gluing_frozen_quadratic():
     t1 = SemigroupGens.of([(2, 0), (0, 2)])
     t2 = SemigroupGens.of([(1, 1)])
-    w = _check(t1, (1, 1), 2, 1)
+    w = _check(t1, (1, 1), 2, 0)
     assert isinstance(w, GluingWitness)
     assert w.alpha == (2, 2)
     assert w.s == 0
@@ -224,11 +223,10 @@ def test_check_p_gluing_needs_positive_power():
 
 def test_check_p_gluing_single_generator_outside_span():
     t1 = SemigroupGens.of([(1, 0, 0), (0, 1, 0)])
-    res = _check(t1, (0, 0, 1), 2, 1)
-    assert res == NoGluing("intersection rank 0 != 1")
+    assert _check(t1, (0, 0, 1), 2, 1) is None
     # the quotient order is read in the echelon basis, not by a search
     t1 = SemigroupGens.of([(4, 0), (0, 4)])
-    w = _check(t1, (1, 3), 2, 2)
+    w = _check(t1, (1, 3), 2, 0)
     assert w == GluingWitness((4, 12), 0, (1, 3), (4,))
     assert validate_witness(t1, SemigroupGens.of([(1, 3)]), 2, w)
 
@@ -237,13 +235,10 @@ def test_check_p_gluing_s_cap():
     t1 = SemigroupGens.of(
         [(2, 0, 0), (0, 2, 0), (0, 0, 2), (0, 1, 1), (1, 0, 1)]
     )
-    res = _check(t1, (1, 1, 0), 2, s_cap=0)
-    assert isinstance(res, NoGluing)
-    packed = PackedGens(t1.gens, 2)
-    with pytest.raises(ValueError, match="s_cap"):
-        check_p_gluing(packed, (1, 1, 0), 1, 2, s_cap=-1)
+    # one search, at the s asked for: (1,1,0) is no generator of t1
+    assert _check(t1, (1, 1, 0), 2, 0) is None
     with pytest.raises(ValueError, match="dimensions"):
-        check_p_gluing(packed, (1, 1), 1, 2, 1)
+        check_p_gluing(PackedGens(t1.gens, 2), (1, 1), 1, 2, 1)
 
 
 def test_check_p_gluing_searches_up_to_the_cap():
@@ -255,23 +250,22 @@ def test_check_p_gluing_searches_up_to_the_cap():
     assert w == GluingWitness((1, 1), 3, (1, 1, 1, 1), (8,))
     assert w.rep1 == oracles.semigroup_member_dfs(rest.gens, (8, 8))
     assert validate_witness(rest, SemigroupGens.of([beta]), 2, w)
-    assert _check(rest, beta, 2, 2) == NoGluing("no admissible s <= 2")
+    assert _check(rest, beta, 2, 2) is None
     # fields sized from the wrong bound p^s*d <= 4 cannot hold (8,8):
     # the search raises instead of borrowing across fields
     with pytest.raises(ValueError, match="fit"):
         check_p_gluing(PackedGens(rest.gens, 4), beta, 1, 2, 3)
     # no s at all: N(rest) misses the ray of beta = (0,1), d = 2, and
-    # every s up to the cap is refuted, the last target (0, 2^13) in
-    # fields of 15 bits
+    # the target (0, 2^13) at s = 12 is refuted in fields of 15 bits
     rest = PackedGens([(1, 0), (1, 2)], 2**12 * 2 * 1)
     assert rest.width == 15
-    assert check_p_gluing(rest, (0, 1), 2, 2, 12) == NoGluing("no admissible s <= 12")
+    assert check_p_gluing(rest, (0, 1), 2, 2, 12) is None
 
 
 def test_validate_witness_rejects_tampering():
     t1 = SemigroupGens.of([(2, 0), (0, 2)])
     t2 = SemigroupGens.of([(1, 1)])
-    w = _check(t1, (1, 1), 2, 1)
+    w = _check(t1, (1, 1), 2, 0)
     assert not validate_witness(t1, t2, 2, GluingWitness((2, 0), w.s, w.rep1, w.rep2))
     assert not validate_witness(t1, t2, 2, GluingWitness(w.alpha, w.s + 1, w.rep1, w.rep2))
     assert not validate_witness(t1, t2, 2, GluingWitness(w.alpha, w.s, (9, 9), w.rep2))
@@ -300,16 +294,23 @@ def test_completely_glued_partitions_and_free_leaves():
         assert sorted(comb.free.gens + tuple(betas)) == sorted(gens.gens)
         assert len(comb.free.gens) == n
         # the peel-order lemma: d = q exactly for beta = e_j + (q-1)*e_n,
-        # else 1, and s = 0 exactly when d = q
+        # else 1, and the exponent lemma
         for beta, w in comb.peels:
             d = _order(beta, w)
             assert d == (params.q if beta[-1] == params.q - 1 else 1), (n, p, h, w)
-            assert (w.s == 0) == (d == params.q), (n, p, h, w)
+            assert w.s == _least_exponent(params, w), (n, p, h, w)
 
 
 def _order(beta, w) -> int:
     """The d of a peel, read off its witness alpha = d*beta."""
     return next(a // x for a, x in zip(w.alpha, beta) if x)
+
+
+def _least_exponent(params, w) -> int:
+    """The s of the exponent lemma: the least s with p^s*d*m >= q,
+    d*m the first nonzero entry of alpha = d*beta."""
+    a = next(x for x in w.alpha if x)
+    return next(s for s in range(params.h + 1) if params.p**s * a >= params.q)
 
 
 def _fold_orders(gens) -> list:
@@ -327,16 +328,60 @@ def _fold_orders(gens) -> list:
 
 def test_peel_orders_are_the_closed_form():
     # the d each peel of the comb carries, against quotient orders over
-    # echelon bases of every rest: the lemma of completely_p_glued, on
-    # every set with |T| <= 600 and on the 990 peels of (45,2,1)
+    # echelon bases of every rest, and its s and rep1, against a search
+    # at every s up to h: the lemmas of completely_p_glued, on every set
+    # with |T| <= 600 and on the 990 peels of (45,2,1)
     assert len(GRID_T600) == 89
     for n, p, h in GRID_T600 + [(45, 2, 1)]:
         params = make_params(n, p, h)
+        q = params.q
         comb = completely_p_glued(params)
         got = [_order(beta, w) for beta, w in comb.peels]
         assert got == _fold_orders(comb.gens.gens), (n, p, h)
-        assert got == [params.q if b[-1] == params.q - 1 else 1 for b, _ in comb.peels]
-        assert all((w.s == 0) == (d == params.q) for (_, w), d in zip(comb.peels, got))
+        assert got == [q if b[-1] == q - 1 else 1 for b, _ in comb.peels]
+        # fields for p^h*d*max(beta) <= q*q*(q-1), the largest target
+        # any s <= h may ask for
+        rest = PackedGens(comb.gens.gens, q * q * (q - 1))
+        for beta, w in comb.peels:
+            rest.remove(beta)
+            least = oracles.least_gluing_exponent(rest, w.alpha, p, h)
+            assert least == (w.s, w.rep1), (n, p, h, beta)
+            assert w.s == _least_exponent(params, w), (n, p, h, beta)
+
+
+def test_each_peel_runs_one_search(monkeypatch):
+    # the search runs at the least s only; nothing below it is refuted
+    calls = []
+    member = PackedGens.member
+
+    def spy(self, target):
+        calls.append(target)
+        return member(self, target)
+
+    monkeypatch.setattr(PackedGens, "member", spy)
+    for npq in ((4, 2, 3), (3, 2, 4)):
+        calls.clear()
+        comb = completely_p_glued(make_params(*npq))
+        assert len(calls) == len(comb.peels), npq
+
+
+@pytest.mark.parametrize("npq, size", [((4, 2, 4), 969), ((6, 2, 3), 1287)])
+def test_combs_past_the_grid(npq, size):
+    # every rep1 writes p^s*alpha by vector sums over its rest, at the s
+    # of the exponent lemma
+    params = make_params(*npq)
+    comb = completely_p_glued(params)
+    assert len(comb.gens.gens) == size
+    rest = list(comb.gens.gens)
+    for beta, w in comb.peels:
+        rest.remove(beta)
+        combo = [0] * params.n
+        for c, g in zip(w.rep1, rest):
+            for i, x in enumerate(g):
+                combo[i] += c * x
+        assert combo == [params.p**w.s * a for a in w.alpha], (beta, w)
+        assert w.s == _least_exponent(params, w), (beta, w)
+        assert w.rep2 == (params.p**w.s * _order(beta, w),)
 
 
 @pytest.mark.parametrize("npq", [(4, 2, 3), (3, 2, 4), (5, 3, 1), (3, 5, 1), (12, 2, 1)])
@@ -378,8 +423,8 @@ def test_completely_glued_peels_in_a_loop(capsys):
 
 def test_completely_glued_refuses_a_failed_peel(monkeypatch, params321):
     # a peel that is no p-gluing breaks the proof; no other order is tried
-    monkeypatch.setattr(gluing, "check_p_gluing", lambda *a: NoGluing("forced"))
-    with pytest.raises(RuntimeError, match=r"\(1, 1, 0\).*forced"):
+    monkeypatch.setattr(gluing, "check_p_gluing", lambda *a: None)
+    with pytest.raises(RuntimeError, match=r"\(1, 1, 0\) is no p-gluing at s = 1"):
         completely_p_glued(params321)
 
 

@@ -588,6 +588,31 @@ def test_cli_closed_stdout_exits_quietly(fmt):
     assert proc.stderr == ""
 
 
+def test_generators_and_jacobian_share_one_cache_entry(capsys):
+    # --full reaches quadratic_generators only when given, so the
+    # generators subcommand keys the cache like every other caller
+    quadratic_generators.cache_clear()
+    run_cli(capsys, "generators", "--n", "4", "--p", "2", "--h", "2")
+    run_cli(capsys, "jacobian", "--n", "4", "--p", "2", "--h", "2", "--r", "5",
+            "--u", "1,2,3,4")
+    info = quadratic_generators.cache_info()
+    assert (info.misses, info.currsize) == (1, 1)
+
+
+def test_cli_cohomology_of_a_huge_q_exits_at_once():
+    # q = 2^40: the norm is a modular power and p is found by trial
+    # division up to sqrt(q), so nothing loops q times
+    src = os.path.dirname(os.path.dirname(veronese.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", "from veronese.cli import entry; entry()",
+         "cohomology", "--q", str(2**40), "--a", "1"],
+        env=env, capture_output=True, text=True, timeout=20,
+    )
+    assert proc.returncode == 0, proc.stderr
+    assert f"q = {2**40}, a = 1, invariant p^(h-1) = {2**39}" in proc.stdout
+
+
 def test_cli_refuses_huge_coordinate_sets_at_once():
     # |T| = C(100001, 2) is refused when the parameters are read, before
     # any coordinate is listed
