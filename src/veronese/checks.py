@@ -281,15 +281,19 @@ def _full_ideal_point_counts():
     details = []
     for r in (2, 3, 5):
         report = full_ideal_point_survey(params, r)
-        image, zero_b = report.count_image, report.count_zero_set
+        count, zero_b = report.count_image, report.count_zero_set
         field = PrimeField(r)
         cone = _scaled_cone(params, field)
-        where = f"F_{r}: image = {image}, V(F_{r}) = {len(cone)}, Zero(B) = {zero_b}"
+        image = _image(params, field)
+        where = f"F_{r}: image = {count}, V(F_{r}) = {len(cone)}, Zero(B) = {zero_b}"
         if zero_b != r**n:
             return False, f"{where}; |Zero(B)| != r^n = {r**n}"
         g = gcd(q, r - 1)
-        if image != 1 + (r**n - 1) // g:
+        if count != 1 + (r**n - 1) // g:
             return False, f"{where}; |image| != 1 + (r^n - 1)/{g}"
+        # the survey counts by the fibre lemma: the enumeration checks it
+        if count != len(image):
+            return False, f"{where}; the enumerated image has {len(image)} points"
         gens = generators_over(params, field)
         for pt in sorted(cone):
             if any(b.evaluate(pt) != 0 for b in gens):
@@ -300,7 +304,7 @@ def _full_ideal_point_counts():
             return False, f"{where}; image = V(F_{r}) is {report.counts_equal}, " \
                           f"gcd(q, r - 1) = {g}"
         w = report.witness
-        if not report.counts_equal and (w not in cone or w in _image(params, field)):
+        if not report.counts_equal and (w not in cone or w in image):
             return False, f"{where}; witness {w} not in V(F_{r}) minus the image"
         details.append(where)
     return True, "; ".join(details) + "; image = V iff gcd(q, r - 1) = 1"

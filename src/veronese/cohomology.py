@@ -11,27 +11,41 @@ expression; the table is filled by 2-periodicity above degree 0.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import gcd, isqrt
+from math import gcd, log2
+
+from .fields import is_prime
 
 # highest degree a table is filled to; the orders repeat with period 2,
 # so a longer table says nothing new and only costs memory
 MAX_DEGREE = 1_000
 
 
+def _iroot(m: int, k: int) -> int:
+    """floor(m^(1/k)) for m >= 1, by integer Newton steps from above: a
+    start within 10^-6 of the root, from log2 (exact to far less), when
+    the root fits a float, else the power of two above it."""
+    e = log2(m) / k
+    x = int(2**e * (1 + 1e-6)) + 1 if e < 1000 else 1 << -(-m.bit_length() // k)
+    while True:
+        y = ((k - 1) * x + m // x ** (k - 1)) // k
+        if y >= x:
+            return x
+        x = y
+
+
 def prime_power_split(q: int) -> tuple:
-    """(p, h) with q = p^h; rejects non prime powers.  p is the least
-    divisor of q past 1, hence prime, and q itself if none is <= isqrt(q)."""
+    """(p, h) with q = p^h; rejects non prime powers.  Tries each h
+    from the largest, q's bit length less one, down to 1: p is the
+    integer h-th root of q when its h-th power is q and it is prime.
+    A prime power has one such pair, and q past the primality test's
+    bound raises ValueError unless it is a power of a smaller prime."""
     if not isinstance(q, int) or q < 2:
         raise ValueError(f"q must be an integer >= 2, got {q!r}")
-    p = next((d for d in range(2, isqrt(q) + 1) if q % d == 0), q)
-    h = 0
-    m = q
-    while m % p == 0:
-        m //= p
-        h += 1
-    if m != 1:
-        raise ValueError(f"{q} is not a prime power")
-    return p, h
+    for h in range(q.bit_length() - 1, 0, -1):
+        p = _iroot(q, h)
+        if p**h == q and is_prime(p):
+            return p, h
+    raise ValueError(f"{q} is not a prime power")
 
 
 @dataclass(frozen=True)

@@ -9,17 +9,37 @@ it as it is.  Code that needs a modulus reads ``PrimeField.r``.
 from __future__ import annotations
 
 
+# the first 13 primes: a strong probable prime to all of them is prime
+# below MR_BOUND, the least strong pseudoprime to these bases
+# (Sorenson and Webster, Math. Comp. 2017)
+MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37, 41)
+MR_BOUND = 3_317_044_064_679_887_385_961_981
+
+
 def is_prime(m: int) -> bool:
-    """Trial-division primality test, adequate for desk-scale moduli."""
+    """Deterministic Miller-Rabin test over MR_BASES, exact for
+    m < MR_BOUND; raises ValueError for larger m."""
     if m < 2:
         return False
-    if m % 2 == 0:
-        return m == 2
-    d = 3
-    while d * d <= m:
-        if m % d == 0:
+    if m >= MR_BOUND:
+        raise ValueError(f"{m} is past {MR_BOUND}, the bound of the primality test")
+    for b in MR_BASES:
+        if m % b == 0:
+            return m == b
+    d, s = m - 1, 0
+    while d % 2 == 0:
+        d //= 2
+        s += 1
+    for b in MR_BASES:
+        x = pow(b, d, m)
+        if x == 1 or x == m - 1:
+            continue
+        for _ in range(s - 1):
+            x = x * x % m
+            if x == m - 1:
+                break
+        else:
             return False
-        d += 2
     return True
 
 

@@ -7,14 +7,16 @@ generator has a p-power landing in the certificate ideal; over other
 prime fields point surveys hunt for zero-set points outside the
 parametrized image: the certificate's zero set is counted fibre by fibre
 over the pure coordinates, the quadratic ideal's by a depth-first search
-that solves each quadric for its last coordinate.
+that solves each quadric for its last coordinate.  The image itself is
+never listed: its size is 1 + (r^n - 1)/gcd(q, r - 1) by its mu_q
+fibres, and a point is tested by solving for its preimage.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 from itertools import product
-from math import prod
+from math import gcd, prod
 from typing import Optional
 
 from .combinatorics import (
@@ -209,21 +211,63 @@ def _compiled(binomials) -> list:
     ]
 
 
-def _image_set(params: VeroneseParams, field: PrimeField) -> frozenset:
-    """The image of F_r^n, one parameter u_j at a time: a table row holds
-    x^(a_j) mod r over the exponent vectors a, for each x in F_r, and is
-    multiplied into the products over the parameters before it."""
-    r = field.r
-    tables = [
-        [tuple([pow(x, e, r) for e in col]) for x in range(r)]
-        for col in zip(*exponent_vectors(params))
-    ]
-    points = [(1,) * params.cardinality()]
-    for rows in tables:
-        points = (
-            tuple([a * b % r for a, b in zip(w, t)]) for w, t in product(points, rows)
-        )
-    return frozenset(points)
+class _Image:
+    """The image nu_q(F_r^n), counted and tested without listing it.
+
+    Lemma: the fibre of u != 0 is mu_q(F_r)*u.  Coordinate j..j of
+    nu_q(u) is u_j^q and coordinate (q-1)e_i + e_j is u_i^(q-1)*u_j, so
+    nu_q(v) = nu_q(u) gives v_j^q = u_j^q, hence equal supports, and at
+    an i with u_i != 0, zeta = v_i/u_i has zeta^q = 1 and
+    v_j = u_i^(q-1)*u_j / v_i^(q-1) = zeta^(1-q)*u_j = zeta*u_j.  As
+    F_r^* is cyclic of order r - 1, |mu_q(F_r)| = gcd(q, r - 1), and the
+    fibre of 0 is {0}: the image has 1 + (r^n - 1)/gcd(q, r - 1) points.
+
+    Membership solves for the preimage.  Let j0 be the least j whose
+    pure coordinate y = pt[j..j] is nonzero; with none, pt is in the
+    image only if it is 0.  A preimage u has u_j0 = lam with lam^q = y,
+    so y must be a q-th power, that is y^((r-1)/gcd(q, r-1)) = 1, and
+    u_j = pt[(q-1)e_j0 + e_j]/lam^(q-1) = lam*w_j with
+    w_j = pt[(q-1)e_j0 + e_j]/y.  Then nu_q(u) = lam^q*nu_q(w) =
+    y*nu_q(w) for every root lam, so pt is in the image exactly when y
+    is a q-th power and pt = y*nu_q(w); the re-evaluation is the proof.
+    """
+
+    __slots__ = ("r", "count", "_power", "_rows", "_supports")
+
+    def __init__(self, params: VeroneseParams, field: PrimeField):
+        r, q, n = field.r, params.q, params.n
+        g = gcd(q, r - 1)
+        self.r = r
+        self.count = 1 + (r**n - 1) // g
+        self._power = (r - 1) // g
+        ring = integer_ring(params)
+        # _rows[i][j]: position of (q-1)e_i + e_j, the pure one at j = i
+        self._rows = [
+            [ring.position(tuple(sorted((i,) * (q - 1) + (j,)))) for j in range(1, n + 1)]
+            for i in range(1, n + 1)
+        ]
+        self._supports = [mono_support(a) for a in exponent_vectors(params)]
+
+    def __contains__(self, pt) -> bool:
+        r = self.r
+        for i, row in enumerate(self._rows):
+            y = pt[row[i]]
+            if y:
+                break
+        else:
+            return not any(pt)
+        if pow(y, self._power, r) != 1:
+            return False
+        inv = pow(y, r - 2, r)
+        w = [pt[t] * inv % r for t in row]
+        # pt = y*nu_q(w), coordinate by coordinate over each support
+        for x, support in zip(pt, self._supports):
+            v = y
+            for j, e in support:
+                v = v * pow(w[j], e, r) % r
+            if v != x:
+                return False
+        return True
 
 
 def _roots(exponents, r: int) -> dict:
@@ -237,7 +281,7 @@ def _roots(exponents, r: int) -> dict:
     return roots
 
 
-def _propagate(compiled, r: int, m: int, image: frozenset,
+def _propagate(compiled, r: int, m: int, image,
                budget: int = DEFAULT_ENUM_BUDGET):
     """Count the zero set of binomials in F_r^m and find its lex-first
     point off the image, by depth-first search over the positions.
@@ -333,7 +377,7 @@ def _propagate(compiled, r: int, m: int, image: frozenset,
     return count, witness
 
 
-def _fibred_scan(rows, free, r: int, m: int, image: frozenset):
+def _fibred_scan(rows, free, r: int, m: int, image):
     """Zero-set count and lex-first point off the image, for a
     triangular system.
 
@@ -381,18 +425,19 @@ def point_survey(
     mode: str = MODE_FULL,
     budget: int = DEFAULT_ENUM_BUDGET,
 ) -> PointSetReport:
-    """Certificate survey; full enumeration fibres over the free (pure)
-    coordinates, so budget caps the r^n fibre bases visited (and the r^n
-    parameter vectors in image-only mode)."""
+    """Certificate survey.  The image is counted by the fibre lemma of
+    _Image and never listed; full enumeration fibres the zero set over
+    the free (pure) coordinates, so budget caps the r^n fibre bases
+    visited (and bounds r^n in image-only mode, as a size limit)."""
     params = cert.params
     if mode == MODE_IMAGE:
         return _image_only(params, "certificate", r, budget)
     m = params.cardinality()
     free = cert.free()
     field = _survey_field(mode, r, budget, len(free), "fibre bases")
-    image = _image_set(params, field)
+    image = _Image(params, field)
     count, witness = _fibred_scan(cert.rows, free, r, m, image)
-    return PointSetReport(params, r, "certificate", mode, len(image), count, witness)
+    return PointSetReport(params, r, "certificate", mode, image.count, count, witness)
 
 
 def full_ideal_point_survey(
@@ -401,23 +446,24 @@ def full_ideal_point_survey(
     mode: str = MODE_FULL,
     budget: int = DEFAULT_ENUM_BUDGET,
 ) -> PointSetReport:
-    """Survey of the quadratic ideal B; full enumeration propagates
-    through F_r^|T| coordinate by coordinate.  budget caps the r^n
-    parameter vectors of the image, and separately the nodes the
-    propagation visits."""
+    """Survey of the quadratic ideal B.  The image is counted by the
+    fibre lemma of _Image and never listed; full enumeration propagates
+    through F_r^|T| coordinate by coordinate.  budget bounds r^n, as a
+    size limit on F_r^n, and separately caps the nodes the propagation
+    visits."""
     if mode == MODE_IMAGE:
         return _image_only(params, "ideal", r, budget)
     field = _survey_field(mode, r, budget, params.n, "parameter vectors of F_r^n")
-    image = _image_set(params, field)
+    image = _Image(params, field)
     compiled = _compiled(generators_over(params, field))
     count, witness = _propagate(compiled, r, params.cardinality(), image, budget)
-    return PointSetReport(params, r, "ideal", mode, len(image), count, witness)
+    return PointSetReport(params, r, "ideal", mode, image.count, count, witness)
 
 
 def _survey_field(mode: str, r: int, budget: int, k: int, what: str) -> PrimeField:
     """F_r for a survey that visits r^k of what.  The mode, the budget
-    and r^k against it are checked before r is tested for primality,
-    which takes seconds for a huge r."""
+    and r^k against it are checked before r is tested for primality, so
+    a huge r is refused as over budget whether or not the test decides it."""
     if mode not in (MODE_FULL, MODE_IMAGE):
         raise ValueError(f"unknown mode {mode!r}")
     if budget < 0:
@@ -431,5 +477,5 @@ def _survey_field(mode: str, r: int, budget: int, k: int, what: str) -> PrimeFie
 
 def _image_only(params, label, r, budget) -> PointSetReport:
     field = _survey_field(MODE_IMAGE, r, budget, params.n, "parameter vectors of F_r^n")
-    image = _image_set(params, field)
-    return PointSetReport(params, r, label, MODE_IMAGE, len(image), None, None)
+    count = _Image(params, field).count
+    return PointSetReport(params, r, label, MODE_IMAGE, count, None, None)

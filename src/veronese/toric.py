@@ -20,6 +20,7 @@ from .combinatorics import (
     exponent_of,
     exponent_vectors,
     integer_ring,
+    polynomial_ring,
 )
 from .polys import Exponents, Poly, PolyRing, pair_exponents
 
@@ -76,8 +77,15 @@ def quadratic_generators(
 @lru_cache(maxsize=None)
 def generators_over(params: VeroneseParams, field) -> tuple:
     """quadratic_generators mapped to another coefficient ring, cached
-    per ring, so each generator set is mapped once."""
-    return tuple(g.map_field(field) for g in quadratic_generators(params))
+    per ring, so each generator set is mapped once, onto the one
+    polynomial_ring(params, field).  Coefficients are +1 and -1, which
+    no coefficient ring sends to 0."""
+    ring = polynomial_ring(params, field)
+    norm = field.normalize
+    return tuple(
+        Poly(ring, {e: norm(c) for e, c in g.raw_terms().items()})
+        for g in quadratic_generators(params)
+    )
 
 
 @dataclass(frozen=True)

@@ -490,6 +490,24 @@ def triangular_rows(binomials) -> tuple:
     return tuple(sorted(rows))
 
 
+def image_set(params, field: PrimeField) -> frozenset:
+    """The image of F_r^n, listed one parameter u_j at a time: a table
+    row holds x^(a_j) mod r over the exponent vectors a, for each x in
+    F_r, and is multiplied into the products over the parameters before
+    it."""
+    r = field.r
+    tables = [
+        [tuple([pow(x, e, r) for e in col]) for x in range(r)]
+        for col in zip(*exponent_vectors(params))
+    ]
+    points = [(1,) * len(exponent_vectors(params))]
+    for rows in tables:
+        points = (
+            tuple([a * b % r for a, b in zip(w, t)]) for w, t in product(points, rows)
+        )
+    return frozenset(points)
+
+
 def zero_set_scan(compiled, r: int, m: int, image) -> tuple:
     """Count the zero-set points of F_r^m and find the lex-first one off
     the image, by evaluating every point.  ``compiled`` lists each

@@ -19,12 +19,29 @@ def test_prime_power_split():
     assert prime_power_split(8) == (2, 3)
     assert prime_power_split(9) == (3, 2)
     assert prime_power_split(27) == (3, 3)
-    # trial division stops at isqrt(q): a prime q is its own p
+    # p is the integer h-th root of q, tested by Miller-Rabin, so a large
+    # prime q, or a power of one, answers at once
     assert prime_power_split(10_000_019) == (10_000_019, 1)
     assert prime_power_split(2**40) == (2, 40)
-    for bad in (1, 6, 12, 0, -4):
+    assert prime_power_split(10**18 + 3) == (10**18 + 3, 1)
+    assert prime_power_split((10**9 + 7) ** 2) == (10**9 + 7, 2)
+    assert prime_power_split(3**500) == (3, 500)
+    for bad in (1, 6, 12, 0, -4, 2**40 * 3, (10**9 + 7) * (10**9 + 9), 10**18 + 1):
         with pytest.raises(ValueError):
             prime_power_split(bad)
+    # past the primality test's bound, only a power of a smaller prime answers
+    with pytest.raises(ValueError, match="bound of the primality test"):
+        prime_power_split(2**89 - 1)
+
+
+def test_prime_power_split_matches_sympy():
+    for q in range(2, 5000):
+        factors = sympy.factorint(q)
+        if len(factors) == 1:
+            assert prime_power_split(q) == next(iter(factors.items())), q
+        else:
+            with pytest.raises(ValueError, match="not a prime power"):
+                prime_power_split(q)
 
 
 def test_admissible_multipliers_frozen():

@@ -600,8 +600,8 @@ def test_generators_and_jacobian_share_one_cache_entry(capsys):
 
 
 def test_cli_cohomology_of_a_huge_q_exits_at_once():
-    # q = 2^40: the norm is a modular power and p is found by trial
-    # division up to sqrt(q), so nothing loops q times
+    # q = 2^40: the norm is a modular power and p is an integer root of
+    # q, so nothing loops q times
     src = os.path.dirname(os.path.dirname(veronese.__file__))
     env = dict(os.environ, PYTHONPATH=src)
     proc = subprocess.run(
@@ -611,6 +611,25 @@ def test_cli_cohomology_of_a_huge_q_exits_at_once():
     )
     assert proc.returncode == 0, proc.stderr
     assert f"q = {2**40}, a = 1, invariant p^(h-1) = {2**39}" in proc.stdout
+
+
+@pytest.mark.parametrize("q,code", [(10**18 + 3, 0), (2**89 - 1, 2)])
+def test_cli_cohomology_of_a_large_prime_q_exits_at_once(q, code):
+    # Miller-Rabin decides a prime q below its bound at once and refuses
+    # one past it; no divisor is tried up to sqrt(q)
+    src = os.path.dirname(os.path.dirname(veronese.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", "from veronese.cli import entry; entry()",
+         "cohomology", "--q", str(q), "--a", "1"],
+        env=env, capture_output=True, text=True, timeout=20,
+    )
+    assert proc.returncode == code, proc.stderr
+    if code:
+        assert proc.stdout == ""
+        assert "bound of the primality test" in proc.stderr
+    else:
+        assert f"q = {q}, a = 1, invariant p^(h-1) = 1" in proc.stdout
 
 
 def test_cli_refuses_huge_coordinate_sets_at_once():

@@ -1,9 +1,10 @@
 import random
 
 import pytest
+import sympy
 
 import oracles
-from veronese.fields import ZZ, PrimeField, is_prime
+from veronese.fields import MR_BOUND, ZZ, PrimeField, is_prime
 from veronese.polys import PolyRing, frobenius_power, mono_support, variable_name
 
 VARS = ((1, 1), (1, 2), (1, 3), (2, 2), (2, 3), (3, 3))
@@ -31,6 +32,26 @@ def test_is_prime_small():
         2, 3, 5, 7, 11, 13, 17, 19, 23, 29,
     ]
     assert not is_prime(1) and not is_prime(0) and not is_prime(-7)
+
+
+def test_is_prime_matches_sympy():
+    # every m below 10^5, the least strong pseudoprimes to the first k
+    # prime bases for k up to 12, and random m up to the test's bound
+    assert all(is_prime(m) == sympy.isprime(m) for m in range(-3, 10**5))
+    for m in (2047, 1373653, 25326001, 3215031751, 2152302898747,
+              3474749660383, 341550071728321, 3825123056546413051,
+              318665857834031151167461):
+        assert not is_prime(m), m
+    rng = random.Random(5)
+    for bits in range(17, MR_BOUND.bit_length()):
+        for _ in range(20):
+            m = rng.getrandbits(bits) | 1
+            if m < MR_BOUND:
+                assert is_prime(m) == sympy.isprime(m), m
+    assert is_prime(2**61 - 1) and is_prime(10**18 + 3)
+    assert MR_BOUND == 3_317_044_064_679_887_385_961_981
+    with pytest.raises(ValueError, match="bound of the primality test"):
+        is_prime(MR_BOUND)
 
 
 def test_prime_field_ops():

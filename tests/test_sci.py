@@ -2,13 +2,14 @@ import random
 import tracemalloc
 from functools import lru_cache
 from itertools import product
+from math import gcd
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import GRID_T36, make_params
+from conftest import GRID_T36, GRID_T600, make_params
 from veronese import (
     PrimeField,
     build_certificate,
@@ -33,7 +34,7 @@ from veronese.sci import (
     _compiled,
     _fibred_scan,
     _frobenius_normal_form,
-    _image_set,
+    _Image,
     _propagate,
 )
 from veronese.toric import generators_over
@@ -350,12 +351,14 @@ def test_image_only_mode(params321):
 def test_budget_guard(params321):
     with pytest.raises(BudgetExceededError):
         point_survey(build_certificate(params321), 5, budget=100)
-    # image-only only enumerates r^n points, so it stays under the same cap
+    # image-only counts the image by its fibres, and r^n stays capped as
+    # a size limit on F_r^n
     report = point_survey(
         build_certificate(params321), 5, mode=MODE_IMAGE, budget=200
     )
     assert report.count_image == 63
-    # image-only visits the r^n parameter vectors, and the budget caps those
+    # the budget bounds the r^n parameter vectors of F_r^n, which no
+    # survey lists
     with pytest.raises(BudgetExceededError, match=r"5\^3 = 125 parameter vectors"):
         point_survey(build_certificate(params321), 5, mode=MODE_IMAGE, budget=124)
     with pytest.raises(BudgetExceededError, match=r"5\^3 = 125 parameter vectors"):
@@ -395,10 +398,16 @@ def test_negative_budget_rejected(params321, mode):
 
 
 def _brute(params, binomials, r):
+    """(count_image, count_zero_set, witness) from the enumerated image
+    and a scan of F_r^|T|."""
     field = PrimeField(r)
     compiled = _compiled([g.map_field(field) for g in binomials])
-    image = _image_set(params, field)
-    return oracles.zero_set_scan(compiled, r, params.cardinality(), image)
+    image = oracles.image_set(params, field)
+    return (len(image),) + oracles.zero_set_scan(compiled, r, params.cardinality(), image)
+
+
+def _triple(report):
+    return report.count_image, report.count_zero_set, report.witness
 
 
 # every case of the grid with r^|T| <= 4 * 10^5
@@ -415,19 +424,101 @@ def test_fibred_survey_matches_brute_scan(nph, r):
     params = make_params(*nph)
     assert r ** params.cardinality() <= 4 * 10**5
     cert = build_certificate(params)
-    report = point_survey(cert, r)
-    assert (report.count_zero_set, report.witness) == _brute(
-        params, cert.binomials, r
-    )
+    assert _triple(point_survey(cert, r)) == _brute(params, cert.binomials, r)
 
 
 @pytest.mark.parametrize("nph,r", SURVEY_GRID)
 def test_ideal_propagation_matches_brute_scan(nph, r):
     params = make_params(*nph)
     report = full_ideal_point_survey(params, r)
-    assert (report.count_zero_set, report.witness) == _brute(
-        params, quadratic_generators(params), r
-    )
+    assert _triple(report) == _brute(params, quadratic_generators(params), r)
+
+
+# every (n, p, h) with |T| <= 36, n = 1 and n = 2 among them, and every
+# prime r <= 13 with r^n <= 2 * 10^4
+IMAGE_GRID = [
+    (nph, r)
+    for nph in GRID_T600
+    if make_params(*nph).cardinality() <= 36
+    for r in (2, 3, 5, 7, 11, 13)
+    if r ** nph[0] <= 2 * 10**4
+]
+
+
+def _grid_id(case) -> str:
+    (n, p, h), r = case
+    return f"{n}{p}{h}-{r}"
+
+
+def test_image_grid_covers_both_fibre_sizes():
+    assert {n for (n, _, _), _ in IMAGE_GRID} >= {1, 2}
+    sizes = {gcd(p**h, r - 1) for (_, p, h), r in IMAGE_GRID}
+    assert 1 in sizes and max(sizes) > 1
+
+
+@pytest.mark.parametrize("case", IMAGE_GRID, ids=_grid_id)
+def test_image_count_and_membership_match_the_enumeration(case):
+    # every point of F_r^|T| when there are at most 2 * 10^5; else 500
+    # random points, 500 image points and 500 image points with one
+    # coordinate changed
+    nph, r = case
+    params = make_params(*nph)
+    field = PrimeField(r)
+    image = _Image(params, field)
+    want = oracles.image_set(params, field)
+    assert image.count == len(want)
+    m = params.cardinality()
+    if r**m <= 2 * 10**5:
+        points = product(range(r), repeat=m)
+    else:
+        rng = random.Random(_grid_id(case))
+        members = rng.sample(sorted(want), min(500, len(want)))
+        points = [tuple(rng.randrange(r) for _ in range(m)) for _ in range(500)]
+        points += members
+        for pt in members:
+            i = rng.randrange(m)
+            points.append(pt[:i] + ((pt[i] + rng.randrange(1, r)) % r,) + pt[i + 1:])
+    for pt in points:
+        assert (pt in image) == (pt in want), pt
+
+
+def test_image_rejects_hand_built_points(params321):
+    # positions x11 x12 x13 x22 x23 x33; over F_5 the squares are 1 and 4
+    field = PrimeField(5)
+    image = _Image(params321, field)
+    want = oracles.image_set(params321, field)
+    member = parametrize(params321, (1, 2, 3), field)
+    assert member == (1, 2, 3, 4, 1, 4) and member in image
+    outside = [
+        # every pure coordinate 0, a mixed one not
+        (0, 0, 0, 0, 3, 0),
+        # x11 = 0 with x12 != 0: the preimage read from x22 has u_1 = 1
+        (0, 1, 0, 1, 0, 0),
+        # x11 = 2 is no square: 2 * nu(1, 0, 0) is in the cone, not the image
+        (2, 0, 0, 0, 0, 0),
+        # the pure coordinates and the row of x11 agree with nu(1, 2, 3),
+        # x23 does not: only the re-evaluation sees it
+        (1, 2, 3, 4, 2, 4),
+    ]
+    for pt in outside:
+        assert pt not in want
+        assert pt not in image, pt
+    assert (0,) * 6 in image
+
+
+@pytest.mark.parametrize(
+    "case", [c for c in IMAGE_GRID if c not in SURVEY_GRID
+             and c[1] ** make_params(*c[0]).cardinality() <= 2 * 10**5],
+    ids=_grid_id,
+)
+def test_surveys_match_the_oracles_on_the_image_grid(case):
+    # SURVEY_GRID holds the other cases with r^|T| <= 2 * 10^5
+    nph, r = case
+    params = make_params(*nph)
+    cert = build_certificate(params)
+    assert _triple(point_survey(cert, r)) == _brute(params, cert.binomials, r)
+    report = full_ideal_point_survey(params, r)
+    assert _triple(report) == _brute(params, quadratic_generators(params), r)
 
 
 def test_ideal_witness_walk_skips_declared_image_points():
@@ -486,7 +577,7 @@ def test_propagation_matches_brute_scan_on_quadric_subsets(case):
     quadrics = quadratic_generators(params)
     compiled = _compiled([quadrics[i].map_field(field) for i in picked])
     m = params.cardinality()
-    image = _image_set(params, field)
+    image = oracles.image_set(params, field)
     assert _propagate(compiled, r, m, image) == oracles.zero_set_scan(
         compiled, r, m, image
     )
@@ -500,7 +591,7 @@ def test_propagation_branches_on_one_quadric():
     field = PrimeField(3)
     (g,) = [g for g in quadratic_generators(params) if g.text() == "-x12^2 + x11*x22"]
     compiled = _compiled([g.map_field(field)])
-    image = _image_set(params, field)
+    image = oracles.image_set(params, field)
     count, witness = _propagate(compiled, 3, 6, image)
     assert count == (2 * 3 * 3 + 3 * 3) * 3**2
     assert (count, witness) == oracles.zero_set_scan(compiled, 3, 6, image)
@@ -549,7 +640,7 @@ def test_image_satisfies_certificate_and_quadrics(nph, r):
     field = PrimeField(r)
     gens = build_certificate(params).binomials + quadratic_generators(params)
     gens = [g.map_field(field) for g in gens]
-    for pt in _image_set(params, field):
+    for pt in oracles.image_set(params, field):
         assert all(g.evaluate(pt) == 0 for g in gens), pt
 
 
@@ -557,7 +648,7 @@ def test_image_satisfies_certificate_and_quadrics(nph, r):
 def test_image_set_matches_parametrize(nph, r):
     params = make_params(*nph)
     field = PrimeField(r)
-    assert _image_set(params, field) == {
+    assert oracles.image_set(params, field) == {
         parametrize(params, v, field) for v in product(range(r), repeat=params.n)
     }
 
@@ -577,10 +668,7 @@ def test_fibred_survey_matches_brute_scan_on_other_tails():
                 xs = [rng.randrange(3) for _ in pures]
                 rows.append((t, e, tuple((i, x) for i, x in zip(pures, xs) if x)))
             other = SciCertificate(params, tuple(rows))
-            report = point_survey(other, r)
-            assert (report.count_zero_set, report.witness) == _brute(
-                params, other.binomials, r
-            )
+            assert _triple(point_survey(other, r)) == _brute(params, other.binomials, r)
 
 
 def test_fibred_witness_walk_skips_deep_into_fibres():
@@ -689,7 +777,7 @@ def test_budget_names_the_count(params321):
     with pytest.raises(BudgetExceededError, match=r"5\^3 = 125 fibre bases"):
         point_survey(build_certificate(params321), 5, budget=124)
     # the ideal survey charges the nodes its propagation visits, 429 here,
-    # and the r^n parameter vectors of the image
+    # and bounds the r^n parameter vectors of F_r^n
     with pytest.raises(BudgetExceededError, match=r"F_5\^6 visits more than 428 nodes"):
         full_ideal_point_survey(params321, 5, budget=428)
     assert full_ideal_point_survey(params321, 5, budget=429).count_zero_set == 125
