@@ -13,7 +13,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from math import gcd, log2
 
-from .fields import is_prime
+from .fields import MR_BASES, is_prime
 
 # highest degree a table is filled to; the orders repeat with period 2,
 # so a longer table says nothing new and only costs memory
@@ -34,14 +34,23 @@ def _iroot(m: int, k: int) -> int:
 
 
 def prime_power_split(q: int) -> tuple:
-    """(p, h) with q = p^h; rejects non prime powers.  Tries each h
-    from the largest, q's bit length less one, down to 1: p is the
-    integer h-th root of q when its h-th power is q and it is prime.
-    A prime power has one such pair, and q past the primality test's
-    bound raises ValueError unless it is a power of a smaller prime."""
+    """(p, h) with q = p^h; rejects non prime powers.  When a base b of
+    the primality test divides q, q is a prime power only as a power of
+    b.  Otherwise every prime factor of q is at least 43, the least
+    prime past the bases, so h is at most log_43(q): each h from there
+    down to 1 is tried, and p is the integer h-th root of q when its
+    h-th power is q and it is prime.  A prime power has one such pair,
+    and q past the primality test's bound raises ValueError unless it
+    is a power of a smaller prime."""
     if not isinstance(q, int) or q < 2:
         raise ValueError(f"q must be an integer >= 2, got {q!r}")
-    for h in range(q.bit_length() - 1, 0, -1):
+    for b in MR_BASES:
+        if q % b == 0:
+            h = round(log2(q) / log2(b))
+            if b**h == q:
+                return b, h
+            raise ValueError(f"{q} is not a prime power")
+    for h in range(int(q.bit_length() / log2(43)), 0, -1):
         p = _iroot(q, h)
         if p**h == q and is_prime(p):
             return p, h

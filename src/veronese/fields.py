@@ -18,14 +18,15 @@ MR_BOUND = 3_317_044_064_679_887_385_961_981
 
 def is_prime(m: int) -> bool:
     """Deterministic Miller-Rabin test over MR_BASES, exact for
-    m < MR_BOUND; raises ValueError for larger m."""
+    m < MR_BOUND.  A multiple of a base is decided by trial division at
+    any size; any other m >= MR_BOUND raises ValueError."""
     if m < 2:
         return False
-    if m >= MR_BOUND:
-        raise ValueError(f"{m} is past {MR_BOUND}, the bound of the primality test")
     for b in MR_BASES:
         if m % b == 0:
             return m == b
+    if m >= MR_BOUND:
+        raise ValueError(f"{m} is past {MR_BOUND}, the bound of the primality test")
     d, s = m - 1, 0
     while d % 2 == 0:
         d //= 2

@@ -16,16 +16,20 @@ dense exponent tuples.  A total degree above ``MAX_DEGREE`` raises
 ``ValueError``, both for an input term and for an S-pair whose lcm would
 pass it.
 
-Tuned for the binomial ideals that arise here: reducer lookup is indexed
-by leading-monomial support, pairs with coprime leading terms are never
-queued, an installed element queues only its first partner of each
-distinct lcm (Gebauer-Moeller criterion F; Gebauer and Moeller, "On an
-installation of Buchberger's algorithm", J. Symb. Comput. 1988), and
-the pair queue is capped so runaway inputs fail loudly.  S-polynomials
-and ``reduce``'s argument are reduced term by term from a cache of
-monomial normal forms; ``buchberger`` keeps one cache per run and clears
-it whenever a reducer is added, so each monomial is divided once per
-reducer set, and ``reduce`` starts a new cache at every call.
+Tuned for the binomial ideals that arise here.  Pure-difference
+quadrics with distinct leads, such as the star quadrics (already the
+reduced basis: Sturmfels' sorting basis), are proved a basis by one
+count of the ideal's dimension in degree 3, and no S-pair is queued.
+Every other input goes through the pair loop.  There reducer lookup is
+indexed by leading-monomial support, pairs with coprime leading terms
+are never queued, an installed element queues only its first partner
+of each distinct lcm (Gebauer-Moeller criterion F; Gebauer and Moeller,
+"On an installation of Buchberger's algorithm", J. Symb. Comput. 1988),
+and the pair queue is capped so runaway inputs fail loudly.
+S-polynomials and ``reduce``'s argument are reduced term by term from a
+cache of monomial normal forms; ``buchberger`` keeps one cache per run
+and clears it whenever a reducer is added, so each monomial is divided
+once per reducer set, and ``reduce`` starts a new cache at every call.
 """
 
 from __future__ import annotations
@@ -275,12 +279,17 @@ def reduce(f: Poly, gb: GroebnerBasis) -> Poly:
 def buchberger(gens: Iterable[Poly]) -> GroebnerBasis:
     """Reduced Groebner basis of the ideal generated by gens.
 
-    An S-pair is queued only when its leads share a variable (the
+    When the monic generators are pure-difference quadrics with
+    distinct leads, one degree-3 count (``_is_quadric_basis``) can
+    prove them a basis already; then no S-pair is queued and they are
+    only tail-reduced.  Otherwise, and whenever the count falls short,
+    an S-pair is queued only when its leads share a variable (the
     product criterion), and when an element is installed only its first
     partner of each distinct lcm is queued (Gebauer-Moeller criterion
     F).  PAIR_CAP and pairs_processed count the queued pairs, each
-    reduced once; PairLimitExceeded is raised rather than truncating
-    when PAIR_CAP is hit.
+    reduced once, so pairs_processed is 0 when the count decides;
+    PairLimitExceeded is raised rather than truncating when PAIR_CAP is
+    hit.
     """
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
@@ -332,8 +341,9 @@ def buchberger(gens: Iterable[Poly]) -> GroebnerBasis:
             counter += 1
             heapq.heappush(heap, (key(lcm), counter, j, i, lcm))
 
-    for i in range(len(red.lead)):
-        push_pairs(i)
+    if not _is_quadric_basis(red, r):
+        for i in range(len(red.lead)):
+            push_pairs(i)
 
     # remainders of monomials against the current reducers; cleared
     # whenever a reducer is added, so every entry stays a remainder
@@ -358,6 +368,66 @@ def buchberger(gens: Iterable[Poly]) -> GroebnerBasis:
 
     polys, kept = _reduced(red, cache, r)
     return GroebnerBasis(ring, polys, processed, kept)
+
+
+def _is_quadric_basis(red: _Reducers, r: int) -> bool:
+    """True when the monic reducers G are a Groebner basis of the ideal
+    I they generate by one degree-3 count (Traverso, "Hilbert functions
+    and the Buchberger algorithm", J. Symb. Comput. 1996); False means
+    the count does not apply or does not decide.
+
+    The count applies when every element is a pure difference
+    ``lead - tail`` (tail coefficient ``r - 1``) of two degree-2
+    monomials and the leads are pairwise distinct.  Two distinct
+    degree-2 leads that share a variable have a degree-3 lcm, and the
+    product criterion drops every other pair, so every S-pair left lies
+    in ``I_3``.  ``I_3`` is spanned by the ``x_v * g``, which are the
+    oriented incidence vectors ``e(x_v lead) - e(x_v tail)`` of a graph
+    on the degree-3 monomials, so over any field ``dim I_3`` is ``U``,
+    the number of edges that join two components when the edges are
+    added one by one.  The set ``D`` of the ``x_v * lead`` spans
+    ``in(G)_3``, and ``|D| = dim in(G)_3 <= dim in(I)_3 = dim I_3 = U``.
+    With equality ``in(G)_3 = in(I)_3``, so the remainder of a degree-3
+    S-pair, an element of ``I_3`` on monomials no lead divides, is 0,
+    and Buchberger's criterion makes G a Groebner basis.
+    """
+    lay = red.lay
+    s = lay.shift
+    leads = red.lead
+    if len(set(leads)) < len(leads):
+        return False
+    for lm, tail in zip(leads, red.tail):
+        if (len(tail) != 1 or tail[0][1] != r - 1
+                or lm >> s != 2 or tail[0][0] >> s != 2):
+            return False
+    # the packed x_v: a one in field v and in the degree
+    xs = [(1 << (v * FIELD_BITS)) + (1 << s) for v in range(lay.nvars)]
+    # comp maps each monomial met to the list of its component, shared
+    # by every member; a union moves the shorter list into the longer
+    comp: dict = {}
+    unions = 0
+    for lm, ((t, _),) in zip(leads, red.tail):
+        for x in xs:
+            a, b = lm + x, t + x
+            ca, cb = comp.get(a), comp.get(b)
+            if ca is None and cb is None:
+                comp[a] = comp[b] = [a, b]
+            elif ca is None:
+                cb.append(a)
+                comp[a] = cb
+            elif cb is None:
+                ca.append(b)
+                comp[b] = ca
+            elif ca is cb:
+                continue
+            else:
+                if len(ca) < len(cb):
+                    ca, cb = cb, ca
+                ca += cb
+                for m in cb:
+                    comp[m] = ca
+            unions += 1
+    return len({lm + x for lm in leads for x in xs}) == unions
 
 
 def _reduced(red: _Reducers, cache: dict, r: int) -> tuple:

@@ -32,6 +32,14 @@ def test_prime_power_split():
     # past the primality test's bound, only a power of a smaller prime answers
     with pytest.raises(ValueError, match="bound of the primality test"):
         prime_power_split(2**89 - 1)
+    # a q with a factor below 43 is a prime power only as a power of it,
+    # at any size; past that, h is at most log_43(q)
+    assert prime_power_split(41**300) == (41, 300)
+    assert prime_power_split(43**2000) == (43, 2000)
+    assert prime_power_split(47**3) == (47, 3)
+    for bad in (10**25, 10**4000, 2**13000 * 3, 41**300 * 43):
+        with pytest.raises(ValueError, match="not a prime power"):
+            prime_power_split(bad)
 
 
 def test_prime_power_split_matches_sympy():

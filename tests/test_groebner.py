@@ -18,7 +18,7 @@ from veronese.groebner import (
     _Reducers,
 )
 from veronese.polys import Poly, PolyRing, _degrevlex_key
-from veronese.toric import generators_over
+from veronese.toric import generators_over, quadratic_generators
 
 F5 = PrimeField(5)
 
@@ -106,22 +106,42 @@ def test_buchberger_zero_inputs_dropped(params321):
     assert [g.text() for g in gb.polys] == ["x11"]
 
 
+def _scaled(gens, seed: int) -> list:
+    """gens with each variable x_v scaled by a seeded nonzero lambda_v.
+    A diagonal scaling keeps every lead and maps a basis to a basis,
+    but the monic tails lose the coefficient r - 1, so the degree-3
+    count does not apply and buchberger runs its pair loop."""
+    ring = gens[0].ring
+    r = ring.field.r
+    rng = random.Random(seed)
+    lam = [rng.randint(1, r - 1) for _ in range(ring.nvars)]
+
+    def weight(e):
+        w = 1
+        for v, k in enumerate(e):
+            w = w * pow(lam[v], k, r) % r
+        return w
+
+    return [ring.poly({e: c * weight(e) for e, c in g.raw_terms().items()})
+            for g in gens]
+
+
 def test_buchberger_pair_cap(monkeypatch):
     params = make_params(3, 2, 2)
-    gens = list(generators_over(params, F5))
+    gens = _scaled(list(generators_over(params, F5)), 2)
     monkeypatch.setattr(groebner, "PAIR_CAP", 10)
     with pytest.raises(PairLimitExceeded, match="S-pair limit 10 exceeded"):
         buchberger(gens)
 
 
 def test_buchberger_queues_only_pairs_with_shared_variables():
-    # the star quadrics are already the reduced basis, so no element is
-    # added and the pairs processed are exactly those queued as each
+    # the scaled star quadrics are already a reduced basis, so no element
+    # is added and the pairs processed are exactly those queued as each
     # generator is installed: one per distinct lcm with the earlier
     # generators whose leads share a variable with it (criterion F); the
     # coprime ones never reach the queue
     for nph, want in (((3, 2, 1), 8), ((3, 2, 2), 536), ((2, 3, 1), 2), ((4, 3, 1), 1200)):
-        gens = list(generators_over(make_params(*nph), F5))
+        gens = _scaled(list(generators_over(make_params(*nph), F5)), 1)
         gb = buchberger(gens)
         assert len(gb) == len(gens)
         leads = [oracles.leading(g)[0] for g in gens]
@@ -201,14 +221,81 @@ def test_buchberger_matches_sympy_on_random_ideals(monkeypatch):
 
 
 _GRID_T21 = [nph for nph in GRID_T36 if comb(nph[0] + nph[1] ** nph[2] - 1, nph[1] ** nph[2]) <= 21]
+# F_2 matters: there the tail coefficient r - 1 is 1
+_COUNT_FIELDS = (2, 3, 5)
+
+
+def _same_basis(gens) -> bool:
+    return oracles.poly_key_set(buchberger(gens).polys) == oracles.poly_key_set(
+        oracles.buchberger_textbook(gens)
+    )
 
 
 @pytest.mark.parametrize("nph", _GRID_T21, ids=lambda nph: "%d%d%d" % nph)
 def test_buchberger_matches_the_textbook_oracle(nph):
-    gens = list(generators_over(make_params(*nph), F5))
-    assert oracles.poly_key_set(buchberger(gens).polys) == oracles.poly_key_set(
-        oracles.buchberger_textbook(gens)
-    )
+    assert _same_basis(list(generators_over(make_params(*nph), F5)))
+
+
+@pytest.mark.parametrize("r", (2, 3))
+@pytest.mark.parametrize("nph", _GRID_T21, ids=lambda nph: "%d%d%d" % nph)
+def test_buchberger_matches_the_textbook_oracle_over_f2_and_f3(nph, r):
+    assert _same_basis(list(generators_over(make_params(*nph), PrimeField(r))))
+
+
+@pytest.mark.parametrize("r", _COUNT_FIELDS)
+def test_star_quadrics_are_proved_a_basis_without_pairs(r, monkeypatch):
+    # the degree-3 count decides every star set with |T| <= 36 and
+    # (4,2,2), and its basis is the pair loop's; past |T| = 21 the
+    # textbook oracle takes from seconds to minutes a set, so the loop,
+    # itself checked against that oracle, is the reference there
+    field = PrimeField(r)
+    stars = {nph: generators_over(make_params(*nph), field) for nph in GRID_T36 + [(4, 2, 2)]}
+    counted = {nph: buchberger(gens) for nph, gens in stars.items()}
+    assert all(gb.pairs_processed == 0 for gb in counted.values())
+    assert all(len(counted[nph]) == len(gens) for nph, gens in stars.items())
+    monkeypatch.setattr(groebner, "_is_quadric_basis", lambda red, r: False)
+    for nph, gens in stars.items():
+        assert buchberger(gens).polys == counted[nph].polys, nph
+
+
+@pytest.mark.parametrize("r", _COUNT_FIELDS)
+def test_count_refuses_star_sets_less_a_generator(r):
+    # with one of the six (3,2,1) quadrics dropped, five of the sets are
+    # no basis and must grow through the pair loop; the sixth is one
+    gens = list(generators_over(make_params(3, 2, 1), PrimeField(r)))
+    sizes = []
+    for i in range(len(gens)):
+        rest = gens[:i] + gens[i + 1:]
+        gb = buchberger(rest)
+        assert _same_basis(rest), i
+        assert (gb.pairs_processed == 0) == (len(gb) == len(rest)), i
+        sizes.append(len(gb))
+    assert sorted(sizes) == [5, 6, 6, 7, 7, 7]
+
+
+@pytest.mark.parametrize("r", _COUNT_FIELDS)
+@pytest.mark.parametrize("nph", [(4, 2, 1), (3, 3, 1), (2, 2, 2)], ids=str)
+def test_full_quadric_sets_take_the_pair_loop(nph, r):
+    # every pairwise difference of a content group repeats leads, so the
+    # count does not apply
+    field = PrimeField(r)
+    gens = [g.map_field(field) for g in quadratic_generators(make_params(*nph), full=True)]
+    assert len({oracles.leading(g)[0] for g in gens}) < len(gens)
+    assert buchberger(gens).pairs_processed > 0
+    assert _same_basis(gens)
+
+
+@pytest.mark.parametrize("r", (3, 5, 7))
+def test_count_refuses_a_doubled_tail(r):
+    # doubling one tail coefficient leaves the degree-3 graph as it is,
+    # but the ideal changes and its basis has 9 to 11 elements
+    gens = list(generators_over(make_params(3, 2, 1), PrimeField(r)))
+    for i, g in enumerate(gens):
+        lm = oracles.leading(g)[0]
+        doubled = g.ring.poly({e: c if e == lm else 2 * c for e, c in g.raw_terms().items()})
+        changed = gens[:i] + [doubled] + gens[i + 1:]
+        assert 9 <= len(buchberger(changed)) <= 11
+        assert _same_basis(changed), i
 
 
 @pytest.mark.parametrize("r, seed", [(r, seed) for r in (5, 7) for seed in range(12)])

@@ -632,6 +632,21 @@ def test_cli_cohomology_of_a_large_prime_q_exits_at_once(q, code):
         assert f"q = {q}, a = 1, invariant p^(h-1) = 1" in proc.stdout
 
 
+def test_cli_cohomology_of_a_huge_composite_q_exits_at_once():
+    # 10^4000 is even and not a power of 2, which settles it before any
+    # root is taken
+    src = os.path.dirname(os.path.dirname(veronese.__file__))
+    env = dict(os.environ, PYTHONPATH=src)
+    proc = subprocess.run(
+        [sys.executable, "-c", "from veronese.cli import entry; entry()",
+         "cohomology", "--q", "1" + "0" * 4000, "--a", "1"],
+        env=env, capture_output=True, text=True, timeout=20,
+    )
+    assert proc.returncode == 2, proc.stderr
+    assert proc.stdout == ""
+    assert "is not a prime power" in proc.stderr
+
+
 def test_cli_refuses_huge_coordinate_sets_at_once():
     # |T| = C(100001, 2) is refused when the parameters are read, before
     # any coordinate is listed

@@ -52,6 +52,10 @@ def test_is_prime_matches_sympy():
     assert MR_BOUND == 3_317_044_064_679_887_385_961_981
     with pytest.raises(ValueError, match="bound of the primality test"):
         is_prime(MR_BOUND)
+    # a multiple of a base is decided by trial division at any size
+    assert not is_prime(10**25) and not is_prime(41 * MR_BOUND)
+    with pytest.raises(ValueError, match="bound of the primality test"):
+        is_prime(43 * MR_BOUND)
 
 
 def test_prime_field_ops():
