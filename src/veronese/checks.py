@@ -42,6 +42,9 @@ PRIME_POWERS = {2: (2, 1), 3: (3, 1), 4: (2, 2), 8: (2, 3), 9: (3, 2)}
 
 GLUING_PARAMS = ((3, 2, 1), (4, 2, 1), (3, 3, 1), (3, 2, 2))
 
+# the field of the generator Groebner bases
+F5 = PrimeField(5)
+
 
 @dataclass(frozen=True)
 class CheckResult:
@@ -67,9 +70,9 @@ def _params(n: int, p: int, h: int) -> VeroneseParams:
 
 
 @lru_cache(maxsize=None)
-def generator_groebner(params: VeroneseParams, r: int):
-    """Groebner basis of the quadratic generator set over F_r, cached."""
-    return buchberger(list(generators_over(params, PrimeField(r))))
+def generator_groebner(params: VeroneseParams):
+    """Groebner basis of the quadratic generator set over F_5, cached."""
+    return buchberger(list(generators_over(params, F5)))
 
 
 def _cardinality():
@@ -155,8 +158,8 @@ def _degree_two_generation():
         max_steps = max(max_steps, len(cert))
         if cert.expansion() != tsb.poly(integer_ring(params)):
             return False, f"expansion mismatch for {tsb}"
-        gb = generator_groebner(params, 5)
-        f5 = tsb.poly(polynomial_ring(params, PrimeField(5)))
+        gb = generator_groebner(params)
+        f5 = tsb.poly(polynomial_ring(params, F5))
         if not reduce(f5, gb).is_zero():
             return False, f"nonzero normal form mod GB(B) for {tsb}"
     return True, f"{trials} rewrites exact over Z, 0 mod GB(B)/F_5, <= {max_steps} steps"

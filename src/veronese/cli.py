@@ -20,7 +20,6 @@ from .combinatorics import VeroneseParams, parametrize
 from .fields import PrimeField
 from .geometry import RootOfUnityError, fiber_check, jacobian_rank
 from .gluing import completely_p_glued
-from .groebner import PairLimitExceeded
 from .polys import monomial_text
 from .sci import (
     DEFAULT_ENUM_BUDGET,
@@ -338,7 +337,7 @@ def main(argv=None) -> int:
     args = build_parser().parse_args(argv)
     try:
         return args.fn(args)
-    except (BudgetExceededError, PairLimitExceeded) as exc:
+    except BudgetExceededError as exc:
         print(f"budget exceeded: {exc}", file=sys.stderr)
         return BUDGET
     except BrokenPipeError:

@@ -37,11 +37,13 @@ def prime_power_split(q: int) -> tuple:
     """(p, h) with q = p^h; rejects non prime powers.  When a base b of
     the primality test divides q, q is a prime power only as a power of
     b.  Otherwise every prime factor of q is at least 43, the least
-    prime past the bases, so h is at most log_43(q): each h from there
-    down to 1 is tried, and p is the integer h-th root of q when its
-    h-th power is q and it is prime.  A prime power has one such pair,
-    and q past the primality test's bound raises ValueError unless it
-    is a power of a smaller prime."""
+    prime past the bases, so a q that is an m-th power has m at most
+    log_43(q).  Only prime exponents k are tried, in increasing order:
+    while q is a k-th power it is replaced by its k-th root and k goes
+    into h, and a q with no k-th root for a prime k has none for a
+    multiple of k.  What is left is p, and q is a prime power when p is
+    prime; q past the primality test's bound raises ValueError unless
+    it is a power of a smaller prime."""
     if not isinstance(q, int) or q < 2:
         raise ValueError(f"q must be an integer >= 2, got {q!r}")
     for b in MR_BASES:
@@ -50,10 +52,17 @@ def prime_power_split(q: int) -> tuple:
             if b**h == q:
                 return b, h
             raise ValueError(f"{q} is not a prime power")
-    for h in range(int(q.bit_length() / log2(43)), 0, -1):
-        p = _iroot(q, h)
-        if p**h == q and is_prime(p):
-            return p, h
+    p, h, k = q, 1, 2
+    while k <= p.bit_length() / log2(43):
+        m = _iroot(p, k)
+        if m**k == p:
+            p, h = m, h * k
+        else:
+            k += 1
+            while not is_prime(k):
+                k += 1
+    if is_prime(p):
+        return p, h
     raise ValueError(f"{q} is not a prime power")
 
 

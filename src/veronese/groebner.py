@@ -1,4 +1,5 @@
-"""Buchberger's algorithm and multivariate division over a prime field.
+"""Certified quadric Groebner bases and multivariate division over a
+prime field.
 
 The kernel works on packed monomials (Bachmann and Schoenemann,
 "Monomial representations for Groebner bases computations", ISSAC
@@ -12,29 +13,20 @@ from ``b`` with every guard set borrows from no guard,
 that orders monomials as degrevlex does.  Terms are packed once on the
 way in (``buchberger``'s generators and ``reduce``'s argument) and
 unpacked once on the way out, so ``Poly`` and every signature here keep
-dense exponent tuples.  A total degree above ``MAX_DEGREE`` raises
-``ValueError``, both for an input term and for an S-pair whose lcm would
-pass it.
+dense exponent tuples.  A term of total degree above ``MAX_DEGREE``
+raises ``ValueError``.
 
-Tuned for the binomial ideals that arise here.  Pure-difference
-quadrics with distinct leads, such as the star quadrics (already the
-reduced basis: Sturmfels' sorting basis), are proved a basis by one
-count of the ideal's dimension in degree 3, and no S-pair is queued.
-Every other input goes through the pair loop.  There reducer lookup is
-indexed by leading-monomial support, pairs with coprime leading terms
-are never queued, an installed element queues only its first partner
-of each distinct lcm (Gebauer-Moeller criterion F; Gebauer and Moeller,
-"On an installation of Buchberger's algorithm", J. Symb. Comput. 1988),
-and the pair queue is capped so runaway inputs fail loudly.
-S-polynomials and ``reduce``'s argument are reduced term by term from a
-cache of monomial normal forms; ``buchberger`` keeps one cache per run
-and clears it whenever a reducer is added, so each monomial is divided
-once per reducer set, and ``reduce`` starts a new cache at every call.
+``buchberger`` computes no S-pair.  It accepts pure-difference quadrics
+with distinct leads that one count of the ideal's dimension in degree 3
+proves a Groebner basis, such as the star quadrics (already the reduced
+basis: Sturmfels' sorting basis), tail-reduces them and refuses every
+other input.  Tails and ``reduce``'s argument are reduced term by term
+from a cache of monomial normal forms, so each monomial is divided once
+per cache; ``reduce`` starts a new cache at every call.
 """
 
 from __future__ import annotations
 
-import heapq
 import struct
 from dataclasses import dataclass, field
 from functools import lru_cache
@@ -43,15 +35,10 @@ from typing import Iterable
 from .fields import PrimeField
 from .polys import Poly, PolyRing
 
-PAIR_CAP = 200_000  # S-pairs one basis may process
 FIELD_BITS = 16
 # the struct code of an unsigned int FIELD_BITS wide, for pack and unpack
 _FIELD_CODE = {8: "B", 16: "H", 32: "I", 64: "Q"}[FIELD_BITS]
 MAX_DEGREE = (1 << (FIELD_BITS - 1)) - 1  # the largest value a field holds
-
-
-class PairLimitExceeded(Exception):
-    """Raised when Buchberger would process more S-pairs than allowed."""
 
 
 class _Layout:
@@ -87,26 +74,6 @@ class _Layout:
         s = self.shift
         return ((m >> s) << (s + 1)) - m
 
-    def support(self, m: int) -> list:
-        """The variables with a nonzero exponent in m, in increasing order."""
-        g = self.guards
-        nz = ((m | g) - self.ones) & g  # the guards of the nonzero fields
-        out = []
-        while nz:
-            b = nz & -nz
-            out.append(b.bit_length() // FIELD_BITS - 1)
-            nz ^= b
-        return out
-
-    def lcm(self, a: int, b: int) -> int:
-        """a times the fieldwise positive part of b - a; the fields of
-        that part sum to less than 2^W - 1, so the sum is their value
-        modulo 2^W - 1."""
-        d = (b | self.guards) - a
-        g = d & self.guards
-        up = d & (g - (g >> (FIELD_BITS - 1)))
-        return a + up + ((up % ((1 << FIELD_BITS) - 1)) << self.shift)
-
 
 @lru_cache(maxsize=None)
 def _layout(nvars: int) -> _Layout:
@@ -114,11 +81,11 @@ def _layout(nvars: int) -> _Layout:
 
 
 class _Reducers:
-    """Monic reducers as packed (lead, tail) pairs.  ``first`` lists
-    each under the lowest variable of its lead, so ``find`` tests every
-    candidate once and returns the divisor that comes first by (lowest
-    lead variable, insertion index); ``buckets`` lists it under every
-    variable of its lead, for pair partners."""
+    """Monic reducers as packed (lead, tail) pairs, each lead of
+    positive degree.  ``first`` lists each under the lowest variable of
+    its lead, so ``find`` tests every candidate once and returns the
+    divisor that comes first by (lowest lead variable, insertion
+    index)."""
 
     def __init__(self, ring: PolyRing):
         self.ring = ring
@@ -126,32 +93,16 @@ class _Reducers:
         self.lead: list = []
         self.tail: list = []
         self.first: list = [[] for _ in range(ring.nvars)]
-        self.buckets: list = [[] for _ in range(ring.nvars)]
-        self.constant = None  # index of the reducer 1, if any
 
-    def add(self, lm: int, tail: list) -> int:
-        idx = len(self.lead)
+    def add(self, lm: int, tail: list) -> None:
+        # the lowest set bit of lm lies in its lowest nonzero field
+        self.first[((lm & -lm).bit_length() - 1) // FIELD_BITS].append(len(self.lead))
         self.lead.append(lm)
         self.tail.append(tail)
-        support = self.lay.support(lm)
-        if not support:
-            self.constant = idx
-        else:
-            self.first[support[0]].append(idx)
-        for v in support:
-            self.buckets[v].append(idx)
-        return idx
-
-    def add_monic(self, terms: dict) -> int:
-        lm = max(terms, key=self.lay.key)
-        return self.add(lm, [(e, c) for e, c in terms.items() if e != lm])
 
     def find(self, m: int):
-        if self.constant is not None:
-            return self.constant
-        # walks m's nonzero fields as support() does, but stops at the
-        # first divisor; building the support list first costs about a
-        # sixth of buchberger's time on the star quadrics
+        # walks m's nonzero fields, lowest first, and stops at the first
+        # divisor; nz holds the guards of the fields not yet walked
         g = self.lay.guards
         mg = m | g
         nz = (mg - self.lay.ones) & g
@@ -173,16 +124,19 @@ def _unpacked(ring: PolyRing, terms: dict, lay: _Layout) -> Poly:
     return Poly(ring, {lay.unpack(e): c for e, c in terms.items()})
 
 
-def _monic(terms: dict, lay: _Layout, r: int) -> dict:
-    inv = pow(terms[max(terms, key=lay.key)], -1, r)
-    return {e: c * inv % r for e, c in terms.items()}
+def _monic(terms: dict, lay: _Layout, r: int) -> tuple:
+    """(lead, tail) of the packed terms scaled to lead coefficient 1."""
+    lm = max(terms, key=lay.key)
+    inv = pow(terms[lm], -1, r)
+    return lm, tuple((e, c * inv % r) for e, c in terms.items() if e != lm)
 
 
 @dataclass(frozen=True)
 class GroebnerBasis:
     """Reduced Groebner basis: monic, tail-reduced, sorted by leading term.
     Built only by ``buchberger``, which hands over the reducer index it
-    has already built as ``_red``; every reduce shares it."""
+    has already built as ``_red``; every reduce shares it.
+    ``pairs_processed`` counts S-pairs reduced, and is always 0."""
 
     ring: PolyRing
     polys: tuple
@@ -242,24 +196,22 @@ def _monomial_nf(m: int, red: _Reducers, cache: dict, r: int) -> dict:
     return cache[m]
 
 
-def _add_remainder(out: dict, tail, delta: int, sign: int,
-                   red: _Reducers, cache: dict, r: int) -> None:
-    """Add sign times the remainder on division by red of the packed
-    terms of tail, each shifted by delta, into out.  The remainder is
+def _remainder(terms, red: _Reducers, cache: dict, r: int) -> dict:
+    """The remainder on division by red of the packed terms.  It is
     summed from the remainders of the monomials in cache, so it is the
     remainder that dividing largest term first would leave."""
-    for e, c in tail:
-        m = e + delta
+    out: dict = {}
+    for m, c in terms:
         nf = cache.get(m)
         if nf is None:
             nf = _monomial_nf(m, red, cache, r)
-        c *= sign
         for f, cf in nf.items():
             s = (out.get(f, 0) + c * cf) % r
             if s:
                 out[f] = s
             else:
                 del out[f]
+    return out
 
 
 def reduce(f: Poly, gb: GroebnerBasis) -> Poly:
@@ -271,25 +223,18 @@ def reduce(f: Poly, gb: GroebnerBasis) -> Poly:
     if f.ring != gb.ring:
         raise ValueError("f and the basis live in different rings")
     red, r = gb._red, f.ring.field.r
-    rem: dict = {}
-    _add_remainder(rem, _packed(f, red.lay).items(), 0, 1, red, {}, r)
+    rem = _remainder(_packed(f, red.lay).items(), red, {}, r)
     return _unpacked(f.ring, rem, red.lay)
 
 
 def buchberger(gens: Iterable[Poly]) -> GroebnerBasis:
-    """Reduced Groebner basis of the ideal generated by gens.
+    """Reduced Groebner basis of the ideal generated by gens, proved
+    without S-pairs.
 
-    When the monic generators are pure-difference quadrics with
-    distinct leads, one degree-3 count (``_is_quadric_basis``) can
-    prove them a basis already; then no S-pair is queued and they are
-    only tail-reduced.  Otherwise, and whenever the count falls short,
-    an S-pair is queued only when its leads share a variable (the
-    product criterion), and when an element is installed only its first
-    partner of each distinct lcm is queued (Gebauer-Moeller criterion
-    F).  PAIR_CAP and pairs_processed count the queued pairs, each
-    reduced once, so pairs_processed is 0 when the count decides;
-    PairLimitExceeded is raised rather than truncating when PAIR_CAP is
-    hit.
+    The nonzero gens are made monic and deduplicated; they must be
+    pure-difference quadrics ``lead - tail`` with distinct leads that
+    the degree-3 count of ``_is_quadric_basis`` proves a basis, and are
+    then only tail-reduced.  Any other input raises ``ValueError``.
     """
     gens = [g for g in gens if not g.is_zero()]
     if not gens:
@@ -301,102 +246,52 @@ def buchberger(gens: Iterable[Poly]) -> GroebnerBasis:
         raise ValueError("polynomials live in different rings")
     r = ring.field.r
 
-    red = _Reducers(ring)
-    lay = red.lay
-    key = lay.key
-    seen = set()
+    lay = _layout(ring.nvars)
+    monic: dict = {}  # (lead, tail set) -> tail, in input order
     for g in gens:
-        m = _monic(_packed(g, lay), lay, r)
-        fs = frozenset(m.items())
-        if fs in seen:
-            continue
-        seen.add(fs)
-        red.add_monic(m)
-
-    heap: list = []
-    counter = 0
-
-    def push_pairs(i: int) -> None:
-        # product criterion: a pair whose leads share no variable reduces
-        # to zero, so only the partners in i's lead buckets are pushed.
-        # criterion F: a partner k whose lcm with i equals that of an
-        # earlier partner j is dropped, since lead_j divides that lcm and
-        # the pairs (j, k) and (j, i) are treated as well (chain criterion)
-        nonlocal counter
-        lead = red.lead[i]
-        partners = {
-            j for v in lay.support(lead) for j in red.buckets[v] if j < i
-        }
-        lcms = set()
-        for j in sorted(partners):
-            lcm = lay.lcm(red.lead[j], lead)
-            if lcm in lcms:
-                continue
-            lcms.add(lcm)
-            if lcm >> lay.shift > MAX_DEGREE:
-                raise ValueError(
-                    f"an S-pair of degree {lcm >> lay.shift} exceeds the "
-                    f"packed-monomial limit {MAX_DEGREE}"
-                )
-            counter += 1
-            heapq.heappush(heap, (key(lcm), counter, j, i, lcm))
-
-    if not _is_quadric_basis(red, r):
-        for i in range(len(red.lead)):
-            push_pairs(i)
-
-    # remainders of monomials against the current reducers; cleared
-    # whenever a reducer is added, so every entry stays a remainder
-    cache: dict = {}
-    processed = 0
-    while heap:
-        _, _, i, j, lcm = heapq.heappop(heap)
-        processed += 1
-        if processed > PAIR_CAP:
-            raise PairLimitExceeded(
-                f"S-pair limit {PAIR_CAP} exceeded ({len(red.lead)} basis elements)"
-            )
-        # the S-polynomial of the monic i and j: the leads cancel, so it
-        # is tail_i shifted to lcm minus tail_j shifted to lcm
-        rt: dict = {}
-        _add_remainder(rt, red.tail[i], lcm - red.lead[i], 1, red, cache, r)
-        _add_remainder(rt, red.tail[j], lcm - red.lead[j], -1, red, cache, r)
-        if not rt:
-            continue
-        push_pairs(red.add_monic(_monic(rt, lay, r)))
-        cache.clear()
-
-    polys, kept = _reduced(red, cache, r)
-    return GroebnerBasis(ring, polys, processed, kept)
+        lm, tail = _monic(_packed(g, lay), lay, r)
+        monic.setdefault((lm, frozenset(tail)), tail)
+    leads = [lm for lm, _ in monic]
+    tails = list(monic.values())
+    if not _is_quadric_basis(leads, tails, lay, r):
+        raise ValueError(
+            "the generators are not pure-difference quadrics with distinct "
+            "leads that the degree-3 count proves a Groebner basis"
+        )
+    red = _Reducers(ring)
+    for lm, tail in zip(leads, tails):
+        red.add(lm, tail)
+    polys, kept = _reduced(red, r)
+    return GroebnerBasis(ring, polys, 0, kept)
 
 
-def _is_quadric_basis(red: _Reducers, r: int) -> bool:
-    """True when the monic reducers G are a Groebner basis of the ideal
-    I they generate by one degree-3 count (Traverso, "Hilbert functions
-    and the Buchberger algorithm", J. Symb. Comput. 1996); False means
-    the count does not apply or does not decide.
+def _is_quadric_basis(leads: list, tails: list, lay: _Layout, r: int) -> bool:
+    """True when the monic elements G, packed leads with their tails,
+    are proved a Groebner basis of the ideal I they generate by one
+    degree-3 count (Traverso, "Hilbert functions and the Buchberger
+    algorithm", J. Symb. Comput. 1996); False means the count does not
+    apply or does not decide.
 
     The count applies when every element is a pure difference
     ``lead - tail`` (tail coefficient ``r - 1``) of two degree-2
     monomials and the leads are pairwise distinct.  Two distinct
-    degree-2 leads that share a variable have a degree-3 lcm, and the
-    product criterion drops every other pair, so every S-pair left lies
-    in ``I_3``.  ``I_3`` is spanned by the ``x_v * g``, which are the
-    oriented incidence vectors ``e(x_v lead) - e(x_v tail)`` of a graph
-    on the degree-3 monomials, so over any field ``dim I_3`` is ``U``,
-    the number of edges that join two components when the edges are
-    added one by one.  The set ``D`` of the ``x_v * lead`` spans
-    ``in(G)_3``, and ``|D| = dim in(G)_3 <= dim in(I)_3 = dim I_3 = U``.
+    degree-2 leads that share a variable have a degree-3 lcm, and an
+    S-pair of coprime leads reduces to 0 (the product criterion), so
+    every S-pair left lies in ``I_3``.  ``I_3`` is spanned by the
+    ``x_v * g``, which are the oriented incidence vectors
+    ``e(x_v lead) - e(x_v tail)`` of a graph on the degree-3 monomials,
+    so over any field ``dim I_3`` is ``U``, the number of edges that
+    join two components when the edges are added one by one.  The set
+    ``D`` of the ``x_v * lead`` spans ``in(G)_3``, and
+    ``|D| = dim in(G)_3 <= dim in(I)_3 = dim I_3 = U``.
     With equality ``in(G)_3 = in(I)_3``, so the remainder of a degree-3
     S-pair, an element of ``I_3`` on monomials no lead divides, is 0,
     and Buchberger's criterion makes G a Groebner basis.
     """
-    lay = red.lay
     s = lay.shift
-    leads = red.lead
     if len(set(leads)) < len(leads):
         return False
-    for lm, tail in zip(leads, red.tail):
+    for lm, tail in zip(leads, tails):
         if (len(tail) != 1 or tail[0][1] != r - 1
                 or lm >> s != 2 or tail[0][0] >> s != 2):
             return False
@@ -406,7 +301,7 @@ def _is_quadric_basis(red: _Reducers, r: int) -> bool:
     # by every member; a union moves the shorter list into the longer
     comp: dict = {}
     unions = 0
-    for lm, ((t, _),) in zip(leads, red.tail):
+    for lm, ((t, _),) in zip(leads, tails):
         for x in xs:
             a, b = lm + x, t + x
             ca, cb = comp.get(a), comp.get(b)
@@ -430,21 +325,21 @@ def _is_quadric_basis(red: _Reducers, r: int) -> bool:
     return len({lm + x for lm in leads for x in xs}) == unions
 
 
-def _reduced(red: _Reducers, cache: dict, r: int) -> tuple:
-    """Minimalize, then replace each tail by its normal form against the
-    whole basis: the remainder is canonical, and an element's own lead
-    never fires because a lead never divides a smaller term.  Returns
-    the polys sorted by leading term and their reducer index."""
+def _reduced(red: _Reducers, r: int) -> tuple:
+    """Replace each tail by its normal form against the whole basis: the
+    remainder is canonical, and an element's own lead never fires
+    because a lead never divides a smaller term.  The leads are distinct
+    and of degree 2, so none divides another and the basis is already
+    minimal.  Returns the polys sorted by leading term and their
+    reducer index."""
     lay = red.lay
     order = sorted(range(len(red.lead)), key=lambda i: lay.key(red.lead[i]))
     kept = _Reducers(red.ring)
+    cache: dict = {}
     out = []
     for i in order:
         lm = red.lead[i]
-        if kept.find(lm) is not None:
-            continue
-        tail: dict = {}
-        _add_remainder(tail, red.tail[i], 0, 1, red, cache, r)
+        tail = _remainder(red.tail[i], red, cache, r)
         kept.add(lm, list(tail.items()))
         out.append(_unpacked(red.ring, {lm: 1, **tail}, lay))
     return tuple(out), kept

@@ -12,7 +12,7 @@ from __future__ import annotations
 
 from collections import deque
 from itertools import combinations, combinations_with_replacement, product
-from math import gcd, prod
+from math import comb, gcd, prod
 from operator import sub
 
 import sympy
@@ -257,6 +257,57 @@ def buchberger_textbook(gens) -> list:
         tail = g.ring.poly({e: c for e, c in g.raw_terms().items() if e != lm})
         out.append(g.ring.poly({lm: 1}) + normal_form(tail, minimal))
     return out
+
+
+def quadric_basis_certified(basis, n: int, q: int) -> bool:
+    """True when basis, binomials in the ring of the index tuples of
+    degree q in n letters over a prime field, is proved the reduced
+    degrevlex Groebner basis of the ideal J it generates by a Hilbert
+    function count in degree 3.  It checks that each element is a monic
+    pure difference ``lead - tail`` of two degree-2 monomials and
+
+    (a) the lead and tail have equal content, so J lies in the toric
+        ideal I;
+    (b) the leads are pairwise distinct, so every S-pair whose leads
+        share a variable has degree 3;
+    (c) the degree-3 monomials that no lead divides number
+        ``dim (R/I)_3 = C(n + 3q - 1, n - 1)``, the monomials of degree
+        3q in n letters;
+    (d) no tail is a lead, so the basis is reduced.
+
+    The monomials outside ``in(I)_3`` are a basis of ``(R/I)_3``
+    (Cox, Little and O'Shea, ch. 5 section 3), and by (c) they are
+    those outside the leads' multiples.  The remainder of a degree-3
+    S-pair lies in ``J_3`` inside ``I_3`` and on those monomials only,
+    so it is 0; an S-pair of coprime leads reduces to 0 as well, so the
+    basis is a Groebner basis of J by Buchberger's criterion.  Counts
+    by enumeration, with nothing from the package's Groebner code.
+    """
+    ring = basis[0].ring
+    r = ring.field.r
+    leads, tails = [], []
+    for g in basis:
+        lm, c = leading(g)
+        rest = [(e, ct) for e, ct in g.raw_terms().items() if e != lm]
+        if c != 1 or len(rest) != 1 or rest[0][1] != r - 1:
+            return False
+        tail = rest[0][0]
+        if sum(lm) != 2 or sum(tail) != 2:
+            return False
+        if content(ring.variables, lm, n) != content(ring.variables, tail, n):
+            return False
+        leads.append(lm)
+        tails.append(tail)
+    if len(set(leads)) != len(leads) or set(tails) & set(leads):
+        return False
+    # a degree-2 lead divides a degree-3 monomial exactly when it is the
+    # product of two of its three variables
+    pairs = {tuple(i for i, e in enumerate(lm) for _ in range(e)) for lm in leads}
+    standard = sum(
+        not ({(a, b), (a, c), (b, c)} & pairs)
+        for a, b, c in combinations_with_replacement(range(ring.nvars), 3)
+    )
+    return standard == comb(n + 3 * q - 1, n - 1)
 
 
 def semigroup_member_brute(gens, target) -> bool:

@@ -5,7 +5,7 @@ import sympy
 
 import oracles
 
-from veronese import CyclicAction, cohomology_orders
+from veronese import CyclicAction, cohomology, cohomology_orders
 from veronese.cohomology import (
     MAX_DEGREE,
     admissible_multipliers,
@@ -50,6 +50,46 @@ def test_prime_power_split_matches_sympy():
         else:
             with pytest.raises(ValueError, match="not a prime power"):
                 prime_power_split(q)
+
+
+def test_prime_power_split_matches_a_sieve():
+    # smallest prime factors up to 10^5: q is a prime power exactly when
+    # dividing out its smallest prime factor leaves 1
+    limit = 10**5
+    spf = list(range(limit))
+    for d in range(2, int(limit**0.5) + 1):
+        if spf[d] == d:
+            for m in range(d * d, limit, d):
+                if spf[m] == m:
+                    spf[m] = d
+    for q in range(2, limit):
+        p, h, m = spf[q], 0, q
+        while m % p == 0:
+            m //= p
+            h += 1
+        if m == 1:
+            assert prime_power_split(q) == (p, h), q
+        else:
+            with pytest.raises(ValueError, match="not a prime power"):
+                prime_power_split(q)
+
+
+def test_prime_power_split_roots_only_prime_exponents(monkeypatch):
+    # a 4,000-digit q with no factor below 43 is refused after one root
+    # per prime exponent up to log_43(q), not one per exponent
+    calls = []
+    iroot = cohomology._iroot
+    monkeypatch.setattr(cohomology, "_iroot", lambda m, k: calls.append(k) or iroot(m, k))
+    with pytest.raises(ValueError, match="bound of the primality test"):
+        prime_power_split(10**4000 + 1)
+    assert 0 < len(calls) < 400
+    assert all(sympy.isprime(k) for k in calls)
+    # a composite exponent is taken apart into its prime factors; a power
+    # of a composite is refused under its own name
+    assert prime_power_split(53**210) == (53, 210)
+    assert prime_power_split((10**9 + 7) ** 6) == (10**9 + 7, 6)
+    with pytest.raises(ValueError, match=f"{(43 * 47) ** 6} is not a prime power"):
+        prime_power_split((43 * 47) ** 6)
 
 
 def test_admissible_multipliers_frozen():

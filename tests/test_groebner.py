@@ -9,18 +9,15 @@ from hypothesis import strategies as st
 
 import oracles
 from conftest import GRID_T36, make_params
-from veronese import PrimeField, buchberger, groebner, index_tuples, reduce
+from veronese import PrimeField, buchberger, index_tuples, reduce
 from veronese.combinatorics import integer_ring, polynomial_ring
-from veronese.groebner import (
-    MAX_DEGREE,
-    PairLimitExceeded,
-    _layout,
-    _Reducers,
-)
+from veronese.groebner import MAX_DEGREE, _layout, _Reducers
 from veronese.polys import Poly, PolyRing, _degrevlex_key
 from veronese.toric import generators_over, quadratic_generators
 
 F5 = PrimeField(5)
+# the message of every input the degree-3 count does not prove a basis
+REFUSED = "degree-3 count"
 
 
 def test_reduce_frozen_square_to_product(params321):
@@ -101,16 +98,18 @@ def test_buchberger_idempotent_and_canonical(params321):
 
 def test_buchberger_zero_inputs_dropped(params321):
     ring = polynomial_ring(params321, F5)
-    gens = [ring.zero(), ring.poly({(((1, 1), 1),): 1})]
-    gb = buchberger(gens)
-    assert [g.text() for g in gb.polys] == ["x11"]
+    quadric = ring.poly({(((1, 2), 2),): 1, (((1, 1), 1), ((2, 2), 1)): -1})
+    gb = buchberger([ring.zero(), quadric, ring.zero()])
+    assert [g.text() for g in gb.polys] == ["x12^2 + 4*x11*x22"]
+    with pytest.raises(ValueError, match="no nonzero generators"):
+        buchberger([ring.zero()])
 
 
 def _scaled(gens, seed: int) -> list:
     """gens with each variable x_v scaled by a seeded nonzero lambda_v.
     A diagonal scaling keeps every lead and maps a basis to a basis,
     but the monic tails lose the coefficient r - 1, so the degree-3
-    count does not apply and buchberger runs its pair loop."""
+    count does not apply and buchberger refuses them."""
     ring = gens[0].ring
     r = ring.field.r
     rng = random.Random(seed)
@@ -126,35 +125,11 @@ def _scaled(gens, seed: int) -> list:
             for g in gens]
 
 
-def test_buchberger_pair_cap(monkeypatch):
-    params = make_params(3, 2, 2)
-    gens = _scaled(list(generators_over(params, F5)), 2)
-    monkeypatch.setattr(groebner, "PAIR_CAP", 10)
-    with pytest.raises(PairLimitExceeded, match="S-pair limit 10 exceeded"):
-        buchberger(gens)
-
-
-def test_buchberger_queues_only_pairs_with_shared_variables():
-    # the scaled star quadrics are already a reduced basis, so no element
-    # is added and the pairs processed are exactly those queued as each
-    # generator is installed: one per distinct lcm with the earlier
-    # generators whose leads share a variable with it (criterion F); the
-    # coprime ones never reach the queue
-    for nph, want in (((3, 2, 1), 8), ((3, 2, 2), 536), ((2, 3, 1), 2), ((4, 3, 1), 1200)):
+def test_count_refuses_scaled_star_sets():
+    for nph in ((3, 2, 1), (3, 2, 2), (2, 3, 1), (4, 3, 1)):
         gens = _scaled(list(generators_over(make_params(*nph), F5)), 1)
-        gb = buchberger(gens)
-        assert len(gb) == len(gens)
-        leads = [oracles.leading(g)[0] for g in gens]
-        first_per_lcm = sum(
-            len({
-                oracles.mono_lcm(a, b)
-                for a in leads[:i]
-                if any(x and y for x, y in zip(a, b))
-            })
-            for i, b in enumerate(leads)
-        )
-        pairs = len(leads) * (len(leads) - 1) // 2
-        assert gb.pairs_processed == first_per_lcm == want < pairs
+        with pytest.raises(ValueError, match=REFUSED):
+            buchberger(gens)
 
 
 def test_buchberger_rejects_integer_coefficients(params321):
@@ -194,12 +169,10 @@ def test_reduce_rejects_a_foreign_ring(params321):
         reduce(f, gb)
 
 
-def test_buchberger_matches_sympy_on_random_ideals(monkeypatch):
-    # dense random generators, so tail reduction and minimalization do
-    # real work (the star quadrics are already a reduced basis); each
-    # basis takes fewer than a hundred pairs, so a runaway basis fails
-    # at the low cap instead of after the default one
-    monkeypatch.setattr(groebner, "PAIR_CAP", 1000)
+def test_buchberger_matches_sympy_on_random_ideals():
+    # dense random generators are no pure-difference quadrics, and no
+    # set is its own sympy basis: buchberger, which computes no S-pair,
+    # refuses them all
     params = make_params(2, 2, 1)
     for r, seed in ((5, 1), (5, 2), (7, 3), (7, 4)):
         field = PrimeField(r)
@@ -214,10 +187,10 @@ def test_buchberger_matches_sympy_on_random_ideals(monkeypatch):
             )
             for _ in range(3)
         ]
-        gb = buchberger(gens)
-        assert oracles.poly_key_set(gb.polys) == oracles.groebner_sympy(
-            gens, index_tuples(params), r
-        )
+        want = oracles.groebner_sympy(gens, index_tuples(params), r)
+        assert want != oracles.poly_key_set(map(oracles.monic, gens))
+        with pytest.raises(ValueError, match=REFUSED):
+            buchberger(gens)
 
 
 _GRID_T21 = [nph for nph in GRID_T36 if comb(nph[0] + nph[1] ** nph[2] - 1, nph[1] ** nph[2]) <= 21]
@@ -243,33 +216,38 @@ def test_buchberger_matches_the_textbook_oracle_over_f2_and_f3(nph, r):
 
 
 @pytest.mark.parametrize("r", _COUNT_FIELDS)
-def test_star_quadrics_are_proved_a_basis_without_pairs(r, monkeypatch):
+def test_star_quadrics_are_proved_a_basis_without_pairs(r):
     # the degree-3 count decides every star set with |T| <= 36 and
-    # (4,2,2), and its basis is the pair loop's; past |T| = 21 the
-    # textbook oracle takes from seconds to minutes a set, so the loop,
-    # itself checked against that oracle, is the reference there
+    # (4,2,2), and its basis is the monic star set; past |T| = 21 the
+    # textbook oracle takes from seconds to minutes a set, so the
+    # reference there is the Hilbert-function certificate, which shares
+    # nothing with the package's count
     field = PrimeField(r)
-    stars = {nph: generators_over(make_params(*nph), field) for nph in GRID_T36 + [(4, 2, 2)]}
-    counted = {nph: buchberger(gens) for nph, gens in stars.items()}
-    assert all(gb.pairs_processed == 0 for gb in counted.values())
-    assert all(len(counted[nph]) == len(gens) for nph, gens in stars.items())
-    monkeypatch.setattr(groebner, "_is_quadric_basis", lambda red, r: False)
-    for nph, gens in stars.items():
-        assert buchberger(gens).polys == counted[nph].polys, nph
+    for nph in GRID_T36 + [(4, 2, 2)]:
+        n, p, h = nph
+        gens = generators_over(make_params(*nph), field)
+        gb = buchberger(gens)
+        assert gb.pairs_processed == 0
+        assert oracles.poly_key_set(gb.polys) == oracles.poly_key_set(map(oracles.monic, gens)), nph
+        assert oracles.quadric_basis_certified(gb.polys, n, p**h), nph
 
 
 @pytest.mark.parametrize("r", _COUNT_FIELDS)
 def test_count_refuses_star_sets_less_a_generator(r):
     # with one of the six (3,2,1) quadrics dropped, five of the sets are
-    # no basis and must grow through the pair loop; the sixth is one
+    # no basis and the textbook oracle grows them, so the count must
+    # refuse them; the sixth is a basis, which the count proves
     gens = list(generators_over(make_params(3, 2, 1), PrimeField(r)))
     sizes = []
     for i in range(len(gens)):
         rest = gens[:i] + gens[i + 1:]
-        gb = buchberger(rest)
-        assert _same_basis(rest), i
-        assert (gb.pairs_processed == 0) == (len(gb) == len(rest)), i
-        sizes.append(len(gb))
+        want = oracles.buchberger_textbook(rest)
+        sizes.append(len(want))
+        if len(want) > len(rest):
+            with pytest.raises(ValueError, match=REFUSED):
+                buchberger(rest)
+        else:
+            assert oracles.poly_key_set(buchberger(rest).polys) == oracles.poly_key_set(want), i
     assert sorted(sizes) == [5, 6, 6, 7, 7, 7]
 
 
@@ -277,12 +255,12 @@ def test_count_refuses_star_sets_less_a_generator(r):
 @pytest.mark.parametrize("nph", [(4, 2, 1), (3, 3, 1), (2, 2, 2)], ids=str)
 def test_full_quadric_sets_take_the_pair_loop(nph, r):
     # every pairwise difference of a content group repeats leads, so the
-    # count does not apply
+    # count does not apply and buchberger refuses the set
     field = PrimeField(r)
     gens = [g.map_field(field) for g in quadratic_generators(make_params(*nph), full=True)]
     assert len({oracles.leading(g)[0] for g in gens}) < len(gens)
-    assert buchberger(gens).pairs_processed > 0
-    assert _same_basis(gens)
+    with pytest.raises(ValueError, match=REFUSED):
+        buchberger(gens)
 
 
 @pytest.mark.parametrize("r", (3, 5, 7))
@@ -294,17 +272,15 @@ def test_count_refuses_a_doubled_tail(r):
         lm = oracles.leading(g)[0]
         doubled = g.ring.poly({e: c if e == lm else 2 * c for e, c in g.raw_terms().items()})
         changed = gens[:i] + [doubled] + gens[i + 1:]
-        assert 9 <= len(buchberger(changed)) <= 11
-        assert _same_basis(changed), i
+        assert 9 <= len(oracles.buchberger_textbook(changed)) <= 11
+        with pytest.raises(ValueError, match=REFUSED):
+            buchberger(changed)
 
 
 @pytest.mark.parametrize("r, seed", [(r, seed) for r in (5, 7) for seed in range(12)])
-def test_buchberger_matches_the_textbook_oracle_on_random_ideals(r, seed, monkeypatch):
-    # elements are added while pairs are still queued, so the monomial
-    # normal forms are dropped and rebuilt, and tails carry several terms;
-    # each basis takes at most about a hundred pairs, and a stale normal
-    # form would keep adding elements, so the low cap makes that fail fast
-    monkeypatch.setattr(groebner, "PAIR_CAP", 1000)
+def test_buchberger_matches_the_textbook_oracle_on_random_ideals(r, seed):
+    # the textbook oracle grows every one of these dense ideals by new
+    # leads, and buchberger refuses them all
     ring = polynomial_ring(make_params(2, 2, 1), PrimeField(r))
     rng = random.Random(seed)
     gens = [
@@ -312,13 +288,10 @@ def test_buchberger_matches_the_textbook_oracle_on_random_ideals(r, seed, monkey
                    for _ in range(3)})
         for _ in range(3)
     ]
-    gb = buchberger(gens)
-    leads = {oracles.leading(g)[0] for g in gb.polys}
+    leads = {oracles.leading(g)[0] for g in oracles.buchberger_textbook(gens)}
     assert leads - {oracles.leading(g)[0] for g in gens}
-    assert max(len(g) for g in gb.polys) >= 3
-    assert oracles.poly_key_set(gb.polys) == oracles.poly_key_set(
-        oracles.buchberger_textbook(gens)
-    )
+    with pytest.raises(ValueError, match=REFUSED):
+        buchberger(gens)
 
 
 # SHA-256 of the newline-joined text() of buchberger's output over F_5,
@@ -370,28 +343,21 @@ def test_packed_monomials_match_tuple_monomials(case):
     assert lay.unpack(pa) == a
     assert (lay.key(pa) > lay.key(pb)) == (_degrevlex_key(a) > _degrevlex_key(b))
     assert (lay.key(pa) == lay.key(pb)) == (a == b)
-    assert lay.unpack(lay.lcm(pa, pb)) == oracles.mono_lcm(a, b)
-    assert lay.lcm(pa, pb) >> lay.shift == sum(oracles.mono_lcm(a, b))
     ac = tuple(x + y for x, y in zip(a, c))
     assert pa + lay.pack(c) == lay.pack(ac)
-    for target in (b, ac):
+    if any(a):  # a reducer's lead has positive degree
         red = _Reducers(PolyRing(F5, range(len(a))))
         red.add(pa, [])
-        assert (red.find(lay.pack(target)) == 0) == oracles.mono_divides(a, target)
+        for target in (b, ac):
+            assert (red.find(lay.pack(target)) == 0) == oracles.mono_divides(a, target)
 
 
 @lru_cache(maxsize=None)
 def _division_bases(r: int) -> tuple:
-    """The star quadrics' basis and a dense random ideal's basis over F_r."""
+    """The bases of two star quadric sets over F_r."""
     field = PrimeField(r)
-    ring = polynomial_ring(make_params(2, 2, 1), field)
-    rng = random.Random(r)
-    dense = [
-        ring.poly({tuple(rng.randint(0, 2) for _ in range(3)): rng.randint(1, r - 1)
-                   for _ in range(3)})
-        for _ in range(3)
-    ]
-    return buchberger(generators_over(make_params(3, 2, 1), field)), buchberger(dense)
+    return tuple(buchberger(generators_over(make_params(*nph), field))
+                 for nph in ((3, 2, 1), (2, 3, 1)))
 
 
 @st.composite
@@ -423,12 +389,10 @@ def test_packed_degree_limit(params321):
         buchberger([over])
     with pytest.raises(ValueError, match=f"limit {MAX_DEGREE}"):
         reduce(over, gb)
-    assert buchberger([top]).polys == (top,)
+    with pytest.raises(ValueError, match=REFUSED):
+        buchberger([top])
     assert reduce(top, gb) == oracles.normal_form(top, gb.polys)
     # a negative exponent would borrow from the next field; PolyRing.poly
     # rejects one, so the term dict is handed to Poly as it stands
     with pytest.raises(ValueError, match="do not fit"):
         buchberger([Poly(ring, {(2, -1, 0, 0, 0, 0): 1})])
-    # two leads within the limit whose S-pair is not
-    with pytest.raises(ValueError, match=f"limit {MAX_DEGREE}"):
-        buchberger([top, mono(((1, 1), 1), ((1, 2), MAX_DEGREE - 1))])
