@@ -37,9 +37,11 @@ OK, NEGATIVE, USAGE, BUDGET = 0, 1, 2, 3
 BROKEN_PIPE = 128 + 13  # the shell's status for a SIGPIPE death
 
 
-def _emit(args, obj: dict, text_lines) -> None:
+def _emit(args, doc, text_lines) -> None:
+    """Print doc by --format json, or else the text lines.  A str doc
+    is a document encoded already and prints as it is."""
     if args.format == "json":
-        print(json.dumps(obj))
+        print(doc if isinstance(doc, str) else jsonio.encode(doc))
     else:
         for line in text_lines:
             print(line)
@@ -141,7 +143,9 @@ def _cmd_points(args) -> int:
 def _cmd_gluing(args) -> int:
     params = _params_of(args)
     comb = completely_p_glued(params)
-    obj = jsonio.gluing_obj(params, comb)
+    if args.format == "json":
+        _emit(args, jsonio.gluing_text(params, comb), ())
+        return OK
     # the comb drawn depth first: the glued spine, the axes leaf at its
     # foot, then each single-beta leaf on the way back up
     depth = len(comb.peels)
@@ -154,7 +158,7 @@ def _cmd_gluing(args) -> int:
         f"{'  ' * (d + 1)}free: {[list(beta)]}"
         for d, (beta, _) in reversed(list(enumerate(comb.peels)))
     ]
-    _emit(args, obj, lines)
+    _emit(args, None, lines)
     return OK
 
 

@@ -7,7 +7,8 @@ arrays, binomials as {plus, minus, text}.
 
 from __future__ import annotations
 
-from itertools import compress
+import json
+from itertools import accumulate, compress
 
 from .cohomology import CohomologyTable
 from .combinatorics import (
@@ -17,12 +18,16 @@ from .combinatorics import (
     integer_ring,
 )
 from .geometry import FiberReport, JacobianReport
-from .gluing import GluingComb, GluingWitness
+from .gluing import GluingComb
 from .polys import Exponents, Poly, PolyRing
 from .sci import FrobeniusReport, PointSetReport, SciCertificate
 from .toric import RewriteCertificate, TypeStarBinomial
 
 SCHEMA_VERSION = 1
+
+# every document is a tree built fresh for one encoding, so the
+# encoder skips the cycle check
+encode = json.JSONEncoder(check_circular=False).encode
 
 
 def params_obj(params: VeroneseParams) -> dict:
@@ -155,40 +160,46 @@ def points_obj(report: PointSetReport) -> dict:
     }
 
 
-def witness_obj(w: GluingWitness) -> dict:
-    return {
-        "alpha": list(w.alpha),
-        "s": w.s,
-        "rep1": list(w.rep1),
-        "rep2": list(w.rep2),
-    }
+def gluing_text(params: VeroneseParams, comb: GluingComb) -> str:
+    """The comb as the nested tree document, encoded as ``json.dumps``
+    would encode it, but from rows encoded once and without recursion.
 
-
-def gluing_obj(params: VeroneseParams, comb: GluingComb) -> dict:
-    """The comb as the nested tree document, built from the axes leaf
-    outward: each glued node holds the generators left before its peel,
-    its left child the next node and its right child the leaf {beta}."""
+    Each glued node holds the generators left before its peel, its left
+    child the next node and its right child the leaf {beta}; the axes
+    are the free leaf at the foot.  The betas are peeled in generator
+    order, so the node of the peel at position i holds the axes before
+    i and then every generator from i on: a prefix of the axis rows and
+    a suffix of the rows joined once.  The left children nest, so the
+    text is the glued heads in peel order, the axes leaf, then the
+    right leaves in reverse.  Every entry is an int, whose str is its
+    JSON.  Suffixes are copied from a memoryview straight into one
+    bytearray, so no slice of the joined rows is ever made.
+    """
     gens = comb.gens.gens
-    rows = [list(g) for g in gens]
+    rows = [str(list(g)) for g in gens]
+    body = memoryview(", ".join(rows).encode())
+    starts = list(accumulate((len(r) + 2 for r in rows), initial=0))
     at = {g: i for i, g in enumerate(gens)}
     free = set(comb.free.gens)
-    kept = [g in free for g in gens]
-    tree = {"type": "free", "generators": list(compress(rows, kept))}
-    for beta, w in reversed(comb.peels):
+    axis = [g in free for g in gens]
+    doc = bytearray(f'{{"schema_version": {SCHEMA_VERSION}, '
+                    f'"params": {encode(params_obj(params))}, "tree": '.encode())
+    feet = ["}"]
+    lead, nxt = "", 0  # the axis rows before position nxt, each with ", "
+    for beta, w in comb.peels:
         i = at[beta]
-        kept[i] = True
-        tree = {
-            "type": "glued",
-            "generators": list(compress(rows, kept)),
-            "witness": witness_obj(w),
-            "left": tree,
-            "right": {"type": "free", "generators": [rows[i]]},
-        }
-    return {
-        "schema_version": SCHEMA_VERSION,
-        "params": params_obj(params),
-        "tree": tree,
-    }
+        if i < nxt:
+            raise ValueError(f"peel of {beta} is out of generator order")
+        lead += "".join(r + ", " for r in compress(rows[nxt:i], axis[nxt:i]))
+        nxt = i + 1
+        doc += f'{{"type": "glued", "generators": [{lead}'.encode()
+        doc += body[starts[i]:]
+        doc += (f'], "witness": {{"alpha": {list(w.alpha)}, "s": {w.s}, '
+                f'"rep1": {list(w.rep1)}, "rep2": {list(w.rep2)}}}, "left": ').encode()
+        feet.append(f', "right": {{"type": "free", "generators": [{rows[i]}]}}}}')
+    doc += (f'{{"type": "free", "generators": [{", ".join(compress(rows, axis))}]}}'
+            + "".join(reversed(feet))).encode()
+    return doc.decode()
 
 
 def jacobian_obj(report: JacobianReport) -> dict:

@@ -11,7 +11,7 @@ search at every exponent, as the comb once did.
 from __future__ import annotations
 
 from collections import deque
-from itertools import combinations, combinations_with_replacement, product
+from itertools import combinations, combinations_with_replacement, compress, product
 from math import comb, gcd, prod
 from operator import sub
 
@@ -436,6 +436,35 @@ def least_gluing_exponent(rest, alpha, p: int, s_cap: int):
         if rep1 is not None:
             return s, rep1
     return None
+
+
+def gluing_obj(params, comb) -> dict:
+    """The gluing comb as the nested tree document (schema 1), built as
+    a dict from the axes leaf outward, for ``json.dumps`` to encode: each
+    glued node holds the generators left before its peel, its left child
+    the next node and its right child the leaf {beta}."""
+    gens = comb.gens.gens
+    rows = [list(g) for g in gens]
+    at = {g: i for i, g in enumerate(gens)}
+    free = set(comb.free.gens)
+    kept = [g in free for g in gens]
+    tree = {"type": "free", "generators": list(compress(rows, kept))}
+    for beta, w in reversed(comb.peels):
+        i = at[beta]
+        kept[i] = True
+        tree = {
+            "type": "glued",
+            "generators": list(compress(rows, kept)),
+            "witness": {"alpha": list(w.alpha), "s": w.s,
+                        "rep1": list(w.rep1), "rep2": list(w.rep2)},
+            "left": tree,
+            "right": {"type": "free", "generators": [rows[i]]},
+        }
+    return {
+        "schema_version": 1,
+        "params": {"n": params.n, "p": params.p, "h": params.h, "q": params.q},
+        "tree": tree,
+    }
 
 
 def semigroup_least_picks(gens, target):

@@ -7,11 +7,14 @@ import re
 import shlex
 import subprocess
 import sys
+from contextlib import redirect_stdout
+from dataclasses import replace
 from pathlib import Path
 
 import pytest
 
-from conftest import make_params
+import oracles
+from conftest import GRID_T36, make_params
 from veronese import (
     CyclicAction,
     PrimeField,
@@ -31,7 +34,7 @@ from veronese import (
 import veronese
 from veronese import jsonio
 from veronese.cli import build_parser, main
-from veronese.combinatorics import integer_ring
+from veronese.combinatorics import exponent_vectors, integer_ring
 from veronese.toric import generators_over
 
 
@@ -136,7 +139,7 @@ def test_report_documents_serialize(params321):
 
 def test_gluing_tree_document(params321):
     comb = completely_p_glued(params321)
-    doc = _roundtrip(jsonio.gluing_obj(params321, comb))
+    doc = json.loads(jsonio.gluing_text(params321, comb))
     node = doc["tree"]
     assert node["type"] == "glued"
     seen_free = 0
@@ -150,6 +153,57 @@ def test_gluing_tree_document(params321):
             stack.append(cur["left"])
             stack.append(cur["right"])
     assert seen_free == 4
+
+
+# the ten gluing sets of the frobenius-mix pass (perfbench/workloads.py)
+_BENCH_GLUING = ((3, 2, 2), (4, 3, 1), (6, 2, 1), (4, 2, 2), (3, 7, 1),
+                 (3, 2, 3), (3, 3, 2), (6, 3, 1), (4, 5, 1), (5, 2, 2))
+
+
+@pytest.mark.parametrize(
+    "nph", sorted(set(GRID_T36) | set(_BENCH_GLUING) | {(1, 2, 1), (2, 5, 1)}),
+    ids=lambda nph: "%d-%d-%d" % nph,
+)
+def test_gluing_text_matches_the_dict_oracle(nph):
+    # byte for byte what json.dumps writes for the document built as dicts
+    params = make_params(*nph)
+    comb = completely_p_glued(params)
+    want = json.dumps(oracles.gluing_obj(params, comb))
+    assert jsonio.gluing_text(params, comb) == want
+
+
+def test_gluing_text_refuses_peels_out_of_order(params322):
+    # the prefix-and-suffix layout holds only for peels in generator order
+    comb = completely_p_glued(params322)
+    swapped = replace(comb, peels=comb.peels[::-1])
+    with pytest.raises(ValueError, match="out of generator order"):
+        jsonio.gluing_text(params322, swapped)
+
+
+def test_cli_gluing_json_at_990_peels(tmp_path):
+    # 990 glued objects nest down the left spine; encoding them as a
+    # tree of dicts recursed once per level and raised RecursionError
+    params = make_params(45, 2, 1)
+    path = tmp_path / "comb.json"
+    with open(path, "w") as fh, redirect_stdout(fh):
+        code = main(["gluing", "--n", "45", "--p", "2", "--h", "1",
+                     "--format", "json"])
+    assert code == 0
+    # the decoder recurses once per level too, and the test runner's own
+    # frames leave it fewer than 990 under the default limit
+    limit = sys.getrecursionlimit()
+    sys.setrecursionlimit(limit + 1000)
+    try:
+        with open(path) as fh:
+            doc = json.load(fh)
+    finally:
+        sys.setrecursionlimit(limit)
+    node, glued = doc["tree"], 0
+    assert [tuple(g) for g in node["generators"]] == list(exponent_vectors(params))
+    while node["type"] == "glued":
+        glued, node = glued + 1, node["left"]
+    assert glued == 990
+    assert len(node["generators"]) == 45
 
 
 def run_cli(capsys, *argv):
