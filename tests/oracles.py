@@ -168,6 +168,11 @@ def mono_div(a, b) -> tuple:
     return out
 
 
+def mono_mul(a, b) -> tuple:
+    """Exponents of x^a * x^b."""
+    return tuple(x + y for x, y in zip(a, b))
+
+
 def mono_lcm(a, b) -> tuple:
     return tuple(max(x, y) for x, y in zip(a, b))
 
@@ -308,6 +313,57 @@ def quadric_basis_certified(basis, n: int, q: int) -> bool:
         for a, b, c in combinations_with_replacement(range(ring.nvars), 3)
     )
     return standard == comb(n + 3 * q - 1, n - 1)
+
+
+def is_quadric_basis(polys) -> bool:
+    """True when the polys over a prime field, made monic, are proved a
+    Groebner basis of the ideal J they generate by one degree-3 count
+    (Traverso, "Hilbert functions and the Buchberger algorithm", J. Symb.
+    Comput. 1996); False means the count does not apply or does not
+    decide.  Dense exponent tuples throughout.
+
+    The count applies when every element is a pure difference
+    ``lead - tail`` (monic tail coefficient ``r - 1``) of two degree-2
+    monomials and the leads are pairwise distinct.  Two distinct degree-2
+    leads that share a variable have a degree-3 lcm, and an S-pair of
+    coprime leads reduces to 0 (the product criterion), so every S-pair
+    left lies in ``J_3``.  ``J_3`` is spanned by the ``x_v * g``, the
+    oriented incidence vectors ``e(x_v lead) - e(x_v tail)`` of a graph
+    on the degree-3 monomials, so over any field ``dim J_3`` is ``U``,
+    the number of edges that join two components when the edges are
+    added one by one.  The set ``D`` of the ``x_v * lead`` spans
+    ``in(G)_3``, and ``|D| = dim in(G)_3 <= dim in(J)_3 = dim J_3 = U``.
+    With equality ``in(G)_3 = in(J)_3``, so the remainder of a degree-3
+    S-pair, an element of ``J_3`` on monomials no lead divides, is 0, and
+    Buchberger's criterion makes G a Groebner basis.
+    """
+    r = polys[0].ring.field.r
+    edges = []
+    for g in map(monic, polys):
+        lm = leading(g)[0]
+        rest = [(e, c) for e, c in g.raw_terms().items() if e != lm]
+        if len(rest) != 1 or rest[0][1] != r - 1 or sum(lm) != 2 or sum(rest[0][0]) != 2:
+            return False
+        edges.append((lm, rest[0][0]))
+    if len({lm for lm, _ in edges}) < len(edges):
+        return False
+    nvars = polys[0].ring.nvars
+    xs = [tuple(int(i == v) for i in range(nvars)) for v in range(nvars)]
+    parent: dict = {}
+
+    def root(m):
+        while parent.setdefault(m, m) != m:
+            parent[m] = m = parent[parent[m]]
+        return m
+
+    unions = 0
+    for lm, tail in edges:
+        for x in xs:
+            a, b = root(mono_mul(lm, x)), root(mono_mul(tail, x))
+            if a != b:
+                parent[a] = b
+                unions += 1
+    return len({mono_mul(lm, x) for lm, _ in edges for x in xs}) == unions
 
 
 def semigroup_member_brute(gens, target) -> bool:

@@ -11,13 +11,12 @@ import oracles
 from conftest import GRID_T36, make_params
 from veronese import PrimeField, buchberger, index_tuples, reduce
 from veronese.combinatorics import integer_ring, polynomial_ring
-from veronese.groebner import MAX_DEGREE, _layout, _Reducers
-from veronese.polys import Poly, PolyRing, _degrevlex_key
+from veronese.polys import PolyRing
 from veronese.toric import generators_over, quadratic_generators
 
 F5 = PrimeField(5)
-# the message of every input the degree-3 count does not prove a basis
-REFUSED = "degree-3 count"
+# the message of every input that is not a star quadric set
+REFUSED = "not the star quadrics of a Veronese ideal"
 
 
 def test_reduce_frozen_square_to_product(params321):
@@ -98,18 +97,23 @@ def test_buchberger_idempotent_and_canonical(params321):
 
 def test_buchberger_zero_inputs_dropped(params321):
     ring = polynomial_ring(params321, F5)
-    quadric = ring.poly({(((1, 2), 2),): 1, (((1, 1), 1), ((2, 2), 1)): -1})
-    gb = buchberger([ring.zero(), quadric, ring.zero()])
-    assert [g.text() for g in gb.polys] == ["x12^2 + 4*x11*x22"]
+    gens = list(generators_over(params321, F5))
+    gb = buchberger([ring.zero()] + gens + [ring.zero()])
+    assert gb.polys == buchberger(gens).polys
     with pytest.raises(ValueError, match="no nonzero generators"):
         buchberger([ring.zero()])
+    # one star quadric generates a smaller ideal than the Veronese one,
+    # of which it is a basis; buchberger proves only the whole star set
+    quadric = ring.poly({(((1, 2), 2),): 1, (((1, 1), 1), ((2, 2), 1)): -1})
+    with pytest.raises(ValueError, match=REFUSED):
+        buchberger([ring.zero(), quadric, ring.zero()])
 
 
 def _scaled(gens, seed: int) -> list:
     """gens with each variable x_v scaled by a seeded nonzero lambda_v.
     A diagonal scaling keeps every lead and maps a basis to a basis,
-    but the monic tails lose the coefficient r - 1, so the degree-3
-    count does not apply and buchberger refuses them."""
+    but the monic tails lose the coefficient r - 1, so the elements are
+    no star quadrics and buchberger refuses them."""
     ring = gens[0].ring
     r = ring.field.r
     rng = random.Random(seed)
@@ -170,9 +174,9 @@ def test_reduce_rejects_a_foreign_ring(params321):
 
 
 def test_buchberger_matches_sympy_on_random_ideals():
-    # dense random generators are no pure-difference quadrics, and no
-    # set is its own sympy basis: buchberger, which computes no S-pair,
-    # refuses them all
+    # dense random generators are no star quadrics, and no set is its
+    # own sympy basis: buchberger, which computes no S-pair, refuses
+    # them all
     params = make_params(2, 2, 1)
     for r, seed in ((5, 1), (5, 2), (7, 3), (7, 4)):
         field = PrimeField(r)
@@ -217,15 +221,15 @@ def test_buchberger_matches_the_textbook_oracle_over_f2_and_f3(nph, r):
 
 @pytest.mark.parametrize("r", _COUNT_FIELDS)
 def test_star_quadrics_are_proved_a_basis_without_pairs(r):
-    # the degree-3 count decides every star set with |T| <= 36 and
-    # (4,2,2), and its basis is the monic star set; past |T| = 21 the
-    # textbook oracle takes from seconds to minutes a set, so the
-    # reference there is the Hilbert-function certificate, which shares
-    # nothing with the package's count
+    # three certificates accept every star set with |T| <= 36 and
+    # (4,2,2): buchberger's lead arithmetic, the degree-3 graph count
+    # and the Hilbert-function count, which share no code; past
+    # |T| = 21 the textbook oracle takes from seconds to minutes a set
     field = PrimeField(r)
     for nph in GRID_T36 + [(4, 2, 2)]:
         n, p, h = nph
         gens = generators_over(make_params(*nph), field)
+        assert oracles.is_quadric_basis(gens), nph
         gb = buchberger(gens)
         assert gb.pairs_processed == 0
         assert oracles.poly_key_set(gb.polys) == oracles.poly_key_set(map(oracles.monic, gens)), nph
@@ -235,27 +239,26 @@ def test_star_quadrics_are_proved_a_basis_without_pairs(r):
 @pytest.mark.parametrize("r", _COUNT_FIELDS)
 def test_count_refuses_star_sets_less_a_generator(r):
     # with one of the six (3,2,1) quadrics dropped, five of the sets are
-    # no basis and the textbook oracle grows them, so the count must
-    # refuse them; the sixth is a basis, which the count proves
+    # no basis and the textbook oracle grows them; the sixth is a basis
+    # of a smaller ideal, which the degree-3 count proves.  buchberger
+    # proves only the Veronese ideal's star set and refuses all six
     gens = list(generators_over(make_params(3, 2, 1), PrimeField(r)))
     sizes = []
     for i in range(len(gens)):
         rest = gens[:i] + gens[i + 1:]
         want = oracles.buchberger_textbook(rest)
         sizes.append(len(want))
-        if len(want) > len(rest):
-            with pytest.raises(ValueError, match=REFUSED):
-                buchberger(rest)
-        else:
-            assert oracles.poly_key_set(buchberger(rest).polys) == oracles.poly_key_set(want), i
+        assert oracles.is_quadric_basis(rest) == (len(want) == len(rest)), i
+        with pytest.raises(ValueError, match=REFUSED):
+            buchberger(rest)
     assert sorted(sizes) == [5, 6, 6, 7, 7, 7]
 
 
 @pytest.mark.parametrize("r", _COUNT_FIELDS)
 @pytest.mark.parametrize("nph", [(4, 2, 1), (3, 3, 1), (2, 2, 2)], ids=str)
 def test_full_quadric_sets_take_the_pair_loop(nph, r):
-    # every pairwise difference of a content group repeats leads, so the
-    # count does not apply and buchberger refuses the set
+    # every pairwise difference of a content group repeats leads, and
+    # some tails are no consecutive split, so buchberger refuses the set
     field = PrimeField(r)
     gens = [g.map_field(field) for g in quadratic_generators(make_params(*nph), full=True)]
     assert len({oracles.leading(g)[0] for g in gens}) < len(gens)
@@ -265,8 +268,8 @@ def test_full_quadric_sets_take_the_pair_loop(nph, r):
 
 @pytest.mark.parametrize("r", (3, 5, 7))
 def test_count_refuses_a_doubled_tail(r):
-    # doubling one tail coefficient leaves the degree-3 graph as it is,
-    # but the ideal changes and its basis has 9 to 11 elements
+    # doubling one tail coefficient leaves the leads as they are, but
+    # the ideal changes and its basis has 9 to 11 elements
     gens = list(generators_over(make_params(3, 2, 1), PrimeField(r)))
     for i, g in enumerate(gens):
         lm = oracles.leading(g)[0]
@@ -321,37 +324,6 @@ def test_buchberger_bases_pinned_and_reduced(npq):
                 assert not any(all(x <= y for x, y in zip(a, e)) for a in leads)
 
 
-def _exponents(n: int):
-    # small entries make divisibility and ties common; the wide ones reach
-    # the top of a field while a sum of two tuples stays within the limit
-    entry = st.one_of(st.integers(0, 3), st.integers(0, MAX_DEGREE // (2 * n)))
-    return st.lists(entry, min_size=n, max_size=n).map(tuple)
-
-
-@st.composite
-def _exponent_triples(draw):
-    n = draw(st.integers(1, 8))
-    return tuple(draw(_exponents(n)) for _ in range(3))
-
-
-@settings(derandomize=True, max_examples=200, deadline=None)
-@given(_exponent_triples())
-def test_packed_monomials_match_tuple_monomials(case):
-    a, b, c = case
-    lay = _layout(len(a))
-    pa, pb = lay.pack(a), lay.pack(b)
-    assert lay.unpack(pa) == a
-    assert (lay.key(pa) > lay.key(pb)) == (_degrevlex_key(a) > _degrevlex_key(b))
-    assert (lay.key(pa) == lay.key(pb)) == (a == b)
-    ac = tuple(x + y for x, y in zip(a, c))
-    assert pa + lay.pack(c) == lay.pack(ac)
-    if any(a):  # a reducer's lead has positive degree
-        red = _Reducers(PolyRing(F5, range(len(a))))
-        red.add(pa, [])
-        for target in (b, ac):
-            assert (red.find(lay.pack(target)) == 0) == oracles.mono_divides(a, target)
-
-
 @lru_cache(maxsize=None)
 def _division_bases(r: int) -> tuple:
     """The bases of two star quadric sets over F_r."""
@@ -376,23 +348,66 @@ def test_reduce_matches_the_tuple_division(case):
     assert reduce(f, gb) == oracles.normal_form(f, gb.polys)
 
 
-def test_packed_degree_limit(params321):
+@lru_cache(maxsize=None)
+def _grid_basis(nph: tuple, r: int):
+    return buchberger(generators_over(make_params(*nph), PrimeField(r)))
+
+
+@st.composite
+def _polys_to_degree_5(draw, gb):
+    r, nvars = gb.ring.field.r, gb.ring.nvars
+
+    def exps(positions):
+        e = [0] * nvars
+        for i in positions:
+            e[i] += 1
+        return tuple(e)
+
+    mono = st.lists(st.integers(0, nvars - 1), max_size=5).map(exps)
+    return gb, gb.ring.poly(draw(st.dictionaries(mono, st.integers(1, r - 1), max_size=6)))
+
+
+@pytest.mark.parametrize("r", _COUNT_FIELDS)
+@pytest.mark.parametrize("nph", GRID_T36, ids=lambda nph: "%d%d%d" % nph)
+def test_reduce_matches_the_tuple_division_on_the_grid(nph, r):
+    @settings(derandomize=True, max_examples=15, deadline=None)
+    @given(_polys_to_degree_5(_grid_basis(nph, r)))
+    def check(case):
+        gb, f = case
+        assert reduce(f, gb) == oracles.normal_form(f, gb.polys)
+
+    check()
+
+
+def test_reduce_has_no_degree_cap(params321):
     ring = polynomial_ring(params321, F5)
-
-    def mono(*pairs):
-        return ring.poly({pairs: 1})
-
-    top = mono(((1, 1), MAX_DEGREE))
-    over = mono(((1, 1), MAX_DEGREE + 1))
     gb = buchberger(generators_over(params321, F5))
-    with pytest.raises(ValueError, match=f"limit {MAX_DEGREE}"):
-        buchberger([over])
-    with pytest.raises(ValueError, match=f"limit {MAX_DEGREE}"):
-        reduce(over, gb)
+    nf = reduce(ring.poly({(((1, 2), 40_000),): 1}), gb)
+    assert nf == ring.poly({(((1, 1), 20_000), ((2, 2), 20_000)): 1})
+
+
+def test_the_423_basis_is_proved_and_holds_its_generators():
+    # 12,726 quadrics: the lead arithmetic proves them in a fraction of
+    # a second, where the degree-3 graph count takes about 21 s
+    n, q = 4, 8
+    gens = generators_over(make_params(4, 2, 3), F5)
+    gb = buchberger(gens)
+    size = comb(n + q - 1, q)
+    assert len(gb) == comb(size + 1, 2) - comb(n + 2 * q - 1, 2 * q) == 12_726
+    assert all(reduce(g, gb).is_zero() for g in gens)
+
+
+def test_buchberger_refuses_a_ring_missing_a_tuple(params321):
+    # the star quadrics that avoid x_33, in a ring without it: the
+    # variables are no longer all of T
+    gens = generators_over(params321, F5)
+    ring = PolyRing(F5, [t for t in gens[0].ring.variables if t != (3, 3)])
+    kept = [ring.poly({tuple(e[:-1]): c for e, c in g.raw_terms().items()})
+            for g in gens if not any(e[-1] for e in g.raw_terms())]
+    assert kept
     with pytest.raises(ValueError, match=REFUSED):
-        buchberger([top])
-    assert reduce(top, gb) == oracles.normal_form(top, gb.polys)
-    # a negative exponent would borrow from the next field; PolyRing.poly
-    # rejects one, so the term dict is handed to Poly as it stands
-    with pytest.raises(ValueError, match="do not fit"):
-        buchberger([Poly(ring, {(2, -1, 0, 0, 0, 0): 1})])
+        buchberger(kept)
+    # and a ring whose variables are no index tuples at all
+    ring = PolyRing(F5, range(3))
+    with pytest.raises(ValueError, match=REFUSED):
+        buchberger([ring.poly({(2, 0, 0): 1, (0, 1, 1): -1})])

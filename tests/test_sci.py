@@ -141,6 +141,36 @@ def test_verify_char_p_parameter_sweep():
         assert max(report.k_values) <= h
 
 
+def _frobenius_exponent_lemma(params, g) -> int:
+    """The least k of the star quadric g against build_certificate:
+    h, except h - 1 when p = 2 and g is x_(i^q)*x_(j^q) - x_c^2 with
+    c = (q/2)(e_i + e_j).  For k < h a head x_t^q fires on x_t^(x*p^k),
+    x in {1, 2}, only when x = 2 and p^k = q/2; both sides are then pure
+    products, which agree only in that case."""
+    q, h = params.q, params.h
+    if params.p == 2:
+        sides = sorted(tuple(t for t, e in zip(g.ring.variables, exps) for _ in range(e))
+                       for exps in g.raw_terms())
+        for (a, b), (c, d) in (sides, sides[::-1]):
+            i, j = a[0], b[0]
+            half = (i,) * (q // 2) + (j,) * (q // 2)
+            if i < j and (a, b) == ((i,) * q, (j,) * q) and c == d == half:
+                return h - 1
+    return h
+
+
+def test_frobenius_exponent_lemma_on_the_grid():
+    quadrics = below = 0
+    for nph in GRID_T36:
+        params = make_params(*nph)
+        for g, k in verify_char_p(build_certificate(params)).entries:
+            want = _frobenius_exponent_lemma(params, g)
+            assert k == want, (nph, g.text())
+            quadrics += 1
+            below += want < params.h
+    assert (quadrics, below) == (2895, 96)
+
+
 # the Frobenius ladder of the benchmark, |T| <= 36
 FROBENIUS_RUNGS = (
     (3, 2, 1), (3, 3, 1), (4, 2, 1), (5, 2, 1), (3, 2, 2), (4, 3, 1), (6, 2, 1),
