@@ -3,9 +3,10 @@ expectations.  Everything here is either elementary (minor gcds, brute
 enumeration) or delegates to sympy; nothing imports the package's own
 linear algebra or Groebner code paths beyond data types, except that
 the rebuilt gluing comb reads ``d`` by ``quotient_order`` from the
-package's echelon basis of each whole rest, as the comb was first built,
-and ``least_gluing_exponent`` runs the package's packed membership
-search at every exponent, as the comb once did.
+package's echelon basis of each whole rest and searches by the package's
+``semigroup_member``, as the comb was first built.  ``PackedGens`` is
+the packed membership search the comb once ran; ``least_gluing_exponent``
+runs it at every exponent.
 """
 
 from __future__ import annotations
@@ -13,7 +14,6 @@ from __future__ import annotations
 from collections import deque
 from itertools import combinations, combinations_with_replacement, compress, product
 from math import comb, gcd, prod
-from operator import sub
 
 import sympy
 from sympy import GF, Matrix
@@ -27,6 +27,7 @@ from veronese.combinatorics import (
     pure_tuple,
 )
 from veronese.fields import PrimeField
+from veronese.gluing import SemigroupGens, semigroup_member
 from veronese.lattice import echelon_basis
 
 
@@ -389,49 +390,92 @@ def semigroup_member_brute(gens, target) -> bool:
     return False
 
 
-def semigroup_member_dfs(gens, target):
-    """The first multiplicity vector, in generator order, writing target
-    as an N-combination of gens, or None.
+class PackedGens:
+    """Generators packed into ints for the membership search.
 
-    Depth first over picks on exponent tuples: frames[d] is [rest,
-    start, next generator to try] and picks[d] the generator frame d
-    descended through; a (rest, start) that found no split is never
-    searched again.
+    Coordinate i of a vector sits in field i of ``width`` bits, whose
+    top bit is a guard; every entry of a generator or target stays below
+    the guard.  A remainder carries its coordinates with every guard
+    set, so subtracting a generator is one integer subtraction that
+    borrows from no other field, and it keeps every guard exactly when
+    no coordinate goes negative.  ``gens`` lists the packed generators
+    in the order of the vectors given; ``remove`` deletes one in place.
     """
-    target = tuple(target)
-    if any(x < 0 for x in target):
-        return None
-    failed: set = set()
-    picks: list = []
-    frames = [[target, 0, 0]] if any(target) else []
-    found = not frames
-    while frames and not found:
-        frame = frames[-1]
-        rest, start, i = frame
-        for i in range(i, len(gens)):
-            left = tuple(map(sub, rest, gens[i]))
-            if min(left) < 0:
-                continue
-            if not any(left):
-                found = True
-            elif (left, i) in failed:
-                continue
+
+    __slots__ = ("dim", "width", "guards", "gens")
+
+    def __init__(self, vectors, top: int):
+        """Fields wide enough for every entry of vectors and for targets
+        with entries up to top."""
+        self.dim = len(vectors[0])
+        w = self.width = max(top, *map(max, vectors)).bit_length() + 1
+        self.guards = sum(1 << (i * w + w - 1) for i in range(self.dim))
+        self.gens = [self.pack(v) for v in vectors]
+
+    def pack(self, v) -> int:
+        return sum(x << (i * self.width) for i, x in enumerate(v))
+
+    def remove(self, v) -> None:
+        self.gens.remove(self.pack(v))
+
+    def member(self, target):
+        """Multiplicity vector writing target as an N-combination of the
+        generators, or None.
+
+        The search is depth first over picks in generator order and
+        returns the first witness in that order.  Every pick lowers the
+        coordinate sum, so the search is finite and always decides.  A
+        target with an entry at or above the guard raises ValueError.
+        """
+        if min(target) < 0:
+            return None
+        if max(target) >> (self.width - 1):
+            raise ValueError(
+                f"target {tuple(target)} does not fit {self.width}-bit fields"
+            )
+        glist, guards = self.gens, self.guards
+        end = len(glist)
+        # an explicit stack, so deep targets cannot exhaust the recursion
+        # limit: frames[d] is [rest, next generator to try] and picks[d]
+        # the generator frame d descended through.  Picks never decrease,
+        # so pick sequences are visited in lexicographic order.  A rest
+        # that found no split goes into failed and is never searched
+        # again, even where a later visit may pick earlier generators:
+        # if the picks P that first reached it and some split R of it
+        # used a generator before P's last, sorted(P + R) would be a
+        # witness lexicographically before P, found before P was reached.
+        failed: set = set()
+        picks: list = []
+        root = self.pack(target) | guards
+        frames = [[root, 0]] if root != guards else []
+        found = not frames
+        while frames and not found:
+            frame = frames[-1]
+            rest, i = frame
+            for i in range(i, end):
+                left = rest - glist[i]
+                if left & guards != guards:
+                    continue
+                if left == guards:
+                    found = True
+                elif left in failed:
+                    continue
+                else:
+                    frame[1] = i + 1
+                    frames.append([left, i])
+                picks.append(i)
+                break
             else:
-                frame[2] = i + 1
-                frames.append([left, i, i])
-            picks.append(i)
-            break
-        else:
-            failed.add((rest, start))
-            frames.pop()
-            if picks:
-                picks.pop()
-    if not found:
-        return None
-    counts = [0] * len(gens)
-    for i in picks:
-        counts[i] += 1
-    return tuple(counts)
+                failed.add(rest)
+                frames.pop()
+                if picks:
+                    picks.pop()
+        if not found:
+            return None
+        counts = [0] * len(glist)
+        for i in picks:
+            counts[i] += 1
+        return tuple(counts)
 
 
 def quotient_order(basis, beta) -> int:
@@ -463,8 +507,8 @@ def glued_comb_rebuilt(gens, p: int, h: int) -> tuple:
 
     The non-axis generators are peeled in list order.  Each peel reads
     d from an echelon basis of its whole rest and searches the least
-    s <= h by ``semigroup_member_dfs``.  Returns ((beta, alpha, s, rep1,
-    rep2), ...) in peel order and the free leaf.
+    s <= h by the tuple search ``semigroup_member``.  Returns ((beta,
+    alpha, s, rep1, rep2), ...) in peel order and the free leaf.
     """
     rest = list(gens)
     peels = []
@@ -472,8 +516,9 @@ def glued_comb_rebuilt(gens, p: int, h: int) -> tuple:
         rest.remove(beta)
         d = quotient_order(echelon_basis(rest), beta)
         alpha = tuple(d * x for x in beta)
+        left = SemigroupGens(len(beta), tuple(rest))
         for s in range(h + 1):
-            rep1 = semigroup_member_dfs(rest, tuple(p**s * x for x in alpha))
+            rep1 = semigroup_member(left, tuple(p**s * x for x in alpha))
             if rep1 is not None:
                 break
         else:

@@ -8,9 +8,9 @@ from hypothesis import strategies as st
 import oracles
 from conftest import GRID_T600, make_params
 from veronese import cli, exponent_vectors, gluing, lattice
+from veronese.combinatorics import MAX_Q
 from veronese.gluing import (
     GluingWitness,
-    PackedGens,
     SemigroupGens,
     check_p_gluing,
     completely_p_glued,
@@ -26,14 +26,6 @@ def _splits(comb):
     for beta, w in comb.peels:
         rest = rest.without(beta)
         yield rest, SemigroupGens(rest.dim, (beta,)), w
-
-
-def _check(rest, beta, p, s):
-    """check_p_gluing on a plain generator set: d read from a fresh
-    echelon basis, fields as wide as the target p^s*d*max(beta)."""
-    d = oracles.quotient_order(echelon_basis(rest.gens), beta)
-    packed = PackedGens(rest.gens, p**s * d * max(beta))
-    return check_p_gluing(packed, beta, d, p, s)
 
 
 def test_semigroup_gens_validation():
@@ -106,7 +98,7 @@ def test_semigroup_member_bound_cut_is_not_a_failure():
     rep = semigroup_member(gens, (29,))
     assert rep is not None
     assert sum(c * g[0] for c, g in zip(rep, gens.gens)) == 29
-    assert rep == oracles.semigroup_member_dfs(gens.gens, (29,))
+    assert rep == oracles.PackedGens(gens.gens, 29).member((29,))
 
 
 def test_semigroup_member_ungraded_matches_least_picks():
@@ -180,18 +172,19 @@ def _membership_cases(draw):
 @example(([(2, 2), (1, 3), (0, 4)], (3, 5)))
 @example(([(255,), (257,)], (256,)))
 def test_packed_search_matches_the_tuple_oracle(case):
-    # the same first witness as the search on tuples, not only the same
-    # yes or no; wider fields than the target needs change nothing
+    # the packed oracle finds the same first witness as the search on
+    # tuples, not only the same yes or no, in fields as wide as the
+    # target needs or wider
     vectors, target = case
     gens = SemigroupGens.of(vectors)
-    want = oracles.semigroup_member_dfs(gens.gens, target)
-    assert semigroup_member(gens, target) == want
-    assert PackedGens(gens.gens, 2 * max(target) + 1).member(target) == want
+    want = semigroup_member(gens, target)
+    for top in (max(target), 2 * max(target) + 1):
+        assert oracles.PackedGens(gens.gens, top).member(target) == want
 
 
 def test_packed_fields_refuse_a_target_past_the_guard():
     # fields sized for entries up to 7 are 4 bits wide; 8 would set a guard
-    packed = PackedGens([(1, 0), (0, 1)], 7)
+    packed = oracles.PackedGens([(1, 0), (0, 1)], 7)
     assert packed.width == 4
     assert packed.member((7, 7)) == (7, 7)
     with pytest.raises(ValueError, match="fit"):
@@ -200,72 +193,59 @@ def test_packed_fields_refuse_a_target_past_the_guard():
 
 
 def test_check_p_gluing_frozen_quadratic():
+    # (2,2,1): beta = (1,1) = e_1 + (q-1)*e_2, so d = q = 2 and s = 0
     t1 = SemigroupGens.of([(2, 0), (0, 2)])
     t2 = SemigroupGens.of([(1, 1)])
-    w = _check(t1, (1, 1), 2, 0)
-    assert isinstance(w, GluingWitness)
-    assert w.alpha == (2, 2)
-    assert w.s == 0
+    w = check_p_gluing(make_params(2, 2, 1), (1, 1))
+    assert w == GluingWitness((2, 2), 0, (1, 1), (2,))
     assert validate_witness(t1, t2, 2, w)
 
 
-def test_check_p_gluing_needs_positive_power():
-    t1 = SemigroupGens.of(
-        [(2, 0, 0), (0, 2, 0), (0, 0, 2), (0, 1, 1), (1, 0, 1)]
-    )
+def test_check_p_gluing_needs_positive_power(params321):
+    # the first peel of (3,2,1): d = 1, so s = 1 and 2*(1,1,0) is the
+    # axes (1,1) and (2,2); rest lists (1,1), (1,3), (2,2), (2,3), (3,3)
+    t1 = SemigroupGens.of([(2, 0, 0), (1, 0, 1), (0, 2, 0), (0, 1, 1), (0, 0, 2)])
     t2 = SemigroupGens.of([(1, 1, 0)])
-    w = _check(t1, (1, 1, 0), 2, 1)
-    assert isinstance(w, GluingWitness)
-    assert w.alpha == (1, 1, 0)
-    assert w.s == 1
+    w = check_p_gluing(params321, (1, 1, 0))
+    assert w == GluingWitness((1, 1, 0), 1, (1, 0, 1, 0, 0), (2,))
     assert validate_witness(t1, t2, 2, w)
-
-
-def test_check_p_gluing_single_generator_outside_span():
-    t1 = SemigroupGens.of([(1, 0, 0), (0, 1, 0)])
-    assert _check(t1, (0, 0, 1), 2, 1) is None
-    # the quotient order is read in the echelon basis, not by a search
-    t1 = SemigroupGens.of([(4, 0), (0, 4)])
-    w = _check(t1, (1, 3), 2, 0)
-    assert w == GluingWitness((4, 12), 0, (1, 3), (4,))
-    assert validate_witness(t1, SemigroupGens.of([(1, 3)]), 2, w)
 
 
 def test_check_p_gluing_s_cap():
-    t1 = SemigroupGens.of(
-        [(2, 0, 0), (0, 2, 0), (0, 0, 2), (0, 1, 1), (1, 0, 1)]
-    )
-    # one search, at the s asked for: (1,1,0) is no generator of t1
-    assert _check(t1, (1, 1, 0), 2, 0) is None
-    with pytest.raises(ValueError, match="dimensions"):
-        check_p_gluing(PackedGens(t1.gens, 2), (1, 1), 1, 2, 1)
+    # s never passes h, and reaches it where d*m = 1
+    for n, p, h in ((3, 2, 4), (4, 2, 3), (3, 3, 2), (4, 3, 1)):
+        comb = completely_p_glued(make_params(n, p, h))
+        assert max(w.s for _, w in comb.peels) == h, (n, p, h)
+
+
+def test_check_p_gluing_refuses_what_has_no_peel(params321):
+    # only a non-axis generator of T has a peel: not an axis, a vector
+    # of another dimension or degree, or the zero vector
+    for beta in ((2, 0, 0), (1, 1), (1, 1, 1), (1, 0, 0), (0, 0, 0)):
+        with pytest.raises(ValueError, match="no non-axis generator"):
+            check_p_gluing(params321, beta)
 
 
 def test_check_p_gluing_searches_up_to_the_cap():
-    # N(rest) = <3,5> x <3,5> lacks the axis witness of a Veronese rest,
-    # so d = 1 and the least s is 3: (8,8) = (3,0)+(5,0)+(0,3)+(0,5)
-    rest = SemigroupGens.of([(3, 0), (5, 0), (0, 3), (0, 5)])
-    beta = (1, 1)
-    w = _check(rest, beta, 2, 3)
-    assert w == GluingWitness((1, 1), 3, (1, 1, 1, 1), (8,))
-    assert w.rep1 == oracles.semigroup_member_dfs(rest.gens, (8, 8))
-    assert validate_witness(rest, SemigroupGens.of([beta]), 2, w)
-    assert _check(rest, beta, 2, 2) is None
-    # fields sized from the wrong bound p^s*d <= 4 cannot hold (8,8):
-    # the search raises instead of borrowing across fields
-    with pytest.raises(ValueError, match="fit"):
-        check_p_gluing(PackedGens(rest.gens, 4), beta, 1, 2, 3)
-    # no s at all: N(rest) misses the ray of beta = (0,1), d = 2, and
-    # the target (0, 2^13) at s = 12 is refuted in fields of 15 bits
-    rest = PackedGens([(1, 0), (1, 2)], 2**12 * 2 * 1)
-    assert rest.width == 15
-    assert check_p_gluing(rest, (0, 1), 2, 2, 12) is None
+    # (3,2,3), beta = (1,1,6): d = m = 1, so s = h = 3 and 8*beta is
+    # the axis (1^8), then (2^8) and six (3^8).  The packed search
+    # refutes every s below the cap and finds the same first witness
+    params = make_params(3, 2, 3)
+    beta = (1, 1, 6)
+    w = check_p_gluing(params, beta)
+    # rest: the axis (1^8) before beta, then every vector after it
+    rest = [g for g in exponent_vectors(params) if 8 in g or g < beta]
+    assert w.s == 3 and w.rep2 == (8,)
+    assert [(g, c) for g, c in zip(rest, w.rep1) if c] == [
+        ((8, 0, 0), 1), ((0, 8, 0), 1), ((0, 0, 8), 6)]
+    packed = oracles.PackedGens(rest, 8 * 6)
+    assert oracles.least_gluing_exponent(packed, beta, 2, 3) == (3, w.rep1)
 
 
 def test_validate_witness_rejects_tampering():
     t1 = SemigroupGens.of([(2, 0), (0, 2)])
     t2 = SemigroupGens.of([(1, 1)])
-    w = _check(t1, (1, 1), 2, 0)
+    w = check_p_gluing(make_params(2, 2, 1), (1, 1))
     assert not validate_witness(t1, t2, 2, GluingWitness((2, 0), w.s, w.rep1, w.rep2))
     assert not validate_witness(t1, t2, 2, GluingWitness(w.alpha, w.s + 1, w.rep1, w.rep2))
     assert not validate_witness(t1, t2, 2, GluingWitness(w.alpha, w.s, (9, 9), w.rep2))
@@ -327,42 +307,83 @@ def _fold_orders(gens) -> list:
 
 
 def test_peel_orders_are_the_closed_form():
-    # the d each peel of the comb carries, against quotient orders over
-    # echelon bases of every rest, and its s and rep1, against a search
-    # at every s up to h: the lemmas of completely_p_glued, on every set
+    # each peel's (alpha, s, rep1, rep2) against the oracles: d from
+    # quotient orders over echelon bases of every rest, then the packed
+    # search at every s up to h, whose first witness at the least s is
+    # the block rule's; the lemmas of completely_p_glued, on every set
     # with |T| <= 600 and on the 990 peels of (45,2,1)
     assert len(GRID_T600) == 89
     for n, p, h in GRID_T600 + [(45, 2, 1)]:
         params = make_params(n, p, h)
         q = params.q
         comb = completely_p_glued(params)
-        got = [_order(beta, w) for beta, w in comb.peels]
-        assert got == _fold_orders(comb.gens.gens), (n, p, h)
-        assert got == [q if b[-1] == q - 1 else 1 for b, _ in comb.peels]
+        orders = _fold_orders(comb.gens.gens)
+        assert orders == [q if b[-1] == q - 1 else 1 for b, _ in comb.peels]
         # fields for p^h*d*max(beta) <= q*q*(q-1), the largest target
         # any s <= h may ask for
-        rest = PackedGens(comb.gens.gens, q * q * (q - 1))
-        for beta, w in comb.peels:
+        rest = oracles.PackedGens(comb.gens.gens, q * q * (q - 1))
+        for (beta, w), d in zip(comb.peels, orders):
             rest.remove(beta)
-            least = oracles.least_gluing_exponent(rest, w.alpha, p, h)
-            assert least == (w.s, w.rep1), (n, p, h, beta)
+            alpha = tuple(d * x for x in beta)
+            s, rep1 = oracles.least_gluing_exponent(rest, alpha, p, h)
+            assert (w.alpha, w.s, w.rep1, w.rep2) == (alpha, s, rep1, (p**s * d,)), (
+                n, p, h, beta)
             assert w.s == _least_exponent(params, w), (n, p, h, beta)
 
 
-def test_each_peel_runs_one_search(monkeypatch):
-    # the search runs at the least s only; nothing below it is refuted
-    calls = []
-    member = PackedGens.member
+def test_combs_run_no_membership_search(monkeypatch):
+    # the block rule writes every witness: check_p_gluing runs once per
+    # peel and semigroup_member never
+    calls = {"check_p_gluing": 0, "semigroup_member": 0}
+    for name in calls:
+        def spy(*args, _name=name, _fn=getattr(gluing, name)):
+            calls[_name] += 1
+            return _fn(*args)
 
-    def spy(self, target):
-        calls.append(target)
-        return member(self, target)
-
-    monkeypatch.setattr(PackedGens, "member", spy)
+        monkeypatch.setattr(gluing, name, spy)
     for npq in ((4, 2, 3), (3, 2, 4)):
-        calls.clear()
+        calls.update(dict.fromkeys(calls, 0))
         comb = completely_p_glued(make_params(*npq))
-        assert len(calls) == len(comb.peels), npq
+        assert calls == {"check_p_gluing": len(comb.peels), "semigroup_member": 0}, npq
+
+
+def _tail_rule(beta, w, q) -> bool:
+    """Whether a peel's k = p^s*d and m = beta_j have k*m mod q > m, the
+    peels whose blocks are not the consecutive split."""
+    m = next(x for x in beta if x)
+    return w.rep2[0] * m % q > m
+
+
+def test_tail_rule_peels_pass_the_snf_recheck():
+    # no set of reproduce-paper has a peel past the consecutive split;
+    # these two do, and every peel is rechecked by Smith normal form
+    for npq, peels, tail in (((3, 2, 3), 42, 7), ((3, 3, 2), 52, 6)):
+        params = make_params(*npq)
+        comb = completely_p_glued(params)
+        assert len(comb.peels) == peels
+        assert sum(_tail_rule(b, w, params.q) for b, w in comb.peels) == tail
+        for t1, t2, w in _splits(comb):
+            assert validate_witness(t1, t2, params.p, w), (npq, t2.gens, w)
+
+
+def test_tail_rule_never_runs_short():
+    # every (p, h, m) under MAX_Q with d = 1: k = p^s for the least s
+    # with p^s*m >= q, (a, r) = divmod(k*m, q); r is never m, and where
+    # r > m the K = k - a blocks hold every j at m - 1 apiece
+    past = set()
+    for p in (2, 3, 5, 7, 11, 13):
+        for h in range(1, MAX_Q.bit_length()):
+            q = p**h
+            if q > MAX_Q:
+                continue
+            for m in range(1, q):
+                k = next(p**s for s in range(h + 1) if p**s * m >= q)
+                a, r = divmod(k * m, q)
+                assert r != m, (p, h, m)
+                if r > m:
+                    past.add((q, m))
+                    assert r <= (k - a) * (m - 1), (p, h, m)
+    assert past == {(8, 3), (9, 5), (16, 3), (16, 6), (16, 7)}
 
 
 @pytest.mark.parametrize("npq, size", [((4, 2, 4), 969), ((6, 2, 3), 1287)])
@@ -386,9 +407,9 @@ def test_combs_past_the_grid(npq, size):
 
 @pytest.mark.parametrize("npq", [(4, 2, 3), (3, 2, 4), (5, 3, 1), (3, 5, 1), (12, 2, 1)])
 def test_completely_glued_matches_the_rebuilt_comb(npq):
-    # the closed-form orders and the packed search give, peel for peel,
-    # the comb built with a fresh echelon basis of every rest and the
-    # tuple search
+    # the closed-form orders and the block rule give, peel for peel, the
+    # comb built with a fresh echelon basis of every rest and the tuple
+    # search
     n, p, h = npq
     params = make_params(n, p, h)
     comb = completely_p_glued(params)
@@ -419,13 +440,6 @@ def test_completely_glued_peels_in_a_loop(capsys):
     lines = capsys.readouterr().out.splitlines()
     assert len(lines) == 2 * 66 + 1
     assert lines[66] == "  " * 66 + f"free: {[list(g) for g in comb.free.gens]}"
-
-
-def test_completely_glued_refuses_a_failed_peel(monkeypatch, params321):
-    # a peel that is no p-gluing breaks the proof; no other order is tried
-    monkeypatch.setattr(gluing, "check_p_gluing", lambda *a: None)
-    with pytest.raises(RuntimeError, match=r"\(1, 1, 0\) is no p-gluing at s = 1"):
-        completely_p_glued(params321)
 
 
 def test_peel_sends_no_wide_matrix_to_snf(monkeypatch, params322):

@@ -129,7 +129,7 @@ def _scaled(gens, seed: int) -> list:
             for g in gens]
 
 
-def test_count_refuses_scaled_star_sets():
+def test_lead_checks_refuse_scaled_star_sets():
     for nph in ((3, 2, 1), (3, 2, 2), (2, 3, 1), (4, 3, 1)):
         gens = _scaled(list(generators_over(make_params(*nph), F5)), 1)
         with pytest.raises(ValueError, match=REFUSED):
@@ -237,7 +237,7 @@ def test_star_quadrics_are_proved_a_basis_without_pairs(r):
 
 
 @pytest.mark.parametrize("r", _COUNT_FIELDS)
-def test_count_refuses_star_sets_less_a_generator(r):
+def test_lead_checks_refuse_star_sets_less_a_generator(r):
     # with one of the six (3,2,1) quadrics dropped, five of the sets are
     # no basis and the textbook oracle grows them; the sixth is a basis
     # of a smaller ideal, which the degree-3 count proves.  buchberger
@@ -256,7 +256,7 @@ def test_count_refuses_star_sets_less_a_generator(r):
 
 @pytest.mark.parametrize("r", _COUNT_FIELDS)
 @pytest.mark.parametrize("nph", [(4, 2, 1), (3, 3, 1), (2, 2, 2)], ids=str)
-def test_full_quadric_sets_take_the_pair_loop(nph, r):
+def test_lead_checks_refuse_full_quadric_sets(nph, r):
     # every pairwise difference of a content group repeats leads, and
     # some tails are no consecutive split, so buchberger refuses the set
     field = PrimeField(r)
@@ -267,7 +267,7 @@ def test_full_quadric_sets_take_the_pair_loop(nph, r):
 
 
 @pytest.mark.parametrize("r", (3, 5, 7))
-def test_count_refuses_a_doubled_tail(r):
+def test_lead_checks_refuse_a_doubled_tail(r):
     # doubling one tail coefficient leaves the leads as they are, but
     # the ideal changes and its basis has 9 to 11 elements
     gens = list(generators_over(make_params(3, 2, 1), PrimeField(r)))

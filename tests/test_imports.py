@@ -121,9 +121,10 @@ def test_package_has_no_isinstance_against_typing():
 # defined for callers outside the package: name -> why it stays
 DEAD_ALLOWED = {
     "polys.frobenius_power": "perfbench/spans.py wraps it to count Frobenius work",
-    "gluing.semigroup_member": "membership on a SemigroupGens for callers; the comb "
-                               "searches its own PackedGens, and perfbench/spans.py "
-                               "wraps it",
+    "gluing.semigroup_member": "the tuple search for callers with other generating "
+                               "sets; no comb searches, and perfbench/spans.py wraps it",
+    "polys.Poly.map_field": "perfbench/workloads.py and the tests map integer "
+                            "generators into F_r; no check does",
 }
 
 

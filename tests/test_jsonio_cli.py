@@ -452,6 +452,8 @@ _FROZEN_ARGV = {
     "points-ideal-image-only": ("points",) + _P321
     + ("--r", "5", "--set", "ideal", "--mode", "image-only"),
     "gluing": ("gluing",) + _P321,
+    # 7 of its 42 peels cut blocks past the consecutive split
+    "gluing-323": ("gluing", "--n", "3", "--p", "2", "--h", "3"),
     "jacobian": ("jacobian",) + _P321 + ("--r", "5", "--u", "1,1,1"),
     "fibers": ("fibers",) + _P321 + ("--r", "5", "--u", "1,2,3"),
     "cohomology": ("cohomology", "--q", "4", "--a", "3"),
@@ -480,6 +482,7 @@ _FROZEN_DOCUMENTS = (
     ("points-image-only", "json", 0, "f9bbca4874a0d17e82886690f8a751145403a6fbcce998e7fdf1103877898438"),
     ("points-ideal-image-only", "json", 0, "9cc7298f9bea68c0ceffacbd2a3e06f5d3a387ffda8cc511a692aae2600cd3d6"),
     ("gluing", "json", 0, "c366a2dc8fbd7a5750ee65148a72b69fb244fffc92b2911e6b30c1112c53c299"),
+    ("gluing-323", "json", 0, "7e0e6d56c7b885f289289106dbcca2aa0f5988f11d1728de75f3c9a855e629ac"),
     ("jacobian", "json", 0, "a5005d3728db6cda24788afd04d16a68d79ee14b128c4a34cedf19052c278843"),
     ("fibers", "json", 0, "26b60306871df85785a902bc3df7fa43b951b21db08ede3ac00e68cb63e542b8"),
     ("cohomology", "json", 0, "1ccae81200d0aaf20afea761329c0dfd8521cfa8a49add6849d0b6158ef0e1c0"),
@@ -495,6 +498,7 @@ _FROZEN_DOCUMENTS = (
     ("points-image-only", "text", 0, "206ef8b29e8fdf188279a10d6eb32a1d2ec4a9076fc131b71fa0b7135a5e43c1"),
     ("points-ideal-image-only", "text", 0, "e10e3ed94b82fee1ee742df37487e364e86244ec9a7f1023f67ac7d75f825a27"),
     ("gluing", "text", 0, "393472aa4e0af601dbfb7f79d5ce4f017d7759e576153d40f8e474c52d1119b8"),
+    ("gluing-323", "text", 0, "3d832e1d4f3609032e96a70e733de0ebe620516a39dceb3628606ff1ef13afba"),
     ("jacobian", "text", 0, "1a4f16f7e8ac449d1ab87a35a9ce1d8a196189f4f4af49216dc1f88f9d7d4209"),
     ("fibers", "text", 0, "98c3b61d60896b919c35dbb88c3d45dd2aed1320f6f0b46cee23e20ed5e78daa"),
     ("cohomology", "text", 0, "4d4abccf028a9fdb5ef60a29386f37d752fbe52e921f23bf2bd0670a721bfbfd"),
