@@ -16,7 +16,7 @@ import sys
 
 from . import checks, jsonio
 from .cohomology import CyclicAction, cohomology_orders, invariant_element
-from .combinatorics import VeroneseParams, parametrize
+from .combinatorics import VeroneseParams, exponent_vectors, index_tuples, parametrize
 from .fields import PrimeField
 from .geometry import RootOfUnityError, fiber_check, jacobian_rank
 from .gluing import completely_p_glued
@@ -38,13 +38,27 @@ BROKEN_PIPE = 128 + 13  # the shell's status for a SIGPIPE death
 
 
 def _emit(args, doc, text_lines) -> None:
-    """Print doc by --format json, or else the text lines.  A str doc
-    is a document encoded already and prints as it is."""
+    """Print doc() by --format json, or else each line of text_lines().
+
+    Both are callables, and only the one --format chose is called, so
+    a request never builds the output it does not print: in JSON mode
+    each binomial's text is rendered once, for its document entry, and
+    in text mode no document is built.  A str document is encoded
+    already and prints as it is."""
     if args.format == "json":
-        print(doc if isinstance(doc, str) else jsonio.encode(doc))
+        out = doc()
+        print(out if isinstance(out, str) else jsonio.encode(out))
     else:
-        for line in text_lines:
+        for line in text_lines():
             print(line)
+
+
+def _binomial_lines(head: str, binomials):
+    """The text lines of a binomial list: its count line, then each
+    binomial indented."""
+    yield head
+    for g in binomials:
+        yield f"  {g.text()}"
 
 
 def _params_of(args) -> VeroneseParams:
@@ -53,12 +67,13 @@ def _params_of(args) -> VeroneseParams:
 
 def _cmd_enumerate(args) -> int:
     params = _params_of(args)
-    obj = jsonio.enumeration_obj(params)
-    lines = [f"|T| = {params.cardinality()} for n = {params.n}, q = {params.q}"]
-    lines += [
-        f"  t = {e['tuple']}  a = {e['exponent']}" for e in obj["elements"]
-    ]
-    _emit(args, obj, lines)
+
+    def lines():
+        yield f"|T| = {params.cardinality()} for n = {params.n}, q = {params.q}"
+        for t, a in zip(index_tuples(params), exponent_vectors(params)):
+            yield f"  t = {list(t)}  a = {list(a)}"
+
+    _emit(args, lambda: jsonio.enumeration_obj(params), lines)
     return OK
 
 
@@ -66,11 +81,8 @@ def _cmd_generators(args) -> int:
     params = _params_of(args)
     # full only when asked, so the cache keys this call like every other
     gens = quadratic_generators(params, full=True) if args.full else quadratic_generators(params)
-    obj = jsonio.generators_obj(params, gens)
-    lines = [f"{len(gens)} quadratic generators"] + [
-        f"  {g.text()}" for g in gens
-    ]
-    _emit(args, obj, lines)
+    _emit(args, lambda: jsonio.generators_obj(params, gens),
+          lambda: _binomial_lines(f"{len(gens)} quadratic generators", gens))
     return OK
 
 
@@ -85,36 +97,39 @@ def _cmd_rewrite(args) -> int:
         payload = dict(payload, params={"n": args.n, "p": args.p, "h": args.h})
     tsb = jsonio.type_star_from_obj(payload)
     cert = rewrite(tsb)
-    obj = jsonio.rewrite_obj(cert, tsb.poly())
-    lines = [f"input: {tsb.poly().text()}", f"{len(cert)} steps"]
-    for st in cert.steps:
-        sign = "+" if st.sign > 0 else "-"
-        cof = monomial_text(st.quadratic.ring, st.cofactor)
-        lines.append(f"  {sign} ({st.quadratic.text()}) * {cof}")
-    _emit(args, obj, lines)
+    binomial = tsb.poly()
+
+    def lines():
+        yield f"input: {binomial.text()}"
+        yield f"{len(cert)} steps"
+        for st in cert.steps:
+            sign = "+" if st.sign > 0 else "-"
+            cof = monomial_text(st.quadratic.ring, st.cofactor)
+            yield f"  {sign} ({st.quadratic.text()}) * {cof}"
+
+    _emit(args, lambda: jsonio.rewrite_obj(cert, binomial), lines)
     return OK
 
 
 def _cmd_certificate(args) -> int:
     params = _params_of(args)
     cert = build_certificate(params)
-    obj = jsonio.certificate_obj(cert)
-    lines = [f"{len(cert)} binomials (N = |T| - n)"] + [
-        f"  {g.text()}" for g in cert.binomials
-    ]
-    _emit(args, obj, lines)
+    _emit(args, lambda: jsonio.certificate_obj(cert),
+          lambda: _binomial_lines(f"{len(cert)} binomials (N = |T| - n)", cert.binomials))
     return OK
 
 
 def _cmd_verify_sci(args) -> int:
     params = _params_of(args)
     report = verify_char_p(build_certificate(params), k_max=args.k_max)
-    obj = jsonio.frobenius_obj(report)
-    lines = [f"success: {report.success} (k_max = {report.k_max})"]
-    for g, k in report.entries:
-        mark = f"k = {k}" if k is not None else "NO k FOUND"
-        lines.append(f"  {g.text()}: {mark}")
-    _emit(args, obj, lines)
+
+    def lines():
+        yield f"success: {report.success} (k_max = {report.k_max})"
+        for g, k in report.entries:
+            mark = f"k = {k}" if k is not None else "NO k FOUND"
+            yield f"  {g.text()}: {mark}"
+
+    _emit(args, lambda: jsonio.frobenius_obj(report), lines)
     return OK if report.success else NEGATIVE
 
 
@@ -127,15 +142,15 @@ def _cmd_points(args) -> int:
         )
     else:
         report = full_ideal_point_survey(params, args.r, mode=mode, budget=args.budget)
-    obj = jsonio.points_obj(report)
-    lines = [
-        f"set = {report.set_label}, mode = {report.mode}, r = {report.r}",
-        f"|image of F_{report.r}^n| = {report.count_image}",
-    ]
-    if report.count_zero_set is not None:
-        lines.append(f"|Zero(F_{report.r})| = {report.count_zero_set}")
-    lines.append(f"witness: {report.witness}")
-    _emit(args, obj, lines)
+
+    def lines():
+        yield f"set = {report.set_label}, mode = {report.mode}, r = {report.r}"
+        yield f"|image of F_{report.r}^n| = {report.count_image}"
+        if report.count_zero_set is not None:
+            yield f"|Zero(F_{report.r})| = {report.count_zero_set}"
+        yield f"witness: {report.witness}"
+
+    _emit(args, lambda: jsonio.points_obj(report), lines)
     negative = report.mode == MODE_FULL and report.witness is not None
     return NEGATIVE if negative else OK
 
@@ -143,22 +158,17 @@ def _cmd_points(args) -> int:
 def _cmd_gluing(args) -> int:
     params = _params_of(args)
     comb = completely_p_glued(params)
-    if args.format == "json":
-        _emit(args, jsonio.gluing_text(params, comb), ())
-        return OK
-    # the comb drawn depth first: the glued spine, the axes leaf at its
-    # foot, then each single-beta leaf on the way back up
-    depth = len(comb.peels)
-    lines = [
-        f"{'  ' * d}glued: alpha = {list(w.alpha)}, s = {w.s}"
-        for d, (_, w) in enumerate(comb.peels)
-    ]
-    lines.append(f"{'  ' * depth}free: {[list(g) for g in comb.free.gens]}")
-    lines += [
-        f"{'  ' * (d + 1)}free: {[list(beta)]}"
-        for d, (beta, _) in reversed(list(enumerate(comb.peels)))
-    ]
-    _emit(args, None, lines)
+
+    def lines():
+        # the comb drawn depth first: the glued spine, the axes leaf at
+        # its foot, then each single-beta leaf on the way back up
+        for d, (_, w) in enumerate(comb.peels):
+            yield f"{'  ' * d}glued: alpha = {list(w.alpha)}, s = {w.s}"
+        yield f"{'  ' * len(comb.peels)}free: {[list(g) for g in comb.free.gens]}"
+        for d, (beta, _) in reversed(list(enumerate(comb.peels))):
+            yield f"{'  ' * (d + 1)}free: {[list(beta)]}"
+
+    _emit(args, lambda: jsonio.gluing_text(params, comb), lines)
     return OK
 
 
@@ -172,15 +182,13 @@ def _cmd_jacobian(args) -> int:
     else:
         w = tuple(_int_list(args.point, params.cardinality()))
     report = jacobian_rank(params, w, args.r)
-    obj = jsonio.jacobian_obj(report)
     big_n = params.cardinality() - params.n
-    lines = [
+    _emit(args, lambda: jsonio.jacobian_obj(report), lambda: (
         f"rank = {report.rank} (N = {big_n}) over F_{args.r}",
         f"triangular submatrix ok: {report.triangular_ok}",
         f"diagonal value: {report.diagonal_value}",
         f"index permutation: {report.permutation}",
-    ]
-    _emit(args, obj, lines)
+    ))
     return OK
 
 
@@ -188,25 +196,25 @@ def _cmd_fibers(args) -> int:
     params = _params_of(args)
     u = tuple(_int_list(args.u, params.n))
     report = fiber_check(params, args.r, u)
-    obj = jsonio.fiber_obj(report)
-    lines = [
+    _emit(args, lambda: jsonio.fiber_obj(report), lambda: (
         f"mu_{params.q} = {list(report.roots_of_unity)} in F_{args.r}",
         f"fiber over phi({list(u)}): {[list(v) for v in report.fiber]}",
         f"orbit: {[list(v) for v in report.orbit]}",
         f"equal: {report.equal}",
-    ]
-    _emit(args, obj, lines)
+    ))
     return OK if report.equal else NEGATIVE
 
 
 def _cmd_cohomology(args) -> int:
     action = CyclicAction(args.q, args.a)
     table = cohomology_orders(action, i_max=args.i_max)
-    obj = jsonio.cohomology_obj(table)
-    lines = [f"q = {args.q}, a = {args.a}, invariant p^(h-1) = "
-             f"{invariant_element(action)}"]
-    lines += [f"  |H^{i}| = {o}" for i, o in table.as_dict().items()]
-    _emit(args, obj, lines)
+
+    def lines():
+        yield f"q = {args.q}, a = {args.a}, invariant p^(h-1) = {invariant_element(action)}"
+        for i, o in table.as_dict().items():
+            yield f"  |H^{i}| = {o}"
+
+    _emit(args, lambda: jsonio.cohomology_obj(table), lines)
     return OK
 
 

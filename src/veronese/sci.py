@@ -158,7 +158,10 @@ def verify_char_p(cert: SciCertificate, k_max: Optional[int] = None) -> Frobeniu
 
     A generator is m1 - m2, so in characteristic p its p^k-th power is
     m1^(p^k) - m2^(p^k), which lies in the certificate ideal exactly when
-    both monomials have the same normal form.
+    both monomials have the same normal form.  The star quadrics of one
+    content class come in a run sharing their + monomial m1, the class
+    leader, so its normal forms are computed once per run, each p^k
+    only when a member of the run first asks for it.
     """
     params = cert.params
     p = params.p
@@ -168,14 +171,18 @@ def verify_char_p(cert: SciCertificate, k_max: Optional[int] = None) -> Frobeniu
         raise ValueError(f"k_max must be >= 0, got {k_max}")
     heads = {t: (e, tail) for t, e, tail in cert.rows}
     entries = []
+    lead = None
     for g in generators_over(params, PrimeField(p)):
-        m1, m2 = (_quadric_support(e) for e in g.raw_terms())
+        m1, m2 = g.raw_terms()
+        if m1 != lead:
+            lead, support, lead_forms = m1, _quadric_support(m1), []
+        m2 = _quadric_support(m2)
         found = None
         power = 1
         for k in range(k_max + 1):
-            if _frobenius_normal_form(heads, m1, power) == _frobenius_normal_form(
-                heads, m2, power
-            ):
+            if k == len(lead_forms):
+                lead_forms.append(_frobenius_normal_form(heads, support, power))
+            if lead_forms[k] == _frobenius_normal_form(heads, m2, power):
                 found = k
                 break
             power *= p

@@ -11,14 +11,14 @@ from __future__ import annotations
 from collections import Counter
 from dataclasses import dataclass
 from functools import lru_cache
-from itertools import combinations_with_replacement
-from operator import add
+from itertools import combinations, groupby, repeat
+from operator import itemgetter
 from typing import Optional
 
 from .combinatorics import (
     VeroneseParams,
     exponent_of,
-    exponent_vectors,
+    index_tuples,
     integer_ring,
     polynomial_ring,
 )
@@ -47,30 +47,48 @@ def quadratic_generators(
     Monomials x_t * x_t' are grouped by content; each group contributes
     the differences of its members against the group leader (one per
     member), or every pairwise difference when full=True.  Signs are
-    normalized so the lex-larger monomial carries +1.
+    normalized so the lex-larger monomial carries +1.  Groups come in
+    ascending content vector, members in descending lex order.
+
+    One sweep over the pairs (i, j), i <= j, of positions in T finds
+    every leader without grouping.  The dense exponent tuple of
+    x_i * x_j is lex larger than that of x_i' * x_j' exactly when
+    (i, j) < (i', j'): the first differing entry sits at the smaller
+    first index, or at i = i' at the smaller second one.  So a group's
+    leader is its least pair and its members arrive in descending lex
+    order.  The least pair of content c is its consecutive split
+    (c[:q], c[q:]), c sorted: T is in ascending lex order, so the least
+    first factor is the least q entries of c, and they leave c[q:].  A
+    pair (t, t') is that split exactly when t[-1] <= t'[0], since then
+    t + t' is c sorted.  As T is sorted, t'[0] grows with j, and the
+    least tuple starting at t[-1] is the pure one (t[-1], ..., t[-1]),
+    at or after t; so for each i the members are the j below that pure
+    tuple and the leaders the j from it on.  A content is kept as
+    an int in base 2q + 1, first coordinate highest, so ascending ints
+    are ascending content vectors, and a pair's content is the sum of
+    its two codes; a stable sort of the members by it gives the groups
+    in order.  Each exponent tuple is built once, for a monomial that
+    appears in the output.
     """
     ring = integer_ring(params)
-    by_content: dict = {}
-    vecs = exponent_vectors(params)
-    m = len(vecs)
-    for i, j in combinations_with_replacement(range(m), 2):
-        c = tuple(map(add, vecs[i], vecs[j]))
-        by_content.setdefault(c, []).append(pair_exponents(m, i, j))
+    tuples = index_tuples(params)
+    m, base = len(tuples), 2 * params.q + 1
+    code = [sum(base ** (params.n - v) for v in t) for t in tuples]
+    pure = {t[0]: i for i, t in enumerate(tuples) if t[0] == t[-1]}
+    leaders: dict = {}  # content code -> its consecutive split (i, j)
+    members = []  # (content code, i, j)
+    for i, t in enumerate(tuples):
+        ci, split = code[i], pure[t[-1]]
+        members += [(ci + code[j], i, j) for j in range(i, split)]
+        leaders.update((ci + code[j], (i, j)) for j in range(split, m))
+    members.sort(key=itemgetter(0))
     out = []
-    for c in sorted(by_content):
-        group = sorted(by_content[c], reverse=True)  # lex descending
-        if len(group) < 2:
-            continue
-        if full:
-            pairs = [
-                (group[i], group[j])
-                for i in range(len(group))
-                for j in range(i + 1, len(group))
-            ]
-        else:
-            pairs = [(group[0], m) for m in group[1:]]
-        for big, small in pairs:
-            out.append(Poly(ring, {big: 1, small: -1}))
+    for c, run in groupby(members, key=itemgetter(0)):
+        run = [pair_exponents(m, *leaders[c])] + [
+            pair_exponents(m, i, j) for _, i, j in run
+        ]
+        pairs = combinations(run, 2) if full else zip(repeat(run[0]), run[1:])
+        out += [Poly(ring, {big: 1, small: -1}) for big, small in pairs]
     return tuple(out)
 
 
@@ -78,14 +96,20 @@ def quadratic_generators(
 def generators_over(params: VeroneseParams, field) -> tuple:
     """quadratic_generators mapped to another coefficient ring, cached
     per ring, so each generator set is mapped once, onto the one
-    polynomial_ring(params, field).  Coefficients are +1 and -1, which
-    no coefficient ring sends to 0."""
+    polynomial_ring(params, field).  Each binomial keeps its two
+    exponent tuples, + first, with coefficients 1 and
+    field.normalize(-1), which no coefficient ring sends to 0: its
+    terms are copied, which keeps their stored hashes, and the -
+    coefficient is set."""
     ring = polynomial_ring(params, field)
-    norm = field.normalize
-    return tuple(
-        Poly(ring, {e: norm(c) for e, c in g.raw_terms().items()})
-        for g in quadratic_generators(params)
-    )
+    minus = field.normalize(-1)
+    out = []
+    for g in quadratic_generators(params):
+        _, small = terms = g.raw_terms()
+        terms = terms.copy()
+        terms[small] = minus
+        out.append(Poly(ring, terms))
+    return tuple(out)
 
 
 @dataclass(frozen=True)

@@ -35,6 +35,7 @@ import veronese
 from veronese import jsonio
 from veronese.cli import build_parser, main
 from veronese.combinatorics import exponent_vectors, integer_ring
+from veronese.polys import Poly
 from veronese.toric import generators_over
 
 
@@ -523,6 +524,44 @@ def test_cli_documents_frozen(tmp_path, capsys, case, fmt, code, digest):
         argv[argv.index("@payload")] = str(path)
     got_code, out = run_cli(capsys, "--format", fmt, *argv)
     assert (got_code, _pinned_digest(out, fmt)) == (code, digest)
+
+
+@pytest.mark.parametrize("sub,key", [("generators", "binomials"), ("verify-sci", "witnesses")])
+def test_cli_json_renders_each_binomial_once(monkeypatch, capsys, sub, key):
+    rendered = []
+    text = Poly.text
+
+    def counted(g):
+        rendered.append(g)
+        return text(g)
+
+    monkeypatch.setattr(Poly, "text", counted)
+    code, out = run_cli(capsys, "--format", "json", sub, *_P321)
+    assert code == 0 and len(json.loads(out)[key]) == 6
+    assert len(rendered) == len({id(g) for g in rendered}) == 6
+
+
+def test_cli_text_mode_builds_no_document(tmp_path, monkeypatch, capsys):
+    def refuse(*args):
+        raise AssertionError("a JSON document was built in text mode")
+
+    builders = [name for name in dir(jsonio)
+                if name.endswith("_obj") and not name.endswith("_from_obj")]
+    for name in builders + ["gluing_text", "encode"]:
+        monkeypatch.setattr(jsonio, name, refuse)
+    seen = set()
+    for case, fmt, code, digest in _FROZEN_DOCUMENTS:
+        if fmt != "text":
+            continue
+        argv = list(_FROZEN_ARGV[case])
+        if "@payload" in argv:
+            path = tmp_path / f"{case}.json"
+            path.write_text(json.dumps(_FROZEN_PAYLOADS[case]))
+            argv[argv.index("@payload")] = str(path)
+        got_code, out = run_cli(capsys, *argv)
+        assert (got_code, _pinned_digest(out, fmt)) == (code, digest), case
+        seen.add(argv[0])
+    assert len(seen) == 10  # every subcommand but reproduce-paper
 
 
 # (n, p, h, SHA-256 of the gluing JSON document); every one exits 0

@@ -1,5 +1,6 @@
 import random
 import tracemalloc
+from dataclasses import replace
 from functools import lru_cache
 from itertools import product
 from math import gcd
@@ -21,6 +22,7 @@ from veronese import (
     quadratic_generators,
     verify_char_p,
 )
+from veronese import checks
 from veronese.checks import GLUING_PARAMS
 from veronese.combinatorics import exponent_vectors, integer_ring, pure_tuple
 from veronese.polys import Poly, frobenius_power
@@ -165,10 +167,25 @@ def test_frobenius_exponent_lemma_on_the_grid():
         params = make_params(*nph)
         for g, k in verify_char_p(build_certificate(params)).entries:
             want = _frobenius_exponent_lemma(params, g)
-            assert k == want, (nph, g.text())
+            assert k == want == checks._lemma_frobenius_exponent(params, g), (nph, g.text())
             quadrics += 1
             below += want < params.h
     assert (quadrics, below) == (2895, 96)
+
+
+def test_char_p_check_asserts_the_lemma_quadric_by_quadric(monkeypatch):
+    # one k moved off the lemma but kept within k <= h fails the check
+    real = checks.verify_char_p
+
+    def moved(cert, k_max=None):
+        report = real(cert, k_max)
+        (g, k), *rest = report.entries
+        return replace(report, entries=((g, k - 1 if k else k + 1), *rest))
+
+    assert checks.run_check("char-p-certificate").ok
+    monkeypatch.setattr(checks, "verify_char_p", moved)
+    result = checks.run_check("char-p-certificate")
+    assert not result.ok and "is not the lemma's" in result.detail
 
 
 # the Frobenius ladder of the benchmark, |T| <= 36

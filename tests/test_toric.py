@@ -1,3 +1,4 @@
+import hashlib
 import random
 from collections import Counter
 from itertools import combinations_with_replacement
@@ -8,6 +9,7 @@ import oracles
 from conftest import GRID_T36, make_params
 from veronese.combinatorics import index_tuples, integer_ring
 from veronese.fields import PrimeField
+from veronese.polys import mono_support
 from veronese.toric import (
     TypeStarBinomial,
     ZeroBinomialError,
@@ -20,15 +22,75 @@ from veronese.toric import (
 F5 = PrimeField(5)
 
 
-@pytest.mark.parametrize("nph", GRID_T36, ids=lambda nph: "%d%d%d" % nph)
+# star sets past GRID_T36: two-digit indices at (10,2,1), and the two
+# largest sets any check or benchmark uses, |T| = 153 and 165
+PAST_T36 = [(10, 2, 1), (3, 2, 4), (4, 2, 3)]
+
+
+@pytest.mark.parametrize("nph", GRID_T36 + PAST_T36, ids=lambda nph: "%d%d%d" % nph)
 def test_quadratic_generators_match_pairwise_build(nph):
     params = make_params(*nph)
-    for full in (False, True):
+    # past GRID_T36 the full sets run to 175,860 binomials; the pins
+    # below fix the one at (10,2,1)
+    for full in (False, True) if nph in GRID_T36 else (False,):
         got = quadratic_generators(params, full)
         want = oracles.quadratic_generators_by_pairs(params, full)
         assert [list(g.raw_terms().items()) for g in got] == [
             list(g.raw_terms().items()) for g in want
         ], full
+
+
+def _factors(ring, exps) -> list:
+    """The index tuples of a degree-2 monomial, ascending."""
+    return sorted(v for v, e in zip(ring.variables, exps) for _ in range(e))
+
+
+@pytest.mark.parametrize("nph", GRID_T36 + PAST_T36, ids=lambda nph: "%d%d%d" % nph)
+def test_star_leads_are_consecutive_splits(nph):
+    # the + term x_t*x_u of a star quadric is the consecutive split of
+    # its content c: t = c[:q], u = c[q:], so t[-1] <= u[0]; the - term
+    # is another factorisation of c, so it is not
+    params = make_params(*nph)
+    q = params.q
+    for g in quadratic_generators(params):
+        (plus, one), (minus, minus_one) = g.raw_terms().items()
+        assert (one, minus_one) == (1, -1)
+        t, u = _factors(g.ring, plus)
+        v, w = _factors(g.ring, minus)
+        c = sorted(t + u)
+        assert c == sorted(v + w)
+        assert (t, u) == (tuple(c[:q]), tuple(c[q:])) and t[-1] <= u[0], g.text()
+        assert v[-1] > w[0], g.text()
+
+
+def _generators_digest(gens) -> str:
+    """SHA-256 over binomials in order: per binomial one line, the repr
+    of its [(support, coefficient)] terms in their stored order."""
+    h = hashlib.sha256()
+    for g in gens:
+        h.update(repr([(mono_support(e), c) for e, c in g.raw_terms().items()]).encode())
+        h.update(b"\n")
+    return h.hexdigest()
+
+
+# (n, p, h): (count, SHA-256) of generators_over(params, F_p), and of the
+# full integer set at (10,2,1)
+_GENERATORS_OVER_PINS = {
+    (10, 2, 1): (825, "891aa850c0f220861b66de04a9ccd7b5a37f880546705a09ed5aa70f43f719f8"),
+    (3, 2, 4): (11220, "1f673b617cd7c0937b05764c97e5c1f73b97b735bd834ade4f64085101b71d3d"),
+    (4, 2, 3): (12726, "f917fcd56d80b145a14a68e58dd560aafcae84242f6b6e5b99cb29aac6d9b8ee"),
+}
+_FULL_1021_PIN = (1035, "7a5fc43c31dbec9be7efd6eb82d60caaec77e23da69599ce10d0dbb2846ab87f")
+
+
+@pytest.mark.parametrize("nph", PAST_T36, ids=lambda nph: "%d%d%d" % nph)
+def test_generators_over_frozen(nph):
+    params = make_params(*nph)
+    gens = generators_over(params, PrimeField(params.p))
+    assert (len(gens), _generators_digest(gens)) == _GENERATORS_OVER_PINS[nph]
+    if nph == (10, 2, 1):
+        full = quadratic_generators(params, full=True)
+        assert (len(full), _generators_digest(full)) == _FULL_1021_PIN
 
 
 def test_generator_count_star_vs_full():
