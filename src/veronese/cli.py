@@ -308,10 +308,10 @@ def build_parser() -> argparse.ArgumentParser:
                     default="full-enumeration")
     sp.add_argument(
         "--budget", type=int, default=DEFAULT_ENUM_BUDGET,
-        help="cap on a survey's size: the r^n pure-coordinate fibre bases "
-             "it visits for --set certificate, the nodes its search of "
-             "F_r^|T| visits for --set ideal, and the r^n parameter vectors "
-             "of the image for --set ideal and in image-only mode",
+        help="cap on r^n in every survey: the pure-coordinate fibre bases "
+             "a certificate survey visits, or the parameter vectors of "
+             "F_r^n for --set ideal (counted by the cone lemma) and in "
+             "image-only mode",
     )
     sp.set_defaults(fn=_cmd_points)
 

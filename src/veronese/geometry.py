@@ -156,11 +156,16 @@ def fiber_check(params: VeroneseParams, r: int, u: Sequence[int]) -> FiberReport
     if not any(u):
         raise ValueError("fiber comparison needs a nonzero point")
     w = parametrize(params, u, field)
+    # mu_q is cyclic of order q = p^h, generated by the first
+    # z = x^((r-1)/q) with z^(q/p) != 1
+    for x in range(2, r):
+        z = pow(x, (r - 1) // q, r)
+        if pow(z, q // params.p, r) != 1:
+            break
+    mu = tuple(sorted(pow(z, k, r) for k in range(q)))
     # the pure coordinate (j, ..., j) of a fibre point v is v_j^q = u_j^q,
-    # so v ranges over products of those q-th-power classes, in lex order
-    qth = [pow(x, q, r) for x in range(r)]
-    roots = [[x for x in range(r) if qth[x] == qth[uj]] for uj in u]
+    # so v ranges over the products of the roots u_j*mu_q, in lex order
+    roots = [sorted(g * uj % r for g in mu) if uj else [0] for uj in u]
     fiber = tuple(v for v in product(*roots) if parametrize(params, v, field) == w)
-    mu = tuple(g for g in range(1, r) if pow(g, q, r) == 1)
     orbit = tuple(sorted({tuple(g * x % r for x in u) for g in mu}))
     return FiberReport(params, r, u, fiber, orbit, mu, set(fiber) == set(orbit))

@@ -5,11 +5,12 @@ One binomial per non-pure coordinate: x_t^q minus the matching product
 of pure-power coordinates.  In characteristic p every quadratic
 generator has a p-power landing in the certificate ideal; over other
 prime fields point surveys hunt for zero-set points outside the
-parametrized image: the certificate's zero set is counted fibre by fibre
-over the pure coordinates, the quadratic ideal's by a depth-first search
-that solves each quadric for its last coordinate.  The image itself is
-never listed: its size is 1 + (r^n - 1)/gcd(q, r - 1) by its mu_q
-fibres, and a point is tested by solving for its preimage.
+parametrized image.  The certificate's zero set is counted fibre by
+fibre over the pure coordinates.  The quadratic ideal's zero set is the
+cone V(F_r), so its r^n points and its lex-first witness are a lemma
+and nothing is searched.  The image itself is never listed: its size is
+1 + (r^n - 1)/gcd(q, r - 1) by its mu_q fibres, and a point is tested
+by solving for its preimage.
 """
 
 from __future__ import annotations
@@ -209,15 +210,6 @@ class PointSetReport:
         return self.count_zero_set == self.count_image
 
 
-def _compiled(binomials) -> list:
-    """[(coeff, factors)] per binomial, factors its (position, exponent)
-    pairs; the binomials are over the field of the survey."""
-    return [
-        [(c, tuple(mono_support(e))) for e, c in g.raw_terms().items()]
-        for g in binomials
-    ]
-
-
 class _Image:
     """The image nu_q(F_r^n), counted and tested without listing it.
 
@@ -286,102 +278,6 @@ def _roots(exponents, r: int) -> dict:
             table[pow(x, e, r)].append(x)
         roots[e] = table
     return roots
-
-
-def _propagate(compiled, r: int, m: int, image,
-               budget: int = DEFAULT_ENUM_BUDGET):
-    """Count the zero set of binomials in F_r^m and find its lex-first
-    point off the image, by depth-first search over the positions.
-
-    Each binomial is attached to its largest position L.  When the
-    search reaches L every other variable is fixed, so it reads
-    A*x_L^k + B = 0 and gives the candidates for x_L: the k-th roots of
-    -B/A when A != 0, all of F_r when A = B = 0, none otherwise.  Other
-    binomials ending at L filter those candidates; positions no binomial
-    ends at branch over F_r.  Candidates come in increasing order, so
-    the leaves come in lex order: the count is the number of leaves and
-    the first leaf off the image is the lex-first witness.  Raises
-    ValueError for a binomial with x_L in both terms, and
-    BudgetExceededError once the search has visited more than budget
-    nodes (calls at a position, and trailing points tried for a witness).
-    """
-    at = [[] for _ in range(m)]
-    for binomial in compiled:
-        last = max((i for _, fs in binomial for i, _ in fs), default=None)
-        held = [t for t in binomial if any(i == last for i, _ in t[1])]
-        if len(binomial) != 2 or len(held) != 1:
-            raise ValueError("each binomial needs its last variable in exactly one term")
-        (ca, fa), = held
-        cb, fb = binomial[1] if binomial[0] is held[0] else binomial[0]
-        k = dict(fa)[last]
-        at[last].append((ca, tuple(f for f in fa if f[0] != last), k, cb, fb))
-    roots = _roots({c[2] for cs in at for c in cs}, r)
-    maxe = max((e for binomial in compiled for _, fs in binomial for _, e in fs), default=1)
-    powtab = [[pow(v, e, r) for e in range(maxe + 1)] for v in range(r)]
-    inv = [0] + [pow(a, r - 2, r) for a in range(1, r)]
-    everything = range(r)
-    # the trailing positions no binomial ends at branch freely below the
-    # last constrained one, so its candidates count r^tail leaves each
-    depth = m
-    while depth and not at[depth - 1]:
-        depth -= 1
-    tail = m - depth
-    spread = r**tail
-    point = [0] * m
-    count = 0
-    witness = None
-    nodes = 0
-
-    def visit() -> None:
-        nonlocal nodes
-        nodes += 1
-        if nodes > budget:
-            raise BudgetExceededError(
-                f"the zero-set search in F_{r}^{m} visits more than {budget} "
-                f"nodes, the enumeration budget"
-            )
-
-    def first_off_image(head: tuple):
-        for rest in product(everything, repeat=tail):
-            visit()
-            if head + rest not in image:
-                return head + rest
-        return None
-
-    def descend(pos: int) -> None:
-        nonlocal count, witness
-        visit()
-        cands = everything
-        for j, (ca, fa, k, cb, fb) in enumerate(at[pos]):
-            a, b = ca, cb
-            for i, e in fa:
-                a = a * powtab[point[i]][e] % r
-            for i, e in fb:
-                b = b * powtab[point[i]][e] % r
-            if j:
-                cands = [v for v in cands if (a * powtab[v][k] + b) % r == 0]
-            elif a:
-                cands = roots[k][-b * inv[a] % r]
-            elif b:
-                return
-        if pos + 1 < depth:
-            for v in cands:
-                point[pos] = v
-                descend(pos + 1)
-            return
-        count += len(cands) * spread
-        if witness is None:
-            for v in cands:
-                point[pos] = v
-                witness = first_off_image(tuple(point[:depth]))
-                if witness is not None:
-                    return
-
-    if depth:
-        descend(0)
-    else:
-        count, witness = spread, first_off_image(())
-    return count, witness
 
 
 def _fibred_scan(rows, free, r: int, m: int, image):
@@ -453,17 +349,41 @@ def full_ideal_point_survey(
     mode: str = MODE_FULL,
     budget: int = DEFAULT_ENUM_BUDGET,
 ) -> PointSetReport:
-    """Survey of the quadratic ideal B.  The image is counted by the
-    fibre lemma of _Image and never listed; full enumeration propagates
-    through F_r^|T| coordinate by coordinate.  budget bounds r^n, as a
-    size limit on F_r^n, and separately caps the nodes the propagation
-    visits."""
+    """Survey of the quadratic ideal B by the cone lemma; budget caps
+    the r^n parameter vectors of F_r^n, and nothing is enumerated.
+
+    Lemma: Zero(B)(F_r) is the cone V(F_r) = {c*nu_q(v)}, with r^n
+    points.  By (d) of groebner.py the star quadrics are a Groebner
+    basis of the toric ideal I over every field, so (B) = I over F_r.
+    Two binomials lie in I as each has equal contents on its two sides:
+    x_t^q - prod_j x_(j^q)^(a_j(t)), and
+    x_t*x_(j0^q)^(q-1) - prod_(i in t) x_((q-1)e_j0 + e_i).  Take x in
+    Zero(B).  If every pure coordinate is 0, the first gives x = 0.
+    Otherwise let y = x_(j0^q) be the first nonzero pure coordinate and
+    w_j = x_((q-1)e_j0 + e_j)/y; the second gives
+    x_t*y^(q-1) = prod_(i in t) y*w_i, so x = y*nu_q(w).  Here w_j0 = 1
+    and y*w_j^q = x_(j^q) = 0 for j < j0, so x -> (y, w) is one-to-one
+    onto y != 0 and w whose first nonzero entry is 1.  Every c*nu_q(v)
+    vanishes on B, whose binomials have equal contents, so
+    |V(F_r)| = 1 + (r - 1)(r^n - 1)/(r - 1) = r^n.
+
+    By _Image's lemma a point of the cone is off the image exactly when
+    its first nonzero pure coordinate is not a q-th power, so the cone
+    is the image exactly when gcd(q, r - 1) = 1.  The last position is
+    (n, ..., n), the largest tuple, so the points lex-smaller than
+    (0, ..., 0, y) are the (0, ..., 0, y') with y' < y, in the image
+    exactly when y' is a q-th power.  The lex-first witness is then
+    (0, ..., 0, y) for the least nonzero y that is not a q-th power.
+    """
     if mode == MODE_IMAGE:
         return _image_only(params, "ideal", r, budget)
     field = _survey_field(mode, r, budget, params.n, "parameter vectors of F_r^n")
     image = _Image(params, field)
-    compiled = _compiled(generators_over(params, field))
-    count, witness = _propagate(compiled, r, params.cardinality(), image, budget)
+    count = r**params.n
+    witness = None
+    if image.count < count:
+        head = (0,) * (params.cardinality() - 1)
+        witness = next(head + (y,) for y in range(1, r) if head + (y,) not in image)
     return PointSetReport(params, r, "ideal", mode, image.count, count, witness)
 
 

@@ -6,7 +6,9 @@ the rebuilt gluing comb reads ``d`` by ``quotient_order`` from the
 package's echelon basis of each whole rest and searches by the package's
 ``semigroup_member``, as the comb was first built.  ``PackedGens`` is
 the packed membership search the comb once ran; ``least_gluing_exponent``
-runs it at every exponent.
+runs it at every exponent.  ``propagate`` is the depth-first search
+that once counted the full-ideal zero set, and ``fiber_scan`` the scan of
+F_r that once built the ``fibers`` report.
 """
 
 from __future__ import annotations
@@ -24,11 +26,14 @@ from veronese.combinatorics import (
     exponent_vectors,
     index_tuples,
     integer_ring,
+    parametrize,
     pure_tuple,
 )
 from veronese.fields import PrimeField
 from veronese.gluing import SemigroupGens, semigroup_member
 from veronese.lattice import echelon_basis
+from veronese.polys import mono_support
+from veronese.sci import BudgetExceededError
 
 
 def invariant_factors_minor_gcd(rows) -> list:
@@ -715,6 +720,128 @@ def zero_set_scan(compiled, r: int, m: int, image) -> tuple:
             if witness is None and point not in image:
                 witness = point
     return count, witness
+
+
+def compile_binomials(binomials) -> list:
+    """[(coeff, factors)] per binomial, factors its (position, exponent)
+    pairs; the binomials are over the field of the survey."""
+    return [
+        [(c, tuple(mono_support(e))) for e, c in g.raw_terms().items()]
+        for g in binomials
+    ]
+
+
+def propagate(compiled, r: int, m: int, image, budget: int = 10**7) -> tuple:
+    """Count the zero set of binomials in F_r^m and find its lex-first
+    point off the image, by depth-first search over the positions.
+
+    Each binomial is attached to its largest position L.  When the
+    search reaches L every other variable is fixed, so it reads
+    A*x_L^k + B = 0 and gives the candidates for x_L: the k-th roots of
+    -B/A when A != 0, all of F_r when A = B = 0, none otherwise.  Other
+    binomials ending at L filter those candidates; positions no binomial
+    ends at branch over F_r.  Candidates come in increasing order, so
+    the leaves come in lex order: the count is the number of leaves and
+    the first leaf off the image is the lex-first witness.  Raises
+    ValueError for a binomial with x_L in both terms, and
+    BudgetExceededError once the search has visited more than budget
+    nodes (calls at a position, and trailing points tried for a witness).
+    """
+    at = [[] for _ in range(m)]
+    for binomial in compiled:
+        last = max((i for _, fs in binomial for i, _ in fs), default=None)
+        held = [t for t in binomial if any(i == last for i, _ in t[1])]
+        if len(binomial) != 2 or len(held) != 1:
+            raise ValueError("each binomial needs its last variable in exactly one term")
+        (ca, fa), = held
+        cb, fb = binomial[1] if binomial[0] is held[0] else binomial[0]
+        k = dict(fa)[last]
+        at[last].append((ca, tuple(f for f in fa if f[0] != last), k, cb, fb))
+    roots = {}
+    for k in {c[2] for cs in at for c in cs}:
+        roots[k] = [[] for _ in range(r)]
+        for x in range(r):
+            roots[k][pow(x, k, r)].append(x)
+    maxe = max((e for binomial in compiled for _, fs in binomial for _, e in fs), default=1)
+    powtab = [[pow(v, e, r) for e in range(maxe + 1)] for v in range(r)]
+    inv = [0] + [pow(a, r - 2, r) for a in range(1, r)]
+    everything = range(r)
+    # the trailing positions no binomial ends at branch freely below the
+    # last constrained one, so its candidates count r^tail leaves each
+    depth = m
+    while depth and not at[depth - 1]:
+        depth -= 1
+    tail = m - depth
+    spread = r**tail
+    point = [0] * m
+    count = 0
+    witness = None
+    nodes = 0
+
+    def visit() -> None:
+        nonlocal nodes
+        nodes += 1
+        if nodes > budget:
+            raise BudgetExceededError(
+                f"the zero-set search in F_{r}^{m} visits more than {budget} nodes"
+            )
+
+    def first_off_image(head: tuple):
+        for rest in product(everything, repeat=tail):
+            visit()
+            if head + rest not in image:
+                return head + rest
+        return None
+
+    def descend(pos: int) -> None:
+        nonlocal count, witness
+        visit()
+        cands = everything
+        for j, (ca, fa, k, cb, fb) in enumerate(at[pos]):
+            a, b = ca, cb
+            for i, e in fa:
+                a = a * powtab[point[i]][e] % r
+            for i, e in fb:
+                b = b * powtab[point[i]][e] % r
+            if j:
+                cands = [v for v in cands if (a * powtab[v][k] + b) % r == 0]
+            elif a:
+                cands = roots[k][-b * inv[a] % r]
+            elif b:
+                return
+        if pos + 1 < depth:
+            for v in cands:
+                point[pos] = v
+                descend(pos + 1)
+            return
+        count += len(cands) * spread
+        if witness is None:
+            for v in cands:
+                point[pos] = v
+                witness = first_off_image(tuple(point[:depth]))
+                if witness is not None:
+                    return
+
+    if depth:
+        descend(0)
+    else:
+        count, witness = spread, first_off_image(())
+    return count, witness
+
+
+def fiber_scan(params, r: int, u) -> tuple:
+    """(fiber, orbit, roots_of_unity) of ``fiber_check`` through a
+    nonzero u with q | r - 1, from a table of q-th powers over all of
+    F_r and a scan of F_r^* for mu_q."""
+    field = PrimeField(r)
+    q = params.q
+    w = parametrize(params, u, field)
+    qth = [pow(x, q, r) for x in range(r)]
+    roots = [[x for x in range(r) if qth[x] == qth[uj]] for uj in u]
+    fiber = tuple(v for v in product(*roots) if parametrize(params, v, field) == w)
+    mu = tuple(g for g in range(1, r) if pow(g, q, r) == 1)
+    orbit = tuple(sorted({tuple(g * x % r for x in u) for g in mu}))
+    return fiber, orbit, mu
 
 
 def derivative(f, v):

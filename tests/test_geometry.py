@@ -1,4 +1,5 @@
 import random
+import tracemalloc
 from itertools import product
 
 import pytest
@@ -201,6 +202,42 @@ def test_fiber_matches_brute_scan():
                     if parametrize(params, v, field) == w
                 )
                 assert fiber_check(params, r, tuple(u)).fiber == brute, (n, p, h, r, u)
+
+
+def test_fiber_matches_the_scan_of_f_r():
+    # mu_q from one generator and the roots u_j*mu_q against a table of
+    # q-th powers over all of F_r and a scan of F_r^* for mu_q, at every
+    # q <= 16 and the first four primes r = 1 mod q
+    rng = random.Random(71)
+    for p, h in ((2, 1), (2, 2), (2, 3), (2, 4), (3, 1), (3, 2), (5, 1),
+                 (7, 1), (11, 1), (13, 1)):
+        q = p**h
+        primes = [r for r in range(3, 400) if is_prime(r) and (r - 1) % q == 0]
+        for n in (2, 3) if q <= 4 else (2,):
+            params = make_params(n, p, h)
+            for r in primes[:4]:
+                for _ in range(3):
+                    u = [rng.randrange(r) for _ in range(n)]
+                    u[rng.randrange(n)] = rng.randrange(1, r)
+                    rep = fiber_check(params, r, tuple(u))
+                    got = rep.fiber, rep.orbit, rep.roots_of_unity
+                    assert got == oracles.fiber_scan(params, r, rep.u), (n, p, h, r, u)
+
+
+def test_fiber_at_a_large_prime(params321):
+    # nothing is tabulated over F_r: at r = 10^9 + 7 the check holds no
+    # more than a few kilobytes
+    r = 10**9 + 7
+    tracemalloc.start()
+    try:
+        rep = fiber_check(params321, r, (1, 2, 3))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert peak < 10**5
+    assert rep.roots_of_unity == (1, r - 1)
+    assert rep.fiber == rep.orbit == ((1, 2, 3), (r - 1, r - 2, r - 3))
+    assert rep.equal
 
 
 def test_orbit_points_parametrize_identically(params321):

@@ -307,16 +307,26 @@ def test_cli_points_exit_codes(capsys):
             assert code == want
 
 
-def test_cli_ideal_survey_budget_counts_nodes(capsys):
-    # 3^15 points of F_3^|T| used to exceed the budget; the propagation
+def test_cli_ideal_survey_budget_caps_parameter_vectors(capsys):
+    # 3^15 points of F_3^|T| used to exceed the budget; the cone lemma
     # answers, and its witness off the image makes the exit code 1
     argv = ("--format", "json", "points", "--n", "3", "--p", "2", "--h", "2",
             "--r", "3", "--set", "ideal")
     code, out = run_cli(capsys, *argv)
     obj = json.loads(out)
     assert (code, obj["count_zero_set"], obj["count_V"]) == (1, 27, 14)
-    code, out = run_cli(capsys, *argv, "--budget", "100")
-    assert (code, out) == (3, "")
+    code, out = run_cli(capsys, *argv, "--budget", "27")
+    assert code == 1
+    assert main(list(argv) + ["--budget", "26"]) == 3
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert "3^3 = 27 parameter vectors" in captured.err
+    # the request the propagation search could not answer in 90 s
+    code, out = run_cli(capsys, "--format", "json", "points", "--n", "4", "--p", "2",
+                        "--h", "2", "--r", "5", "--set", "ideal")
+    obj = json.loads(out)
+    assert (code, obj["count_zero_set"], obj["count_V"]) == (1, 625, 157)
+    assert obj["witness"] == [0] * 34 + [2]
 
 
 def test_cli_gluing(capsys):

@@ -22,7 +22,7 @@ from veronese import (
     quadratic_generators,
     verify_char_p,
 )
-from veronese import checks
+from veronese import checks, sci, toric
 from veronese.checks import GLUING_PARAMS
 from veronese.combinatorics import exponent_vectors, integer_ring, pure_tuple
 from veronese.polys import Poly, frobenius_power
@@ -32,11 +32,9 @@ from veronese.sci import (
     MODE_IMAGE,
     BudgetExceededError,
     SciCertificate,
-    _compiled,
     _fibred_scan,
     _frobenius_normal_form,
     _Image,
-    _propagate,
 )
 from veronese.toric import generators_over
 
@@ -448,7 +446,7 @@ def _brute(params, binomials, r):
     """(count_image, count_zero_set, witness) from the enumerated image
     and a scan of F_r^|T|."""
     field = PrimeField(r)
-    compiled = _compiled([g.map_field(field) for g in binomials])
+    compiled = oracles.compile_binomials([g.map_field(field) for g in binomials])
     image = oracles.image_set(params, field)
     return (len(image),) + oracles.zero_set_scan(compiled, r, params.cardinality(), image)
 
@@ -582,7 +580,7 @@ def test_ideal_witness_walk_skips_declared_image_points():
             pt for pt in product(range(r), repeat=m)
             if all(g.evaluate(pt) == 0 for g in gens)
         ]
-        compiled = _compiled(gens)
+        compiled = oracles.compile_binomials(gens)
         groups = {}
         for pt in zero_set:
             groups.setdefault(pt[:-1], []).append(pt)
@@ -592,7 +590,7 @@ def test_ideal_witness_walk_skips_declared_image_points():
             for dropped in (rng.sample(zero_set, k), rng.sample(rng.choice(big), k)):
                 image = frozenset(zero_set) - frozenset(dropped)
                 expected = (len(zero_set), min(dropped))
-                assert _propagate(compiled, r, m, image) == expected
+                assert oracles.propagate(compiled, r, m, image) == expected
                 assert oracles.zero_set_scan(compiled, r, m, image) == expected
 
 
@@ -622,10 +620,10 @@ def test_propagation_matches_brute_scan_on_quadric_subsets(case):
     params = make_params(*nph)
     field = PrimeField(r)
     quadrics = quadratic_generators(params)
-    compiled = _compiled([quadrics[i].map_field(field) for i in picked])
+    compiled = oracles.compile_binomials([quadrics[i].map_field(field) for i in picked])
     m = params.cardinality()
     image = oracles.image_set(params, field)
-    assert _propagate(compiled, r, m, image) == oracles.zero_set_scan(
+    assert oracles.propagate(compiled, r, m, image) == oracles.zero_set_scan(
         compiled, r, m, image
     )
 
@@ -637,12 +635,12 @@ def test_propagation_branches_on_one_quadric():
     params = make_params(3, 2, 1)
     field = PrimeField(3)
     (g,) = [g for g in quadratic_generators(params) if g.text() == "-x12^2 + x11*x22"]
-    compiled = _compiled([g.map_field(field)])
+    compiled = oracles.compile_binomials([g.map_field(field)])
     image = oracles.image_set(params, field)
-    count, witness = _propagate(compiled, 3, 6, image)
+    count, witness = oracles.propagate(compiled, 3, 6, image)
     assert count == (2 * 3 * 3 + 3 * 3) * 3**2
     assert (count, witness) == oracles.zero_set_scan(compiled, 3, 6, image)
-    assert _propagate(compiled, 3, 6, frozenset()) == (count, (0,) * 6)
+    assert oracles.propagate(compiled, 3, 6, frozenset()) == (count, (0,) * 6)
 
 
 def test_propagation_matches_brute_scan_on_random_binomials():
@@ -666,7 +664,7 @@ def test_propagation_matches_brute_scan_on_random_binomials():
             image = frozenset(
                 pt for pt in product(range(r), repeat=m) if rng.random() < 0.5
             )
-            assert _propagate(compiled, r, m, image) == oracles.zero_set_scan(
+            assert oracles.propagate(compiled, r, m, image) == oracles.zero_set_scan(
                 compiled, r, m, image
             )
 
@@ -675,10 +673,10 @@ def test_propagation_rejects_last_variable_in_both_terms():
     # x11*x13 - x12*x13: x13 is the last variable and sits in both terms
     both = [[(1, ((0, 1), (2, 1))), (2, ((1, 1), (2, 1)))]]
     with pytest.raises(ValueError):
-        _propagate(both, 3, 3, frozenset())
+        oracles.propagate(both, 3, 3, frozenset())
     three = [[(1, ((0, 2),)), (2, ((1, 2),)), (1, ((2, 2),))]]
     with pytest.raises(ValueError):
-        _propagate(three, 3, 3, frozenset())
+        oracles.propagate(three, 3, 3, frozenset())
 
 
 @pytest.mark.parametrize("nph,r", SURVEY_GRID)
@@ -733,7 +731,7 @@ def test_fibred_witness_walk_skips_deep_into_fibres():
             pt for pt in product(range(r), repeat=m)
             if all(g.evaluate(pt) == 0 for g in gens)
         ]
-        compiled = _compiled(gens)
+        compiled = oracles.compile_binomials(gens)
         rows, free = cert.rows, cert.free()
         fibres = {}
         for pt in zero_set:
@@ -810,25 +808,74 @@ def test_certificate_survey_past_the_scan_wall():
 
 
 def test_ideal_survey_past_the_scan_wall():
-    # 3^15 points of F_3^|T| exceed the default budget; the propagation
-    # visits 5,512 nodes
+    # 3^15 points of F_3^|T| exceed the default budget; the cone lemma
+    # answers, and the budget caps the 3^3 parameter vectors of F_3^n
     params = make_params(3, 2, 2)
     assert 3 ** params.cardinality() > DEFAULT_ENUM_BUDGET
     report = full_ideal_point_survey(params, 3)
     assert (report.count_zero_set, report.count_image) == (27, 14)
-    with pytest.raises(BudgetExceededError, match="visits more than 5511 nodes"):
-        full_ideal_point_survey(params, 3, budget=5511)
+    assert full_ideal_point_survey(params, 3, budget=27) == report
+    with pytest.raises(BudgetExceededError, match=r"3\^3 = 27 parameter vectors"):
+        full_ideal_point_survey(params, 3, budget=26)
+    # (4,2,2)/F_5 ran past 90 s in the propagation search; 2 is the least
+    # nonzero non-4th power mod 5
+    report = full_ideal_point_survey(make_params(4, 2, 2), 5)
+    assert (report.count_zero_set, report.count_image) == (625, 157)
+    assert report.witness == (0,) * 34 + (2,)
 
 
 def test_budget_names_the_count(params321):
     with pytest.raises(BudgetExceededError, match=r"5\^3 = 125 fibre bases"):
         point_survey(build_certificate(params321), 5, budget=124)
-    # the ideal survey charges the nodes its propagation visits, 429 here,
-    # and bounds the r^n parameter vectors of F_r^n
-    with pytest.raises(BudgetExceededError, match=r"F_5\^6 visits more than 428 nodes"):
-        full_ideal_point_survey(params321, 5, budget=428)
-    assert full_ideal_point_survey(params321, 5, budget=429).count_zero_set == 125
+    # the ideal survey bounds the r^n parameter vectors of F_r^n only
     with pytest.raises(BudgetExceededError, match=r"5\^3 = 125 parameter vectors"):
         full_ideal_point_survey(params321, 5, budget=124)
+    assert full_ideal_point_survey(params321, 5, budget=125).count_zero_set == 125
     report = point_survey(build_certificate(params321), 5, budget=125)
     assert report.count_zero_set == 189
+
+
+def test_ideal_survey_builds_no_quadric(monkeypatch, params321):
+    calls = []
+
+    def spy(*args):
+        calls.append(args)
+        return generators_over(*args)
+
+    monkeypatch.setattr(sci, "generators_over", spy)
+    monkeypatch.setattr(toric, "generators_over", spy)
+    for r in (2, 3, 5, 101):
+        full_ideal_point_survey(params321, r)
+    assert calls == []
+
+
+# the propagation oracle's node budget: the cases past it are skipped
+_PROPAGATION_NODES = 2000
+
+
+def test_ideal_survey_matches_the_propagation_oracle():
+    # the cone lemma against the depth-first search of F_r^|T| on every
+    # |T| <= 36 set, for the primes r <= 13 with r^n <= 2 * 10^4: 50 of
+    # the 120 cases finish within the node budget, 70 are skipped
+    checked = skipped = 0
+    for nph in GRID_T36:
+        params = make_params(*nph)
+        for r in (2, 3, 5, 7, 11, 13):
+            if r ** params.n > 2 * 10**4:
+                continue
+            field = PrimeField(r)
+            compiled = oracles.compile_binomials(
+                g.map_field(field) for g in quadratic_generators(params)
+            )
+            image = oracles.image_set(params, field)
+            try:
+                want = oracles.propagate(
+                    compiled, r, params.cardinality(), image, _PROPAGATION_NODES
+                )
+            except BudgetExceededError:
+                skipped += 1
+                continue
+            report = full_ideal_point_survey(params, r)
+            assert (report.count_zero_set, report.witness) == want, (nph, r)
+            checked += 1
+    assert (checked, skipped) == (50, 70)
