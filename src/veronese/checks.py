@@ -242,12 +242,25 @@ def _char_p_certificate():
     return True, "; ".join(details)
 
 
+def _certificate_zeros(cert, r: int) -> set:
+    """Zero(cert)(F_r), enumerated over F_r^|T|, where the survey counts
+    it by a lemma: each row x_t^e - prod x_i^a vanishes mod r."""
+    return {
+        pt for pt in product(range(r), repeat=cert.params.cardinality())
+        if all(pow(pt[t], e, r) == prod(pow(pt[i], a, r) for i, a in tail) % r
+               for t, e, tail in cert.rows)
+    }
+
+
 def _char_p_point_equality():
     params = _params(3, 2, 1)
-    report = point_survey(build_certificate(params), 2)
+    cert = build_certificate(params)
+    report = point_survey(cert, 2)
+    zeros = _certificate_zeros(cert, 2)
     ok = (
         report.count_image == 8
-        and report.count_zero_set == 8
+        and report.count_zero_set == 8 == len(zeros)
+        and zeros == _image(params, PrimeField(2))
         and report.witness is None
     )
     return ok, (
@@ -273,15 +286,16 @@ def _char_neq_p_refutation():
         w = report.witness
         if w is None:
             return False, f"no witness over F_{r}"
-        # each row x_t^e - prod x_i^a vanishes at w mod r
-        if any(pow(w[t], e, r) != prod(pow(w[i], a, r) for i, a in tail) % r
-               for t, e, tail in cert.rows):
-            return False, f"witness {w} not on the certificate zero set mod {r}"
-        if w in _image(params, PrimeField(r)):
-            return False, f"witness {w} lies in the image of F_{r}^n"
+        zeros = _certificate_zeros(cert, r)
+        zero_cert = report.count_zero_set
+        if zero_cert != len(zeros):
+            return False, f"|Zero(cert)(F_{r})| = {zero_cert}, enumerated {len(zeros)}"
+        least = min(zeros - _image(params, PrimeField(r)))
+        if w != least:
+            return False, f"witness {w} is not the least point of Zero(cert)(F_{r}) " \
+                          f"off the image, {least}"
         # Zero(B)(F_r) = V(F_r), so a larger certificate zero set is the
         # point where the certificate fails to cut out V
-        zero_cert = report.count_zero_set
         zero_b = full_ideal_point_survey(params, r).count_zero_set
         if not zero_cert > zero_b:
             return False, (

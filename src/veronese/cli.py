@@ -308,10 +308,9 @@ def build_parser() -> argparse.ArgumentParser:
                     default="full-enumeration")
     sp.add_argument(
         "--budget", type=int, default=DEFAULT_ENUM_BUDGET,
-        help="cap on r^n in every survey: the pure-coordinate fibre bases "
-             "a certificate survey visits, or the parameter vectors of "
-             "F_r^n for --set ideal (counted by the cone lemma) and in "
-             "image-only mode",
+        help="cap on r^n, the parameter vectors of F_r^n, in every survey; "
+             "the zero sets and the image are counted by lemmas, so it is "
+             "a size limit only",
     )
     sp.set_defaults(fn=_cmd_points)
 

@@ -12,7 +12,6 @@ root-of-unity action.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
 from typing import Optional, Sequence
 
 from .combinatorics import (
@@ -163,9 +162,15 @@ def fiber_check(params: VeroneseParams, r: int, u: Sequence[int]) -> FiberReport
         if pow(z, q // params.p, r) != 1:
             break
     mu = tuple(sorted(pow(z, k, r) for k in range(q)))
-    # the pure coordinate (j, ..., j) of a fibre point v is v_j^q = u_j^q,
-    # so v ranges over the products of the roots u_j*mu_q, in lex order
-    roots = [sorted(g * uj % r for g in mu) if uj else [0] for uj in u]
-    fiber = tuple(v for v in product(*roots) if parametrize(params, v, field) == w)
+    # solve from the first nonzero u_j0, as sci._Image does: a fibre
+    # point v has v_j0^q = u_j0^q, so v_j0 = g*u_j0 for a g in mu_q, and
+    # coordinate (q-1)e_j0 + e_j of w is v_j0^(q-1)*v_j; each g leaves
+    # one candidate, kept if it re-evaluates to w
+    j0 = next(j for j, x in enumerate(u, 1) if x)
+    tuples = index_tuples(params)
+    row = [tuples.index(tuple(sorted((j0,) * (q - 1) + (j,)))) for j in range(1, params.n + 1)]
+    invs = (pow(g * u[j0 - 1], 1 - q, r) for g in mu)
+    candidates = (tuple(w[t] * inv % r for t in row) for inv in invs)
+    fiber = tuple(sorted(v for v in candidates if parametrize(params, v, field) == w))
     orbit = tuple(sorted({tuple(g * x % r for x in u) for g in mu}))
     return FiberReport(params, r, u, fiber, orbit, mu, set(fiber) == set(orbit))

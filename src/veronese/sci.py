@@ -4,11 +4,12 @@ characteristic p, with Frobenius verification and finite-field surveys.
 One binomial per non-pure coordinate: x_t^q minus the matching product
 of pure-power coordinates.  In characteristic p every quadratic
 generator has a p-power landing in the certificate ideal; over other
-prime fields point surveys hunt for zero-set points outside the
-parametrized image.  The certificate's zero set is counted fibre by
-fibre over the pure coordinates.  The quadratic ideal's zero set is the
-cone V(F_r), so its r^n points and its lex-first witness are a lemma
-and nothing is searched.  The image itself is never listed: its size is
+prime fields point surveys compare zero sets with the parametrized
+image, and nothing is searched: each count and witness is a lemma.  The
+certificate's zero set is counted by grouping its pure values by their
+support, the quadratic ideal's is the cone V(F_r) with r^n points, and
+both have the lex-first witness (0, ..., 0, y), y the least nonzero
+non-q-th power.  The image itself is never listed: its size is
 1 + (r^n - 1)/gcd(q, r - 1) by its mu_q fibres, and a point is tested
 by solving for its preimage.
 """
@@ -16,8 +17,7 @@ by solving for its preimage.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from itertools import product
-from math import gcd, prod
+from math import comb, gcd
 from typing import Optional
 
 from .combinatorics import (
@@ -46,8 +46,9 @@ class SciCertificate:
     the monomial whose ``(position, exponent)`` pairs are ``tail``.
 
     The rows solve for increasing positions t, and no tail touches a
-    solved position; the fibred scan and the Frobenius normal form rely
-    on both, so any other rows raise ValueError.
+    solved position; the Frobenius normal form relies on both, so any
+    other rows raise ValueError.  point_survey's count is a lemma about
+    the rows of build_certificate only, and it refuses any others.
     """
 
     params: VeroneseParams
@@ -65,11 +66,6 @@ class SciCertificate:
     def __len__(self) -> int:
         return len(self.rows)
 
-    def free(self) -> list:
-        """The positions no row solves for, ascending."""
-        solved = {t for t, _, _ in self.rows}
-        return [i for i in range(self.params.cardinality()) if i not in solved]
-
     @property
     def binomials(self) -> tuple:
         """The rows rendered as integer binomials, for output."""
@@ -85,15 +81,18 @@ class SciCertificate:
 
 
 def build_certificate(params: VeroneseParams) -> SciCertificate:
+    return SciCertificate(params, _certificate_rows(params))
+
+
+def _certificate_rows(params: VeroneseParams) -> tuple:
     ring = integer_ring(params)
     q = params.q
     pures = [ring.position(pure_tuple(params, j)) for j in range(1, params.n + 1)]
-    rows = tuple(
+    return tuple(
         (t, q, tuple((j, x) for j, x in zip(pures, a) if x))
         for t, a in enumerate(exponent_vectors(params))
         if q not in a
     )
-    return SciCertificate(params, rows)
 
 
 @dataclass(frozen=True)
@@ -269,78 +268,46 @@ class _Image:
         return True
 
 
-def _roots(exponents, r: int) -> dict:
-    """{e: table} with table[y] the increasing list of x in F_r, x^e = y."""
-    roots = {}
-    for e in exponents:
-        table = [[] for _ in range(r)]
-        for x in range(r):
-            table[pow(x, e, r)].append(x)
-        roots[e] = table
-    return roots
-
-
-def _fibred_scan(rows, free, r: int, m: int, image):
-    """Zero-set count and lex-first point off the image, for a
-    triangular system.
-
-    Over each vector c of free values the zero set is the product of
-    the e-th root lists of the tails m_t(c), taken in position order;
-    its size is the product of their lengths.  The lex-first point off
-    the image is the least, over fibres, of the first non-image point of
-    each fibre's lexicographic walk.
-    """
-    roots = _roots({e for _, e, _ in rows}, r)
-    maxe = max((x for _, _, fs in rows for _, x in fs), default=1)
-    powtab = [[pow(v, e, r) for e in range(maxe + 1)] for v in range(r)]
-    point = [0] * m
-    count = 0
-    witness = None
-    for c in product(range(r), repeat=len(free)):
-        for i, v in zip(free, c):
-            point[i] = v
-        lists = []
-        for t, e, factors in rows:
-            y = 1
-            for i, x in factors:
-                y = y * powtab[point[i]][x] % r
-            lst = roots[e][y]
-            if not lst:
-                break
-            lists.append(lst)
-        else:
-            count += prod(len(lst) for lst in lists)
-            for values in product(*lists):
-                for (t, _, _), v in zip(rows, values):
-                    point[t] = v
-                pt = tuple(point)
-                if witness is not None and pt >= witness:
-                    break
-                if pt not in image:
-                    witness = pt
-                    break
-    return count, witness
-
-
 def point_survey(
     cert: SciCertificate,
     r: int,
     mode: str = MODE_FULL,
     budget: int = DEFAULT_ENUM_BUDGET,
 ) -> PointSetReport:
-    """Certificate survey.  The image is counted by the fibre lemma of
-    _Image and never listed; full enumeration fibres the zero set over
-    the free (pure) coordinates, so budget caps the r^n fibre bases
-    visited (and bounds r^n in image-only mode, as a size limit)."""
+    """Survey of the certificate of build_certificate(params) by the
+    count lemma below; any other rows raise ValueError.  Budget caps the
+    r^n parameter vectors of F_r^n, and nothing is enumerated.
+
+    Lemma: with g = gcd(q, r - 1),
+    |Zero(cert)(F_r)| = 1 + sum_(s=1..n) C(n, s)*((r - 1)/g)^s*g^(1 + C(s+q-1, q) - s).
+    A zero is fixed by its pure values c_j = x_(j^q), and then each
+    non-pure x_t solves x_t^q = m_t(c) = prod_j c_j^(a_j(t)) on its own.
+    Group the c by their support S, with |S| = s.  If a(t) leaves S,
+    m_t(c) = 0 and x_t = 0 is its one root.  The t with a(t) inside S
+    are the C(s+q-1, q) - s non-pure tuples over S; there m_t(c) != 0,
+    and as F_r^* is cyclic of order r - 1 the q-th powers are the g-th
+    powers, so x^q = m_t(c) has g roots if m_t(c) is a g-th power and
+    none otherwise.  Write c_j = zeta^(k_j) for a generator zeta:
+    m_t(c) is a g-th power exactly when sum_j a_j(t)*k_j = 0 mod g.  For
+    i != j in S the row t = (q-1)e_i + e_j asks (q-1)k_i + k_j = 0, that
+    is k_i = k_j mod g, because g | q.  Then every t inside S holds, as
+    sum_j a_j(t)*k_j = q*k_i = 0 mod g.  So g of the g^s classes of k
+    mod g qualify, each lifting to ((r - 1)/g)^s vectors c with
+    g^(C(s+q-1, q) - s) zeros each; s = 0 is the origin.
+
+    The witness is _cone_witness's.
+    """
     params = cert.params
-    if mode == MODE_IMAGE:
-        return _image_only(params, "certificate", r, budget)
-    m = params.cardinality()
-    free = cert.free()
-    field = _survey_field(mode, r, budget, len(free), "fibre bases")
-    image = _Image(params, field)
-    count, witness = _fibred_scan(cert.rows, free, r, m, image)
-    return PointSetReport(params, r, "certificate", mode, image.count, count, witness)
+    if cert.rows != _certificate_rows(params):
+        raise ValueError("point_survey counts the rows of build_certificate(params) only")
+    n, q = params.n, params.q
+
+    def count() -> int:
+        g = gcd(q, r - 1)
+        return 1 + sum(comb(n, s) * ((r - 1) // g) ** s * g ** (1 + comb(s + q - 1, q) - s)
+                       for s in range(1, n + 1))
+
+    return _survey(params, "certificate", r, mode, budget, count)
 
 
 def full_ideal_point_survey(
@@ -367,42 +334,49 @@ def full_ideal_point_survey(
     vanishes on B, whose binomials have equal contents, so
     |V(F_r)| = 1 + (r - 1)(r^n - 1)/(r - 1) = r^n.
 
-    By _Image's lemma a point of the cone is off the image exactly when
-    its first nonzero pure coordinate is not a q-th power, so the cone
-    is the image exactly when gcd(q, r - 1) = 1.  The last position is
-    (n, ..., n), the largest tuple, so the points lex-smaller than
-    (0, ..., 0, y) are the (0, ..., 0, y') with y' < y, in the image
-    exactly when y' is a q-th power.  The lex-first witness is then
-    (0, ..., 0, y) for the least nonzero y that is not a q-th power.
+    The witness is _cone_witness's.
     """
-    if mode == MODE_IMAGE:
-        return _image_only(params, "ideal", r, budget)
-    field = _survey_field(mode, r, budget, params.n, "parameter vectors of F_r^n")
-    image = _Image(params, field)
-    count = r**params.n
-    witness = None
-    if image.count < count:
-        head = (0,) * (params.cardinality() - 1)
-        witness = next(head + (y,) for y in range(1, r) if head + (y,) not in image)
-    return PointSetReport(params, r, "ideal", mode, image.count, count, witness)
+    return _survey(params, "ideal", r, mode, budget, lambda: r**params.n)
 
 
-def _survey_field(mode: str, r: int, budget: int, k: int, what: str) -> PrimeField:
-    """F_r for a survey that visits r^k of what.  The mode, the budget
-    and r^k against it are checked before r is tested for primality, so
-    a huge r is refused as over budget whether or not the test decides it."""
+def _cone_witness(params: VeroneseParams, image: _Image) -> Optional[tuple]:
+    """The lex-first point off the image of both surveyed zero sets.
+
+    Both zero sets hold every point (0, ..., 0, y) that is 0 off the
+    last position (n, ..., n): the cone as y*nu_q(e_n), and the
+    certificate's as each non-pure t holds some j < n, whose pure
+    coordinate 0 makes x_t = 0 a root.  Both contain the image too.
+    The last position is the largest tuple, so the points lex-smaller
+    than (0, ..., 0, y) are the (0, ..., 0, y') with y' < y, and by
+    _Image's lemma such a point is in the image exactly when y' is a
+    q-th power.  The witness is thus (0, ..., 0, y) for the least
+    nonzero y that is not a q-th power.  One exists exactly when
+    gcd(q, r - 1) > 1, that is when the image has fewer than r^n points;
+    otherwise both zero sets have r^n points and are the image.
+    """
+    if image.count == image.r**params.n:
+        return None
+    head = (0,) * (params.cardinality() - 1)
+    return next(head + (y,) for y in range(1, image.r) if head + (y,) not in image)
+
+
+def _survey(params, label, r, mode, budget, zero_count) -> PointSetReport:
+    """The image count and, in full mode, zero_count() and the witness,
+    for a survey bounded by r^n <= budget.  The mode, the budget and r^n
+    against it are checked before r is tested for primality, so a huge r
+    is refused as over budget whether or not the test decides it."""
     if mode not in (MODE_FULL, MODE_IMAGE):
         raise ValueError(f"unknown mode {mode!r}")
     if budget < 0:
         raise ValueError(f"budget must be >= 0, got {budget}")
-    if isinstance(r, int) and r > 1 and r**k > budget:
+    n = params.n
+    if isinstance(r, int) and r > 1 and r**n > budget:
         raise BudgetExceededError(
-            f"{r}^{k} = {r**k} {what} exceeds the enumeration budget {budget}"
+            f"{r}^{n} = {r**n} parameter vectors of F_r^n exceeds the "
+            f"enumeration budget {budget}"
         )
-    return PrimeField(r)
-
-
-def _image_only(params, label, r, budget) -> PointSetReport:
-    field = _survey_field(MODE_IMAGE, r, budget, params.n, "parameter vectors of F_r^n")
-    count = _Image(params, field).count
-    return PointSetReport(params, r, label, MODE_IMAGE, count, None, None)
+    image = _Image(params, PrimeField(r))
+    if mode == MODE_IMAGE:
+        return PointSetReport(params, r, label, mode, image.count, None, None)
+    witness = _cone_witness(params, image)
+    return PointSetReport(params, r, label, mode, image.count, zero_count(), witness)

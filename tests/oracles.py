@@ -7,8 +7,9 @@ package's echelon basis of each whole rest and searches by the package's
 ``semigroup_member``, as the comb was first built.  ``PackedGens`` is
 the packed membership search the comb once ran; ``least_gluing_exponent``
 runs it at every exponent.  ``propagate`` is the depth-first search
-that once counted the full-ideal zero set, and ``fiber_scan`` the scan of
-F_r that once built the ``fibers`` report.
+that once counted the full-ideal zero set, ``fibred_scan`` the walk over
+the pure coordinates that once counted the certificate's, and
+``fiber_scan`` the scan of F_r that once built the ``fibers`` report.
 """
 
 from __future__ import annotations
@@ -842,6 +843,65 @@ def fiber_scan(params, r: int, u) -> tuple:
     mu = tuple(g for g in range(1, r) if pow(g, q, r) == 1)
     orbit = tuple(sorted({tuple(g * x % r for x in u) for g in mu}))
     return fiber, orbit, mu
+
+
+def free_positions(cert) -> list:
+    """The positions no row of a certificate solves for, ascending."""
+    solved = {t for t, _, _ in cert.rows}
+    return [i for i in range(cert.params.cardinality()) if i not in solved]
+
+
+def root_tables(exponents, r: int) -> dict:
+    """{e: table} with table[y] the increasing list of x in F_r, x^e = y."""
+    roots = {}
+    for e in exponents:
+        table = [[] for _ in range(r)]
+        for x in range(r):
+            table[pow(x, e, r)].append(x)
+        roots[e] = table
+    return roots
+
+
+def fibred_scan(rows, free, r: int, m: int, image) -> tuple:
+    """Zero-set count and lex-first point off the image, for a
+    triangular system of rows (t, e, tail) over the free positions.
+
+    Over each vector c of free values the zero set is the product of
+    the e-th root lists of the tails m_t(c), taken in position order;
+    its size is the product of their lengths.  The lex-first point off
+    the image is the least, over fibres, of the first non-image point of
+    each fibre's lexicographic walk.
+    """
+    roots = root_tables({e for _, e, _ in rows}, r)
+    maxe = max((x for _, _, fs in rows for _, x in fs), default=1)
+    powtab = [[pow(v, e, r) for e in range(maxe + 1)] for v in range(r)]
+    point = [0] * m
+    count = 0
+    witness = None
+    for c in product(range(r), repeat=len(free)):
+        for i, v in zip(free, c):
+            point[i] = v
+        lists = []
+        for t, e, factors in rows:
+            y = 1
+            for i, x in factors:
+                y = y * powtab[point[i]][x] % r
+            lst = roots[e][y]
+            if not lst:
+                break
+            lists.append(lst)
+        else:
+            count += prod(len(lst) for lst in lists)
+            for values in product(*lists):
+                for (t, _, _), v in zip(rows, values):
+                    point[t] = v
+                pt = tuple(point)
+                if witness is not None and pt >= witness:
+                    break
+                if pt not in image:
+                    witness = pt
+                    break
+    return count, witness
 
 
 def derivative(f, v):

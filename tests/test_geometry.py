@@ -8,6 +8,7 @@ import oracles
 from conftest import GRID_T36, make_params
 from veronese import (
     PrimeField,
+    geometry,
     fiber_check,
     index_tuples,
     jacobian_rank,
@@ -222,6 +223,37 @@ def test_fiber_matches_the_scan_of_f_r():
                     rep = fiber_check(params, r, tuple(u))
                     got = rep.fiber, rep.orbit, rep.roots_of_unity
                     assert got == oracles.fiber_scan(params, r, rep.u), (n, p, h, r, u)
+
+
+@pytest.mark.parametrize("nph", GRID_T36, ids=lambda nph: "%d%d%d" % nph)
+def test_fiber_matches_the_product_oracle_on_the_grid(nph, monkeypatch):
+    # the q candidates solved from the first nonzero u_j0 against every
+    # product of the roots of u_j^q, fiber order included, at the first
+    # two primes r = 1 mod q; one parametrization per candidate and one
+    # for the base point
+    params = make_params(*nph)
+    n, q = params.n, params.q
+    rng = random.Random("fibers-%d%d%d" % nph)
+    primes = [r for r in range(3, 200) if is_prime(r) and (r - 1) % q == 0]
+    calls = []
+    real = geometry.parametrize
+
+    def counted(*args):
+        calls.append(args)
+        return real(*args)
+
+    for r in primes[:2]:
+        for trial in range(4):
+            u = [rng.randrange(1, r) for _ in range(n)]
+            for j in rng.sample(range(n), trial % n):
+                u[j] = 0
+            want = oracles.fiber_scan(params, r, u)
+            monkeypatch.setattr(geometry, "parametrize", counted)
+            calls.clear()
+            rep = fiber_check(params, r, tuple(u))
+            monkeypatch.setattr(geometry, "parametrize", real)
+            assert (rep.fiber, rep.orbit, rep.roots_of_unity) == want, (r, u)
+            assert len(calls) == q + 1
 
 
 def test_fiber_at_a_large_prime(params321):

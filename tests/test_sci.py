@@ -32,7 +32,6 @@ from veronese.sci import (
     MODE_IMAGE,
     BudgetExceededError,
     SciCertificate,
-    _fibred_scan,
     _frobenius_normal_form,
     _Image,
 )
@@ -184,6 +183,32 @@ def test_char_p_check_asserts_the_lemma_quadric_by_quadric(monkeypatch):
     monkeypatch.setattr(checks, "verify_char_p", moved)
     result = checks.run_check("char-p-certificate")
     assert not result.ok and "is not the lemma's" in result.detail
+
+
+def test_point_checks_enumerate_what_the_survey_counts(monkeypatch):
+    # a count one off, or a witness that is a later point off the image,
+    # fails the checks that enumerate Zero(cert)(F_r) over F_r^|T|
+    real = checks.point_survey
+    names = ("char-p-point-equality", "char-neq-p-refutation")
+    assert all(checks.run_check(name).ok for name in names)
+
+    def one_more(cert, r):
+        report = real(cert, r)
+        return replace(report, count_zero_set=report.count_zero_set + 1)
+
+    monkeypatch.setattr(checks, "point_survey", one_more)
+    assert not any(checks.run_check(name).ok for name in names)
+    assert "enumerated 35" in checks.run_check("char-neq-p-refutation").detail
+
+    # x22 = x33 = 2, x23 = 1 is on Zero(cert)(F_3) and off the image, as 2
+    # is no square mod 3, and it comes after the least such point
+    # (0, 0, 0, 0, 0, 2)
+    def later(cert, r):
+        return replace(real(cert, r), witness=(0, 0, 0, 2, 1, 2))
+
+    monkeypatch.setattr(checks, "point_survey", later)
+    result = checks.run_check("char-neq-p-refutation")
+    assert not result.ok and "is not the least point" in result.detail
 
 
 # the Frobenius ladder of the benchmark, |T| <= 36
@@ -700,20 +725,26 @@ def test_image_set_matches_parametrize(nph, r):
 
 def test_fibred_survey_matches_brute_scan_on_other_tails():
     # same heads, random pure-variable tails: the zero set no longer
-    # contains the image, so the witness walk has to skip image points
-    # that sit anywhere in a fibre
+    # contains the image, so the oracle's witness walk has to skip image
+    # points that sit anywhere in a fibre; point_survey refuses the rows
     rng = random.Random(7)
     for (n, p, h), r in (((3, 2, 1), 5), ((2, 3, 1), 7), ((2, 2, 2), 5)):
         params = make_params(n, p, h)
         cert = build_certificate(params)
-        pures = cert.free()
+        pures = oracles.free_positions(cert)
+        m = params.cardinality()
+        image = oracles.image_set(params, PrimeField(r))
         for _ in range(4):
             rows = []
             for t, e, _ in cert.rows:
                 xs = [rng.randrange(3) for _ in pures]
                 rows.append((t, e, tuple((i, x) for i, x in zip(pures, xs) if x)))
             other = SciCertificate(params, tuple(rows))
-            assert _triple(point_survey(other, r)) == _brute(params, other.binomials, r)
+            want = _brute(params, other.binomials, r)
+            assert (len(image),) + oracles.fibred_scan(other.rows, pures, r, m, image) == want
+            if other.rows != cert.rows:
+                with pytest.raises(ValueError, match="build_certificate"):
+                    point_survey(other, r)
 
 
 def test_fibred_witness_walk_skips_deep_into_fibres():
@@ -732,7 +763,7 @@ def test_fibred_witness_walk_skips_deep_into_fibres():
             if all(g.evaluate(pt) == 0 for g in gens)
         ]
         compiled = oracles.compile_binomials(gens)
-        rows, free = cert.rows, cert.free()
+        rows, free = cert.rows, oracles.free_positions(cert)
         fibres = {}
         for pt in zero_set:
             fibres.setdefault(tuple(pt[i] for i in free), []).append(pt)
@@ -741,7 +772,7 @@ def test_fibred_witness_walk_skips_deep_into_fibres():
             for dropped in (rng.sample(zero_set, k), rng.sample(rng.choice(big), k)):
                 image = frozenset(zero_set) - frozenset(dropped)
                 expected = (len(zero_set), min(dropped))
-                assert _fibred_scan(rows, free, r, m, image) == expected
+                assert oracles.fibred_scan(rows, free, r, m, image) == expected
                 assert oracles.zero_set_scan(compiled, r, m, image) == expected
 
 
@@ -788,7 +819,8 @@ def test_certificate_rows_match_its_binomials(nph):
 
 
 def test_certificate_survey_past_the_scan_wall():
-    # 3^15 points of F_3^|T| exceed the default budget; 3^3 fibres do not
+    # 3^15 points of F_3^|T| exceed the default budget; the count lemma
+    # answers, and the budget caps the 3^3 parameter vectors of F_3^n
     params = make_params(3, 2, 2)
     assert 3 ** params.cardinality() > DEFAULT_ENUM_BUDGET
     cert = build_certificate(params)
@@ -805,6 +837,17 @@ def test_certificate_survey_past_the_scan_wall():
         parametrize(params, u, field) for u in product(range(3), repeat=3)
     }
     assert w not in image
+    assert point_survey(cert, 3, budget=27) == report
+    with pytest.raises(BudgetExceededError, match=r"3\^3 = 27 parameter vectors"):
+        point_survey(cert, 3, budget=26)
+    # (5,3,1)/F_17 has 17^5 pure vectors and gcd(3, 16) = 1, so the zero
+    # set is the image; at r = 10007 the least non-square is 5
+    report = point_survey(build_certificate(make_params(5, 3, 1)), 17)
+    assert (report.count_zero_set, report.count_image, report.witness) == (17**5, 17**5, None)
+    r = 10007
+    report = point_survey(cert, r, budget=r**3)
+    assert report.count_zero_set == oracles.certificate_zero_count_closed_form(3, 4, r)
+    assert report.witness == (0,) * 14 + (5,)
 
 
 def test_ideal_survey_past_the_scan_wall():
@@ -825,9 +868,9 @@ def test_ideal_survey_past_the_scan_wall():
 
 
 def test_budget_names_the_count(params321):
-    with pytest.raises(BudgetExceededError, match=r"5\^3 = 125 fibre bases"):
+    with pytest.raises(BudgetExceededError, match=r"5\^3 = 125 parameter vectors"):
         point_survey(build_certificate(params321), 5, budget=124)
-    # the ideal survey bounds the r^n parameter vectors of F_r^n only
+    # every survey bounds the r^n parameter vectors of F_r^n only
     with pytest.raises(BudgetExceededError, match=r"5\^3 = 125 parameter vectors"):
         full_ideal_point_survey(params321, 5, budget=124)
     assert full_ideal_point_survey(params321, 5, budget=125).count_zero_set == 125
@@ -879,3 +922,55 @@ def test_ideal_survey_matches_the_propagation_oracle():
             assert (report.count_zero_set, report.witness) == want, (nph, r)
             checked += 1
     assert (checked, skipped) == (50, 70)
+
+
+# the primes r <= 31, so gcd(q, r - 1) reaches q = 8 and q = 16 at r = 17
+_PRIMES_TO_31 = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31)
+
+
+@pytest.mark.parametrize("nph", GRID_T36, ids=lambda nph: "%d%d%d" % nph)
+def test_certificate_survey_matches_the_fibred_scan_oracle(nph):
+    # the count and witness lemmas against the walk over the r^n pure
+    # vectors, for every prime r <= 31 with r^n <= 10^5
+    params = make_params(*nph)
+    cert = build_certificate(params)
+    free = oracles.free_positions(cert)
+    m = params.cardinality()
+    for r in _PRIMES_TO_31:
+        if r**params.n > 10**5:
+            continue
+        report = point_survey(cert, r)
+        want = oracles.fibred_scan(cert.rows, free, r, m, _Image(params, PrimeField(r)))
+        assert (report.count_zero_set, report.witness) == want, r
+
+
+def test_certificate_count_matches_the_subset_sum():
+    # the survey's count against the sum over supports and kernels of
+    # oracles.certificate_zero_count_closed_form, past every scan: each
+    # GRID_T36 set over every prime r < 100
+    primes = [r for r in range(2, 100) if fields.is_prime(r)]
+    for n, p, h in GRID_T36:
+        cert = build_certificate(make_params(n, p, h))
+        for r in primes:
+            want = oracles.certificate_zero_count_closed_form(n, p**h, r)
+            report = point_survey(cert, r, budget=r**n)
+            assert report.count_zero_set == want, (n, p, h, r)
+
+
+def test_point_survey_refuses_foreign_rows(params321):
+    # the count is a lemma about build_certificate's rows only: a subset
+    # of them, other tails or another set's certificate are refused in
+    # either mode, before the budget is looked at
+    cert = build_certificate(params321)
+    x11_squared = ((0, 2), (3, 1))
+    foreign = [
+        SciCertificate(params321, cert.rows[1:]),
+        SciCertificate(params321, ((1, 2, x11_squared),) + cert.rows[1:]),
+        SciCertificate(params321, ((1, 3, cert.rows[0][2]),) + cert.rows[1:]),
+        replace(build_certificate(make_params(3, 3, 1)), params=params321),
+    ]
+    for other in foreign:
+        for mode in (MODE_FULL, MODE_IMAGE):
+            with pytest.raises(ValueError, match="build_certificate"):
+                point_survey(other, 5, mode=mode, budget=0)
+    assert point_survey(replace(cert), 5).count_zero_set == 189
