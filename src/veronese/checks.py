@@ -62,6 +62,13 @@ class CheckResult:
     def passed(self) -> bool:
         return self.ok and self.within_budget
 
+    @property
+    def verdict(self) -> str:
+        """The line reproduce-paper prints for the check."""
+        status = "PASS" if self.passed else "FAIL"
+        return (f"{self.name}: {status} ({self.elapsed:.2f} s <= {self.budget:.0f} s)  "
+                f"{self.detail}")
+
 
 def _params(n: int, p: int, h: int) -> VeroneseParams:
     with warnings.catch_warnings():
@@ -242,13 +249,18 @@ def _char_p_certificate():
     return True, "; ".join(details)
 
 
+def _on_certificate(cert, pt, r: int) -> bool:
+    """Whether each row x_t^e - prod x_i^a of cert vanishes at pt mod r."""
+    return all(pow(pt[t], e, r) == prod(pow(pt[i], a, r) for i, a in tail) % r
+               for t, e, tail in cert.rows)
+
+
 def _certificate_zeros(cert, r: int) -> set:
-    """Zero(cert)(F_r), enumerated over F_r^|T|, where the survey counts
-    it by a lemma: each row x_t^e - prod x_i^a vanishes mod r."""
+    """Zero(cert)(F_r), enumerated over F_r^|T| by _on_certificate, where
+    the survey counts it by a lemma."""
     return {
         pt for pt in product(range(r), repeat=cert.params.cardinality())
-        if all(pow(pt[t], e, r) == prod(pow(pt[i], a, r) for i, a in tail) % r
-               for t, e, tail in cert.rows)
+        if _on_certificate(cert, pt, r)
     }
 
 

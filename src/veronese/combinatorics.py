@@ -20,8 +20,9 @@ from .polys import PolyRing
 
 # q = p^h past which the exponent sets outgrow every check
 MAX_Q = 16
-# |T| past which nothing here stays tractable: the largest case any
-# check or benchmark uses, (4,2,3), has |T| = 165
+# |T| past which VeroneseParams refuses a set, to bound what every layer
+# builds from T: |T|-entry exponent tuples, fewer star quadrics than the
+# |T|(|T| + 1)/2 degree-2 monomials, and (|T| - n) x |T| Jacobians
 MAX_CARDINALITY = 10_000
 
 IndexTuple = tuple

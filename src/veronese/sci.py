@@ -30,13 +30,8 @@ from .fields import PrimeField
 from .polys import Poly, mono_support
 from .toric import generators_over
 
-DEFAULT_ENUM_BUDGET = 10**7
 MODE_FULL = "full-enumeration"
 MODE_IMAGE = "image-only"
-
-
-class BudgetExceededError(Exception):
-    """The requested enumeration is larger than the configured budget."""
 
 
 @dataclass(frozen=True)
@@ -268,15 +263,10 @@ class _Image:
         return True
 
 
-def point_survey(
-    cert: SciCertificate,
-    r: int,
-    mode: str = MODE_FULL,
-    budget: int = DEFAULT_ENUM_BUDGET,
-) -> PointSetReport:
+def point_survey(cert: SciCertificate, r: int, mode: str = MODE_FULL) -> PointSetReport:
     """Survey of the certificate of build_certificate(params) by the
-    count lemma below; any other rows raise ValueError.  Budget caps the
-    r^n parameter vectors of F_r^n, and nothing is enumerated.
+    count lemma below; any other rows raise ValueError, and nothing is
+    enumerated.
 
     Lemma: with g = gcd(q, r - 1),
     |Zero(cert)(F_r)| = 1 + sum_(s=1..n) C(n, s)*((r - 1)/g)^s*g^(1 + C(s+q-1, q) - s).
@@ -307,17 +297,14 @@ def point_survey(
         return 1 + sum(comb(n, s) * ((r - 1) // g) ** s * g ** (1 + comb(s + q - 1, q) - s)
                        for s in range(1, n + 1))
 
-    return _survey(params, "certificate", r, mode, budget, count)
+    return _survey(params, "certificate", r, mode, count)
 
 
 def full_ideal_point_survey(
-    params: VeroneseParams,
-    r: int,
-    mode: str = MODE_FULL,
-    budget: int = DEFAULT_ENUM_BUDGET,
+    params: VeroneseParams, r: int, mode: str = MODE_FULL
 ) -> PointSetReport:
-    """Survey of the quadratic ideal B by the cone lemma; budget caps
-    the r^n parameter vectors of F_r^n, and nothing is enumerated.
+    """Survey of the quadratic ideal B by the cone lemma; nothing is
+    enumerated.
 
     Lemma: Zero(B)(F_r) is the cone V(F_r) = {c*nu_q(v)}, with r^n
     points.  By (d) of groebner.py the star quadrics are a Groebner
@@ -336,7 +323,7 @@ def full_ideal_point_survey(
 
     The witness is _cone_witness's.
     """
-    return _survey(params, "ideal", r, mode, budget, lambda: r**params.n)
+    return _survey(params, "ideal", r, mode, lambda: r**params.n)
 
 
 def _cone_witness(params: VeroneseParams, image: _Image) -> Optional[tuple]:
@@ -360,21 +347,12 @@ def _cone_witness(params: VeroneseParams, image: _Image) -> Optional[tuple]:
     return next(head + (y,) for y in range(1, image.r) if head + (y,) not in image)
 
 
-def _survey(params, label, r, mode, budget, zero_count) -> PointSetReport:
-    """The image count and, in full mode, zero_count() and the witness,
-    for a survey bounded by r^n <= budget.  The mode, the budget and r^n
-    against it are checked before r is tested for primality, so a huge r
-    is refused as over budget whether or not the test decides it."""
+def _survey(params, label, r, mode, zero_count) -> PointSetReport:
+    """The image count and, in full mode, zero_count() and the witness.
+    The one limit on r is PrimeField's: a prime below fields.MR_BOUND,
+    which its test certifies; any other r raises ValueError."""
     if mode not in (MODE_FULL, MODE_IMAGE):
         raise ValueError(f"unknown mode {mode!r}")
-    if budget < 0:
-        raise ValueError(f"budget must be >= 0, got {budget}")
-    n = params.n
-    if isinstance(r, int) and r > 1 and r**n > budget:
-        raise BudgetExceededError(
-            f"{r}^{n} = {r**n} parameter vectors of F_r^n exceeds the "
-            f"enumeration budget {budget}"
-        )
     image = _Image(params, PrimeField(r))
     if mode == MODE_IMAGE:
         return PointSetReport(params, r, label, mode, image.count, None, None)

@@ -34,7 +34,6 @@ from veronese.fields import PrimeField
 from veronese.gluing import SemigroupGens, semigroup_member
 from veronese.lattice import echelon_basis
 from veronese.polys import mono_support
-from veronese.sci import BudgetExceededError
 
 
 def invariant_factors_minor_gcd(rows) -> list:
@@ -732,6 +731,10 @@ def compile_binomials(binomials) -> list:
     ]
 
 
+class SearchTooLargeError(Exception):
+    """propagate visited more nodes than its budget allows."""
+
+
 def propagate(compiled, r: int, m: int, image, budget: int = 10**7) -> tuple:
     """Count the zero set of binomials in F_r^m and find its lex-first
     point off the image, by depth-first search over the positions.
@@ -745,7 +748,7 @@ def propagate(compiled, r: int, m: int, image, budget: int = 10**7) -> tuple:
     the leaves come in lex order: the count is the number of leaves and
     the first leaf off the image is the lex-first witness.  Raises
     ValueError for a binomial with x_L in both terms, and
-    BudgetExceededError once the search has visited more than budget
+    SearchTooLargeError once the search has visited more than budget
     nodes (calls at a position, and trailing points tried for a witness).
     """
     at = [[] for _ in range(m)]
@@ -783,7 +786,7 @@ def propagate(compiled, r: int, m: int, image, budget: int = 10**7) -> tuple:
         nonlocal nodes
         nodes += 1
         if nodes > budget:
-            raise BudgetExceededError(
+            raise SearchTooLargeError(
                 f"the zero-set search in F_{r}^{m} visits more than {budget} nodes"
             )
 

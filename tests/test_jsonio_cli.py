@@ -12,6 +12,7 @@ from dataclasses import replace
 from pathlib import Path
 
 import pytest
+import sympy
 
 import oracles
 from conftest import GRID_T36, make_params
@@ -32,7 +33,7 @@ from veronese import (
     verify_char_p,
 )
 import veronese
-from veronese import jsonio
+from veronese import fields, jsonio
 from veronese.cli import build_parser, main
 from veronese.combinatorics import exponent_vectors, integer_ring
 from veronese.polys import Poly
@@ -260,13 +261,8 @@ def test_cli_verify_negative_exit(capsys):
     "argv",
     [
         ("verify-sci", "--n", "3", "--p", "2", "--h", "1", "--k-max", "-1"),
-        ("points", "--n", "3", "--p", "2", "--h", "1", "--r", "3", "--budget", "-1"),
-        ("points", "--n", "3", "--p", "2", "--h", "1", "--r", "3", "--set", "ideal",
-         "--budget", "-1"),
-        ("points", "--n", "3", "--p", "2", "--h", "1", "--r", "3", "--mode",
-         "image-only", "--budget", "-1"),
     ],
-    ids=["k-max", "budget", "budget-ideal", "budget-image-only"],
+    ids=["k-max"],
 )
 def test_cli_negative_cap_is_usage_error(capsys, argv):
     # a negative cap is out of range: no verdict, one error line
@@ -286,41 +282,44 @@ def test_cli_points_exit_codes(capsys):
         capsys, "points", "--n", "3", "--p", "2", "--h", "1", "--r", "3"
     )
     assert code == 1
-    code, _ = run_cli(
-        capsys, "points", "--n", "3", "--p", "2", "--h", "1", "--r", "5",
-        "--budget", "10",
-    )
-    assert code == 3
-    for which in ("certificate", "ideal"):
-        code, _ = run_cli(
-            capsys, "points", "--n", "3", "--p", "2", "--h", "1", "--r", "13",
-            "--set", which, "--mode", "image-only", "--budget", "1",
-        )
-        assert code == 3
-        # a small bad modulus is a usage error; a huge one is over budget
-        # before its primality is tested, composite or not
-        for r, want in (("4", 2), (str(10**16), 3)):
-            code, _ = run_cli(
-                capsys, "points", "--n", "3", "--p", "2", "--h", "1", "--r", r,
-                "--set", which,
-            )
-            assert code == want
+    # a modulus the primality test does not certify is a usage error,
+    # however large: 4 and 10^16 are composite, and the least prime past
+    # MR_BOUND has no base of the test as a factor, so it is undecided
+    for r in (4, 10**16, int(sympy.nextprime(fields.MR_BOUND))):
+        for which in ("certificate", "ideal"):
+            for mode in ("full-enumeration", "image-only"):
+                code = main(["points", "--n", "3", "--p", "2", "--h", "1", "--r", str(r),
+                             "--set", which, "--mode", mode])
+                captured = capsys.readouterr()
+                assert code == 2 and captured.out == "", (r, which, mode)
+                lines = captured.err.splitlines()
+                assert len(lines) == 1 and lines[0].startswith("error: "), lines
 
 
-def test_cli_ideal_survey_budget_caps_parameter_vectors(capsys):
-    # 3^15 points of F_3^|T| used to exceed the budget; the cone lemma
-    # answers, and its witness off the image makes the exit code 1
-    argv = ("--format", "json", "points", "--n", "3", "--p", "2", "--h", "2",
-            "--r", "3", "--set", "ideal")
+def test_cli_points_at_a_huge_prime(capsys):
+    # r^3 near 10^27: the counts are the fibre count 1 + (r^3 - 1)/2 and
+    # the subset-sum oracle, the witness 5 is the least non-square mod r
+    r = 10**9 + 7
+    argv = ["--format", "json", "points", "--n", "3", "--p", "2", "--h", "1", "--r", str(r)]
     code, out = run_cli(capsys, *argv)
     obj = json.loads(out)
-    assert (code, obj["count_zero_set"], obj["count_V"]) == (1, 27, 14)
-    code, out = run_cli(capsys, *argv, "--budget", "27")
     assert code == 1
-    assert main(list(argv) + ["--budget", "26"]) == 3
-    captured = capsys.readouterr()
-    assert captured.out == ""
-    assert "3^3 = 27 parameter vectors" in captured.err
+    assert obj["count_V"] == 500000010500000073500000172 == 1 + (r**3 - 1) // 2
+    assert obj["count_zero_set"] == 2000000039000000255000000559
+    assert obj["count_zero_set"] == oracles.certificate_zero_count_closed_form(3, 2, r)
+    assert obj["witness"] == [0, 0, 0, 0, 0, 5]
+    code, out = run_cli(capsys, *argv, "--set", "ideal")
+    obj = json.loads(out)
+    assert (code, obj["count_zero_set"], obj["witness"]) == (1, r**3, [0, 0, 0, 0, 0, 5])
+
+
+def test_cli_ideal_survey_past_the_scan_wall(capsys):
+    # no scan reaches the 3^15 points of F_3^|T|; the cone lemma answers,
+    # and its witness off the image makes the exit code 1
+    code, out = run_cli(capsys, "--format", "json", "points", "--n", "3", "--p", "2",
+                        "--h", "2", "--r", "3", "--set", "ideal")
+    obj = json.loads(out)
+    assert (code, obj["count_zero_set"], obj["count_V"]) == (1, 27, 14)
     # the request the propagation search could not answer in 90 s
     code, out = run_cli(capsys, "--format", "json", "points", "--n", "4", "--p", "2",
                         "--h", "2", "--r", "5", "--set", "ideal")

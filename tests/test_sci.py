@@ -27,10 +27,8 @@ from veronese.checks import GLUING_PARAMS
 from veronese.combinatorics import exponent_vectors, integer_ring, pure_tuple
 from veronese.polys import Poly, frobenius_power
 from veronese.sci import (
-    DEFAULT_ENUM_BUDGET,
     MODE_FULL,
     MODE_IMAGE,
-    BudgetExceededError,
     SciCertificate,
     _frobenius_normal_form,
     _Image,
@@ -416,55 +414,12 @@ def test_image_only_mode(params321):
     assert report.witness is None
     assert report.counts_equal is None
     assert report.mode == MODE_IMAGE
-
-
-def test_budget_guard(params321):
-    with pytest.raises(BudgetExceededError):
-        point_survey(build_certificate(params321), 5, budget=100)
-    # image-only counts the image by its fibres, and r^n stays capped as
-    # a size limit on F_r^n
-    report = point_survey(
-        build_certificate(params321), 5, mode=MODE_IMAGE, budget=200
-    )
-    assert report.count_image == 63
-    # the budget bounds the r^n parameter vectors of F_r^n, which no
-    # survey lists
-    with pytest.raises(BudgetExceededError, match=r"5\^3 = 125 parameter vectors"):
-        point_survey(build_certificate(params321), 5, mode=MODE_IMAGE, budget=124)
-    with pytest.raises(BudgetExceededError, match=r"5\^3 = 125 parameter vectors"):
-        full_ideal_point_survey(params321, 5, mode=MODE_IMAGE, budget=124)
-    report = full_ideal_point_survey(params321, 5, mode=MODE_IMAGE, budget=125)
-    assert report.count_image == 63
-
-
-def test_budget_is_checked_before_the_primality_test(monkeypatch, params321):
-    # r^3, about 10^48, exceeds the budget: refused without testing r
-    def no_primality_test(m):
-        raise AssertionError(f"primality test of {m}")
-
-    monkeypatch.setattr(fields, "is_prime", no_primality_test)
-    cert = build_certificate(params321)
-    r = 10_000_000_000_000_061
-    for mode in (MODE_FULL, MODE_IMAGE):
-        with pytest.raises(BudgetExceededError, match=f"{r}\\^3"):
-            point_survey(cert, r, mode=mode)
-        with pytest.raises(BudgetExceededError, match=f"{r}\\^3"):
-            full_ideal_point_survey(params321, r, mode=mode)
+    assert full_ideal_point_survey(params321, 5, mode=MODE_IMAGE).count_image == 63
 
 
 def test_invalid_mode_rejected(params321):
     with pytest.raises(ValueError):
         point_survey(build_certificate(params321), 3, mode="sample")
-
-
-@pytest.mark.parametrize("mode", [MODE_FULL, MODE_IMAGE])
-def test_negative_budget_rejected(params321, mode):
-    # a negative cap is a bad argument, not a budget overrun
-    with pytest.raises(ValueError, match="budget"):
-        point_survey(build_certificate(params321), 3, mode=mode, budget=-1)
-    with pytest.raises(ValueError, match="budget"):
-        full_ideal_point_survey(params321, 3, mode=mode, budget=-1)
-    assert point_survey(build_certificate(params321), 2, mode=mode, budget=8).r == 2
 
 
 def _brute(params, binomials, r):
@@ -819,10 +774,8 @@ def test_certificate_rows_match_its_binomials(nph):
 
 
 def test_certificate_survey_past_the_scan_wall():
-    # 3^15 points of F_3^|T| exceed the default budget; the count lemma
-    # answers, and the budget caps the 3^3 parameter vectors of F_3^n
+    # no scan reaches the 3^15 points of F_3^|T|; the count lemma answers
     params = make_params(3, 2, 2)
-    assert 3 ** params.cardinality() > DEFAULT_ENUM_BUDGET
     cert = build_certificate(params)
     report = point_survey(cert, 3)
     assert report.count_zero_set == 8247
@@ -837,29 +790,20 @@ def test_certificate_survey_past_the_scan_wall():
         parametrize(params, u, field) for u in product(range(3), repeat=3)
     }
     assert w not in image
-    assert point_survey(cert, 3, budget=27) == report
-    with pytest.raises(BudgetExceededError, match=r"3\^3 = 27 parameter vectors"):
-        point_survey(cert, 3, budget=26)
     # (5,3,1)/F_17 has 17^5 pure vectors and gcd(3, 16) = 1, so the zero
     # set is the image; at r = 10007 the least non-square is 5
     report = point_survey(build_certificate(make_params(5, 3, 1)), 17)
     assert (report.count_zero_set, report.count_image, report.witness) == (17**5, 17**5, None)
     r = 10007
-    report = point_survey(cert, r, budget=r**3)
+    report = point_survey(cert, r)
     assert report.count_zero_set == oracles.certificate_zero_count_closed_form(3, 4, r)
     assert report.witness == (0,) * 14 + (5,)
 
 
 def test_ideal_survey_past_the_scan_wall():
-    # 3^15 points of F_3^|T| exceed the default budget; the cone lemma
-    # answers, and the budget caps the 3^3 parameter vectors of F_3^n
-    params = make_params(3, 2, 2)
-    assert 3 ** params.cardinality() > DEFAULT_ENUM_BUDGET
-    report = full_ideal_point_survey(params, 3)
+    # no scan reaches the 3^15 points of F_3^|T|; the cone lemma answers
+    report = full_ideal_point_survey(make_params(3, 2, 2), 3)
     assert (report.count_zero_set, report.count_image) == (27, 14)
-    assert full_ideal_point_survey(params, 3, budget=27) == report
-    with pytest.raises(BudgetExceededError, match=r"3\^3 = 27 parameter vectors"):
-        full_ideal_point_survey(params, 3, budget=26)
     # (4,2,2)/F_5 ran past 90 s in the propagation search; 2 is the least
     # nonzero non-4th power mod 5
     report = full_ideal_point_survey(make_params(4, 2, 2), 5)
@@ -867,15 +811,37 @@ def test_ideal_survey_past_the_scan_wall():
     assert report.witness == (0,) * 34 + (2,)
 
 
-def test_budget_names_the_count(params321):
-    with pytest.raises(BudgetExceededError, match=r"5\^3 = 125 parameter vectors"):
-        point_survey(build_certificate(params321), 5, budget=124)
-    # every survey bounds the r^n parameter vectors of F_r^n only
-    with pytest.raises(BudgetExceededError, match=r"5\^3 = 125 parameter vectors"):
-        full_ideal_point_survey(params321, 5, budget=124)
-    assert full_ideal_point_survey(params321, 5, budget=125).count_zero_set == 125
-    report = point_survey(build_certificate(params321), 5, budget=125)
-    assert report.count_zero_set == 189
+# r^n near 10^27, far past any scan: 10^9 + 7 has gcd(2, r - 1) = 2, and
+# 998244353 = 119 * 2^23 + 1 has gcd(8, r - 1) = 8
+@pytest.mark.parametrize(
+    "nph, r", [((3, 2, 1), 10**9 + 7), ((3, 2, 3), 998244353)], ids=["321", "323"]
+)
+def test_surveys_at_a_huge_prime(nph, r):
+    # each answer against what the surveys do not compute: the subset-sum
+    # count, r^n, the fibre count, the certificate's rows at the witness
+    # and Euler's criterion for its last entry
+    params = make_params(*nph)
+    n, q, m = params.n, params.q, params.cardinality()
+    g = gcd(q, r - 1)
+    assert g == q
+    cert = build_certificate(params)
+    field = PrimeField(r)
+    reports = (point_survey(cert, r), full_ideal_point_survey(params, r))
+    assert reports[0].count_zero_set == oracles.certificate_zero_count_closed_form(n, q, r)
+    assert reports[1].count_zero_set == r**n
+    for report in reports:
+        assert report.count_image == 1 + (r**n - 1) // g
+        w = report.witness
+        assert len(w) == m and not any(w[:-1])
+        assert checks._on_certificate(cert, w, r)
+        y = w[-1]
+        assert pow(y, (r - 1) // g, r) != 1
+        assert all(pow(z, (r - 1) // g, r) == 1 for z in range(1, y))
+    assert all(b.map_field(field).evaluate(reports[1].witness) == 0
+               for b in quadratic_generators(params))
+    for report in (point_survey(cert, r, MODE_IMAGE),
+                   full_ideal_point_survey(params, r, MODE_IMAGE)):
+        assert _triple(report) == (1 + (r**n - 1) // g, None, None)
 
 
 def test_ideal_survey_builds_no_quadric(monkeypatch, params321):
@@ -915,7 +881,7 @@ def test_ideal_survey_matches_the_propagation_oracle():
                 want = oracles.propagate(
                     compiled, r, params.cardinality(), image, _PROPAGATION_NODES
                 )
-            except BudgetExceededError:
+            except oracles.SearchTooLargeError:
                 skipped += 1
                 continue
             report = full_ideal_point_survey(params, r)
@@ -953,14 +919,14 @@ def test_certificate_count_matches_the_subset_sum():
         cert = build_certificate(make_params(n, p, h))
         for r in primes:
             want = oracles.certificate_zero_count_closed_form(n, p**h, r)
-            report = point_survey(cert, r, budget=r**n)
+            report = point_survey(cert, r)
             assert report.count_zero_set == want, (n, p, h, r)
 
 
 def test_point_survey_refuses_foreign_rows(params321):
     # the count is a lemma about build_certificate's rows only: a subset
     # of them, other tails or another set's certificate are refused in
-    # either mode, before the budget is looked at
+    # either mode
     cert = build_certificate(params321)
     x11_squared = ((0, 2), (3, 1))
     foreign = [
@@ -972,5 +938,5 @@ def test_point_survey_refuses_foreign_rows(params321):
     for other in foreign:
         for mode in (MODE_FULL, MODE_IMAGE):
             with pytest.raises(ValueError, match="build_certificate"):
-                point_survey(other, 5, mode=mode, budget=0)
+                point_survey(other, 5, mode=mode)
     assert point_survey(replace(cert), 5).count_zero_set == 189
