@@ -470,6 +470,12 @@ _FROZEN_ARGV = {
     "generators-n10": ("generators",) + _P1021,
     "certificate-n10": ("certificate",) + _P1021,
     "verify-sci-n10": ("verify-sci",) + _P1021,
+    # odd p: the minus term of each witness is (p - 1)*m, not a plus term
+    "verify-sci-331": ("verify-sci", "--n", "3", "--p", "3", "--h", "1"),
+    "verify-sci-351": ("verify-sci", "--n", "3", "--p", "5", "--h", "1"),
+    # q = 4: 138 pairwise differences against 75 star quadrics
+    "generators-322": ("generators", "--n", "3", "--p", "2", "--h", "2"),
+    "generators-full-322": ("generators", "--n", "3", "--p", "2", "--h", "2", "--full"),
 }
 
 _FROZEN_PAYLOADS = {
@@ -518,6 +524,14 @@ _FROZEN_DOCUMENTS = (
     ("certificate-n10", "text", 0, "32796c0a621d14c4aacb9da8b92ab4dfd95f12da9291f0b8e9fe1d38ecf4f006"),
     ("verify-sci-n10", "json", 0, "77ce9a21c601166c10057f1ee287f92ffaaa4cc6766957789093be909a27b2ca"),
     ("verify-sci-n10", "text", 0, "09addf0d32cc1e48bc7f904ceec937cded7836b0ce59b6bc273ded6f39af6525"),
+    ("verify-sci-331", "json", 0, "d7188ccbf5ba9fcd59e49763fd99d26cd9c2e75a1759355161d041944ad072be"),
+    ("verify-sci-331", "text", 0, "653156683bab034b465c3af673f81931aa56b04ea42908a22fb4d25bb9d121dd"),
+    ("verify-sci-351", "json", 0, "fa51f35c47ec6032879a5bdd0829b063971d5366c53cdc916d7d395852f24009"),
+    ("verify-sci-351", "text", 0, "c9d910b3868f76b8e2d6612c1979ad7740656d2a2be03678608c6355e4e4cc56"),
+    ("generators-322", "json", 0, "90349fb302c9585aad33400dd8ba7ed165b2b96452084f656ada610c37f427d9"),
+    ("generators-322", "text", 0, "3e76a949bc2ee13c703ab07e24da5b6b3ab6c24c8f5482b306f7cb66361cb985"),
+    ("generators-full-322", "json", 0, "2a28f9bd6d878663cde2c6e5566f5090e84bee16c7842f17ede73b4e2317f159"),
+    ("generators-full-322", "text", 0, "24f033151c76999962cde3e3836ed76dd721e2d0a6fbf105f64e83712f4dfb32"),
 )
 
 
