@@ -204,10 +204,10 @@ def _gluing():
     return True, "; ".join(details)
 
 
-def _lemma_frobenius_exponent(params: VeroneseParams, g) -> int:
+def _lemma_frobenius_exponent(params: VeroneseParams, pair) -> int:
     """The least k with g^(p^k) in the ideal of build_certificate(params)
-    for a quadric g = m1 - m2 of equal contents: h, except h - 1 when
-    p = 2 and g is x_(i^q)*x_(j^q) - x_c^2 with c = (q/2)(e_i + e_j)."""
+    for a quadric g = m1 - m2 of equal contents, at positions pair: h,
+    except h - 1 when p = 2 and g is x_(i^q)*x_(j^q) - x_c^2, c = (q/2)(e_i + e_j)."""
     # Proof.  The rows are x_t^q - prod_j x_(j^q)^(a_j(t)) for non-pure t,
     # a(t) t's exponent vector, with pairwise coprime heads, so a monomial
     # no x_t^q divides is its own normal form.  m^(p^k) has exponents
@@ -222,12 +222,11 @@ def _lemma_frobenius_exponent(params: VeroneseParams, g) -> int:
     # content, and agree.
     q, h = params.q, params.h
     if params.p == 2:
-        sides = [sorted(v for v, e in zip(g.ring.variables, exps) for _ in range(e))
-                 for exps in g.raw_terms()]
-        for (a, b), (c, d) in (sides, sides[::-1]):
-            i, j = a[0], b[0]
+        var = index_tuples(params)
+        for (a, b), (c, d) in (pair, pair[::-1]):
+            i, j = var[a][0], var[b][0]
             half = (i,) * (q // 2) + (j,) * (q // 2)
-            if i != j and (a, b) == ((i,) * q, (j,) * q) and c == d == half:
+            if i != j and (var[a], var[b]) == ((i,) * q, (j,) * q) and var[c] == var[d] == half:
                 return h - 1
     return h
 
@@ -243,8 +242,8 @@ def _char_p_certificate():
         # quadric by quadric, the least k is the lemma's, so k <= h
         for g, k in report.entries:
             if k != _lemma_frobenius_exponent(params, g):
-                return False, f"Frobenius exponent {k} of {g.text()} at {(n, p, h)} " \
-                              "is not the lemma's"
+                return False, f"Frobenius exponent {k} of the quadric at positions {g} " \
+                              f"at {(n, p, h)} is not the lemma's"
         details.append(f"{(n, p, h)}: k <= {max(report.k_values)}")
     return True, "; ".join(details)
 

@@ -17,7 +17,8 @@ import sys
 from . import checks, jsonio
 from .cohomology import CyclicAction, cohomology_orders, invariant_element
 from .combinatorics import VeroneseParams, exponent_vectors, index_tuples, parametrize
-from .fields import PrimeField
+from .combinatorics import polynomial_ring
+from .fields import ZZ, PrimeField
 from .geometry import RootOfUnityError, fiber_check, jacobian_rank
 from .gluing import completely_p_glued
 from .polys import monomial_text
@@ -29,7 +30,7 @@ from .sci import (
     point_survey,
     verify_char_p,
 )
-from .toric import ZeroBinomialError, quadratic_generators, rewrite
+from .toric import ZeroBinomialError, quadric_pairs, rewrite
 
 OK, NEGATIVE, USAGE = 0, 1, 2
 BROKEN_PIPE = 128 + 13  # the shell's status for a SIGPIPE death
@@ -51,12 +52,12 @@ def _emit(args, doc, text_lines) -> None:
             print(line)
 
 
-def _binomial_lines(head: str, binomials):
+def _binomial_lines(head: str, texts):
     """The text lines of a binomial list: its count line, then each
-    binomial indented."""
+    binomial's text indented."""
     yield head
-    for g in binomials:
-        yield f"  {g.text()}"
+    for text in texts:
+        yield f"  {text}"
 
 
 def _params_of(args) -> VeroneseParams:
@@ -78,9 +79,11 @@ def _cmd_enumerate(args) -> int:
 def _cmd_generators(args) -> int:
     params = _params_of(args)
     # full only when asked, so the cache keys this call like every other
-    gens = quadratic_generators(params, full=True) if args.full else quadratic_generators(params)
+    gens = quadric_pairs(params, full=True) if args.full else quadric_pairs(params)
+    ring = polynomial_ring(params, ZZ)
     _emit(args, lambda: jsonio.generators_obj(params, gens),
-          lambda: _binomial_lines(f"{len(gens)} quadratic generators", gens))
+          lambda: _binomial_lines(f"{len(gens)} quadratic generators",
+                                  (jsonio.quadric_text(ring, g) for g in gens)))
     return OK
 
 
@@ -113,7 +116,8 @@ def _cmd_certificate(args) -> int:
     params = _params_of(args)
     cert = build_certificate(params)
     _emit(args, lambda: jsonio.certificate_obj(cert),
-          lambda: _binomial_lines(f"{len(cert)} binomials (N = |T| - n)", cert.binomials))
+          lambda: _binomial_lines(f"{len(cert)} binomials (N = |T| - n)",
+                                  (g.text() for g in cert.binomials)))
     return OK
 
 
@@ -122,10 +126,11 @@ def _cmd_verify_sci(args) -> int:
     report = verify_char_p(build_certificate(params), k_max=args.k_max)
 
     def lines():
+        ring = polynomial_ring(params, PrimeField(params.p))
         yield f"success: {report.success} (k_max = {report.k_max})"
         for g, k in report.entries:
             mark = f"k = {k}" if k is not None else "NO k FOUND"
-            yield f"  {g.text()}: {mark}"
+            yield f"  {jsonio.quadric_text(ring, g)}: {mark}"
 
     _emit(args, lambda: jsonio.frobenius_obj(report), lines)
     return OK if report.success else NEGATIVE

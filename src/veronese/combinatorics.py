@@ -21,8 +21,8 @@ from .polys import PolyRing
 # q = p^h past which the exponent sets outgrow every check
 MAX_Q = 16
 # |T| past which VeroneseParams refuses a set, to bound what every layer
-# builds from T: |T|-entry exponent tuples, fewer star quadrics than the
-# |T|(|T| + 1)/2 degree-2 monomials, and (|T| - n) x |T| Jacobians
+# builds from T: fewer star quadrics, as position pairs, than the
+# |T|(|T| + 1)/2 degree-2 monomials, and the |T|-entry tuples of Polys
 MAX_CARDINALITY = 10_000
 
 IndexTuple = tuple

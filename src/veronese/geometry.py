@@ -12,7 +12,7 @@ root-of-unity action.
 from __future__ import annotations
 
 from dataclasses import dataclass
-from typing import Optional, Sequence
+from typing import Iterable, Optional, Sequence
 
 from .combinatorics import (
     VeroneseParams,
@@ -21,25 +21,24 @@ from .combinatorics import (
     pure_tuple,
 )
 from .fields import PrimeField
-from .polys import mono_support
-from .toric import quadratic_generators
+from .toric import quadric_pairs
 
 
 class RootOfUnityError(ValueError):
     """The field does not contain q distinct q-th roots of unity."""
 
 
-def matrix_rank_mod(rows: Sequence[Sequence[int]], r: int) -> int:
-    """Row-echelon rank of an integer matrix reduced mod a prime r.
+def matrix_rank_mod(rows: Iterable[dict], r: int) -> int:
+    """Row-echelon rank mod a prime r of sparse integer rows {column: value}.
 
-    Rows are eliminated one at a time as sparse dicts {column: value}
-    against the monic pivot rows kept so far, each under its leading
-    column: a row left nonzero becomes a new pivot row.  Jacobian rows
-    have at most four nonzero entries, so this touches only those.
+    Rows are eliminated one at a time against the monic pivot rows kept
+    so far, each under its leading column: a row left nonzero becomes a
+    new pivot row.  Jacobian rows have at most four nonzero entries, so
+    this touches only those.
     """
     pivots: dict = {}
     for row in rows:
-        v = {j: x % r for j, x in enumerate(row) if x % r}
+        v = {j: x % r for j, x in row.items() if x % r}
         while v:
             col = min(v)
             piv = pivots.get(col)
@@ -71,8 +70,8 @@ class JacobianReport:
 
 
 def jacobian_rank(params: VeroneseParams, w: Sequence[int], r: int) -> JacobianReport:
-    """Rank at w over F_r of the Jacobian of ``quadratic_generators``,
-    plus the diagonal of the proof's triangular submatrix.
+    """Rank at w over F_r of the Jacobian of the star quadrics, plus the
+    diagonal of the proof's triangular submatrix.
 
     The generators are built here, not passed in: the triangular
     diagonal below is a theorem about that set only.
@@ -94,8 +93,7 @@ def jacobian_rank(params: VeroneseParams, w: Sequence[int], r: int) -> JacobianR
         raise ValueError(f"point needs {len(tuples)} coordinates")
     w = tuple(field.normalize(x) for x in w)
 
-    rows = [_jacobian_row(g.raw_terms(), w, r) for g in quadratic_generators(params)]
-    rank = matrix_rank_mod(rows, r)
+    rank = matrix_rank_mod((_jacobian_row(g, w) for g in quadric_pairs(params)), r)
 
     perm = tuple(range(1, params.n + 1))
     diagonal = {
@@ -112,21 +110,13 @@ def jacobian_rank(params: VeroneseParams, w: Sequence[int], r: int) -> JacobianR
     return JacobianReport(params, r, w, rank, True, diagonal[j], perm)
 
 
-def _jacobian_row(terms: dict, w: tuple, r: int) -> list:
-    """Gradient at w mod r of the polynomial with terms {exps: c}.
-
-    Each term c*x^e adds c*e_i*w_i^(e_i-1)*prod_{j != i} w_j^(e_j) at
-    each position i of its support; no other position is visited.
-    """
-    row = [0] * len(w)
-    for e, c in terms.items():
-        factors = mono_support(e)
-        for i, x in factors:
-            v = c * x * pow(w[i], x - 1, r)
-            for j, y in factors:
-                if j != i:
-                    v = v * pow(w[j], y, r)
-            row[i] = (row[i] + v) % r
+def _jacobian_row(pair, w: tuple) -> dict:
+    """Gradient at w of x_i*x_j - x_k*x_l, pair ((i, j), (k, l)), as
+    {position: value}: x_i*x_j adds w_j at i and w_i at j (2*w_i if i = j)."""
+    row: dict = {}
+    for (i, j), c in zip(pair, (1, -1)):
+        row[i] = row.get(i, 0) + c * w[j]
+        row[j] = row.get(j, 0) + c * w[i]
     return row
 
 

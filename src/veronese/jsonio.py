@@ -16,7 +16,9 @@ from .combinatorics import (
     exponent_vectors,
     index_tuples,
     integer_ring,
+    polynomial_ring,
 )
+from .fields import PrimeField
 from .geometry import FiberReport, JacobianReport
 from .gluing import GluingComb
 from .polys import Exponents, Poly, PolyRing
@@ -78,6 +80,27 @@ def binomial_obj(g: Poly) -> dict:
     return {"plus": plus, "minus": minus, "text": g.text()}
 
 
+def quadric_text(ring: PolyRing, pair) -> str:
+    """Poly.text over ring of the quadric_pairs entry ((i, j), (k, l)):
+    the degrevlex lead has the smaller (j, i), and the minus term is
+    signed over the integers and (r - 1)*m over F_r."""
+    names, c = ring.names, ring.field.normalize(-1)
+    plus, minus = (names[a] + "^2" if a == b else f"{names[a]}*{names[b]}" for a, b in pair)
+    head = f"-{minus}" if c < 0 else minus if c == 1 else f"{c}*{minus}"
+    tail = f"- {minus}" if c < 0 else f"+ {head}"
+    (i, j), (k, l) = pair
+    return f"{plus} {tail}" if (j, i) < (l, k) else f"{head} + {plus}"
+
+
+def quadric_obj(ring: PolyRing, pair) -> dict:
+    """binomial_obj of the quadric of quadric_text."""
+    var = ring.variables
+    sides = [[[list(var[a]), 2]] if a == b else [[list(var[a]), 1], [list(var[b]), 1]]
+             for a, b in pair]
+    minus = [] if ring.field.normalize(-1) == 1 else [sides.pop()]
+    return {"plus": sides, "minus": minus, "text": quadric_text(ring, pair)}
+
+
 def enumeration_obj(params: VeroneseParams) -> dict:
     return {
         "schema_version": SCHEMA_VERSION,
@@ -90,12 +113,13 @@ def enumeration_obj(params: VeroneseParams) -> dict:
     }
 
 
-def generators_obj(params: VeroneseParams, gens) -> dict:
+def generators_obj(params: VeroneseParams, pairs) -> dict:
+    ring = integer_ring(params)
     return {
         "schema_version": SCHEMA_VERSION,
         "params": params_obj(params),
-        "count": len(gens),
-        "binomials": [binomial_obj(g) for g in gens],
+        "count": len(pairs),
+        "binomials": [quadric_obj(ring, g) for g in pairs],
     }
 
 
@@ -136,13 +160,14 @@ def rewrite_obj(cert: RewriteCertificate, binomial: Poly) -> dict:
 
 
 def frobenius_obj(report: FrobeniusReport) -> dict:
+    ring = polynomial_ring(report.params, PrimeField(report.params.p))
     return {
         "schema_version": SCHEMA_VERSION,
         "params": params_obj(report.params),
         "k_max": report.k_max,
         "success": report.success,
         "witnesses": [
-            {"generator": binomial_obj(g), "k": k} for g, k in report.entries
+            {"generator": quadric_obj(ring, g), "k": k} for g, k in report.entries
         ],
     }
 

@@ -28,7 +28,7 @@ from .combinatorics import (
 )
 from .fields import PrimeField
 from .polys import Poly, mono_support
-from .toric import generators_over
+from .toric import quadric_pairs
 
 MODE_FULL = "full-enumeration"
 MODE_IMAGE = "image-only"
@@ -97,7 +97,7 @@ class FrobeniusReport:
 
     params: VeroneseParams
     k_max: int
-    entries: tuple  # (generator over F_p, k or None)
+    entries: tuple  # (quadric_pairs entry ((i, j), (k, l)), k or None)
 
     @property
     def success(self) -> bool:
@@ -112,12 +112,10 @@ class FrobeniusReport:
         return tuple(g for g, k in self.entries if k is None)
 
 
-def _quadric_support(e) -> tuple:
-    """(position, exponent) pairs of a degree-2 dense exponent tuple."""
-    if 2 in e:
-        return ((e.index(2), 2),)
-    i = e.index(1)
-    return ((i, 1), (e.index(1, i + 1), 1))
+def _pair_support(pair) -> tuple:
+    """(position, exponent) pairs of x_i * x_j, i <= j."""
+    i, j = pair
+    return ((i, 2),) if i == j else ((i, 1), (j, 1))
 
 
 def _frobenius_normal_form(heads: dict, support, power: int) -> dict:
@@ -153,10 +151,10 @@ def verify_char_p(cert: SciCertificate, k_max: Optional[int] = None) -> Frobeniu
 
     A generator is m1 - m2, so in characteristic p its p^k-th power is
     m1^(p^k) - m2^(p^k), which lies in the certificate ideal exactly when
-    both monomials have the same normal form.  The star quadrics of one
-    content class come in a run sharing their + monomial m1, the class
-    leader, so its normal forms are computed once per run, each p^k
-    only when a member of the run first asks for it.
+    both monomials have the same normal form, read off quadric_pairs.
+    The star quadrics of one content class come in a run sharing their +
+    monomial m1, the class leader, so its normal forms are computed once
+    per run, each p^k only when a member of the run first asks for it.
     """
     params = cert.params
     p = params.p
@@ -167,11 +165,11 @@ def verify_char_p(cert: SciCertificate, k_max: Optional[int] = None) -> Frobeniu
     heads = {t: (e, tail) for t, e, tail in cert.rows}
     entries = []
     lead = None
-    for g in generators_over(params, PrimeField(p)):
-        m1, m2 = g.raw_terms()
+    for g in quadric_pairs(params):
+        m1, m2 = g
         if m1 != lead:
-            lead, support, lead_forms = m1, _quadric_support(m1), []
-        m2 = _quadric_support(m2)
+            lead, support, lead_forms = m1, _pair_support(m1), []
+        m2 = _pair_support(m2)
         found = None
         power = 1
         for k in range(k_max + 1):

@@ -38,64 +38,77 @@ def normalize_sign(g: Poly) -> Poly:
     return -g if terms[lead] < 0 else g
 
 
+def _sweep(params: VeroneseParams, full: bool, dense: bool = False) -> list:
+    """The (+, -) monomials of each binomial of quadratic_generators, in
+    order: position pairs (i, j), i <= j in T, or when dense their
+    exponent tuples, each built once and only if it is in the output.
+
+    One sweep over the pairs (i, j), i <= j, finds every leader without
+    grouping.  The dense exponent tuple of x_i * x_j is lex larger than
+    that of x_i' * x_j' exactly when (i, j) < (i', j'): the first
+    differing entry sits at the smaller first index, or at i = i' at the
+    smaller second one.  So a group's leader is its least pair and its
+    members arrive in descending lex order.  The least pair of content c
+    is its consecutive split (c[:q], c[q:]), c sorted: T is in ascending
+    lex order, so the least first factor is the least q entries of c,
+    and they leave c[q:].  A pair (t, t') is that split exactly when
+    t[-1] <= t'[0], since then t + t' is c sorted.  As T is sorted,
+    t'[0] grows with j, and the least tuple starting at t[-1] is the
+    pure one (t[-1], ..., t[-1]), at or after t; so for each i the
+    members are the j below that pure tuple and the leaders the j from
+    it on.  A content is kept as an int in base 2q + 1, first coordinate
+    highest, so ascending ints are ascending content vectors, and a
+    pair's content is the sum of its two codes; a stable sort of the
+    members by it gives the groups in order.
+    """
+    tuples = index_tuples(params)
+    m, base = len(tuples), 2 * params.q + 1
+    code = [sum(base ** (params.n - v) for v in t) for t in tuples]
+    pure = {t[0]: i for i, t in enumerate(tuples) if t[0] == t[-1]}
+    leaders: dict = {}  # content code -> its consecutive split (i, j)
+    members = []  # (content code, (i, j))
+    for i, t in enumerate(tuples):
+        ci, split = code[i], pure[t[-1]]
+        members += [(ci + code[j], (i, j)) for j in range(i, split)]
+        leaders.update((ci + code[j], (i, j)) for j in range(split, m))
+    members.sort(key=itemgetter(0))
+    out = []
+    for c, run in groupby(members, key=itemgetter(0)):
+        run = [leaders[c]] + [pair for _, pair in run]
+        if dense:
+            run = [pair_exponents(m, i, j) for i, j in run]
+        out += combinations(run, 2) if full else zip(repeat(run[0]), run[1:])
+    return out
+
+
 @lru_cache(maxsize=None)
-def quadratic_generators(
-    params: VeroneseParams, full: bool = False
-) -> tuple:
+def quadric_pairs(params: VeroneseParams, full: bool = False) -> tuple:
+    """quadratic_generators as position pairs ``((i, j), (k, l))``:
+    x_i * x_j - x_k * x_l with i <= j, k <= l, the + monomial first."""
+    return tuple(_sweep(params, full))
+
+
+@lru_cache(maxsize=None)
+def quadratic_generators(params: VeroneseParams, full: bool = False) -> tuple:
     """Degree-2 binomials generating the ideal, integer coefficients.
 
     Monomials x_t * x_t' are grouped by content; each group contributes
     the differences of its members against the group leader (one per
     member), or every pairwise difference when full=True.  Signs are
     normalized so the lex-larger monomial carries +1.  Groups come in
-    ascending content vector, members in descending lex order.
-
-    One sweep over the pairs (i, j), i <= j, of positions in T finds
-    every leader without grouping.  The dense exponent tuple of
-    x_i * x_j is lex larger than that of x_i' * x_j' exactly when
-    (i, j) < (i', j'): the first differing entry sits at the smaller
-    first index, or at i = i' at the smaller second one.  So a group's
-    leader is its least pair and its members arrive in descending lex
-    order.  The least pair of content c is its consecutive split
-    (c[:q], c[q:]), c sorted: T is in ascending lex order, so the least
-    first factor is the least q entries of c, and they leave c[q:].  A
-    pair (t, t') is that split exactly when t[-1] <= t'[0], since then
-    t + t' is c sorted.  As T is sorted, t'[0] grows with j, and the
-    least tuple starting at t[-1] is the pure one (t[-1], ..., t[-1]),
-    at or after t; so for each i the members are the j below that pure
-    tuple and the leaders the j from it on.  A content is kept as
-    an int in base 2q + 1, first coordinate highest, so ascending ints
-    are ascending content vectors, and a pair's content is the sum of
-    its two codes; a stable sort of the members by it gives the groups
-    in order.  Each exponent tuple is built once, for a monomial that
-    appears in the output.
+    ascending content vector, members in descending lex order.  These
+    are quadric_pairs with dense exponent tuples, for polynomial
+    arithmetic, built by the same sweep, not from its cache.
     """
     ring = integer_ring(params)
-    tuples = index_tuples(params)
-    m, base = len(tuples), 2 * params.q + 1
-    code = [sum(base ** (params.n - v) for v in t) for t in tuples]
-    pure = {t[0]: i for i, t in enumerate(tuples) if t[0] == t[-1]}
-    leaders: dict = {}  # content code -> its consecutive split (i, j)
-    members = []  # (content code, i, j)
-    for i, t in enumerate(tuples):
-        ci, split = code[i], pure[t[-1]]
-        members += [(ci + code[j], i, j) for j in range(i, split)]
-        leaders.update((ci + code[j], (i, j)) for j in range(split, m))
-    members.sort(key=itemgetter(0))
-    out = []
-    for c, run in groupby(members, key=itemgetter(0)):
-        run = [pair_exponents(m, *leaders[c])] + [
-            pair_exponents(m, i, j) for _, i, j in run
-        ]
-        pairs = combinations(run, 2) if full else zip(repeat(run[0]), run[1:])
-        out += [Poly(ring, {big: 1, small: -1}) for big, small in pairs]
-    return tuple(out)
+    return tuple(Poly(ring, {big: 1, small: -1}) for big, small in _sweep(params, full, True))
 
 
 @lru_cache(maxsize=None)
 def generators_over(params: VeroneseParams, field) -> tuple:
-    """quadratic_generators mapped to another coefficient ring, cached
-    per ring, so each generator set is mapped once, onto the one
+    """quadratic_generators mapped to another coefficient ring, for the
+    checks' Groebner bases and zero sets; cached per ring, so each
+    generator set is mapped once, onto the one
     polynomial_ring(params, field).  Each binomial keeps its two
     exponent tuples, + first, with coefficients 1 and
     field.normalize(-1), which no coefficient ring sends to 0: its

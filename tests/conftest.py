@@ -1,3 +1,4 @@
+import sys
 import warnings
 from math import comb
 
@@ -32,6 +33,15 @@ def make_params(n: int, p: int, h: int) -> VeroneseParams:
     with warnings.catch_warnings():
         warnings.simplefilter("ignore")
         return VeroneseParams(n, p, h)
+
+
+def clear_package_caches() -> None:
+    """Empty every lru cache of the package, as in a fresh interpreter."""
+    for name, module in list(sys.modules.items()):
+        if name == "veronese" or name.startswith("veronese."):
+            for obj in vars(module).values():
+                if callable(getattr(obj, "cache_clear", None)):
+                    obj.cache_clear()
 
 
 @pytest.fixture

@@ -10,6 +10,9 @@ runs it at every exponent.  ``propagate`` is the depth-first search
 that once counted the full-ideal zero set, ``fibred_scan`` the walk over
 the pure coordinates that once counted the certificate's, and
 ``fiber_scan`` the scan of F_r that once built the ``fibers`` report.
+``verify_char_p_dense`` and ``jacobian_row_dense`` are the Frobenius
+check and the Jacobian row as they once read the generators' dense
+exponent tuples, with the package's normal form.
 """
 
 from __future__ import annotations
@@ -34,6 +37,8 @@ from veronese.fields import PrimeField
 from veronese.gluing import SemigroupGens, semigroup_member
 from veronese.lattice import echelon_basis
 from veronese.polys import mono_support
+from veronese.sci import _frobenius_normal_form
+from veronese.toric import generators_over
 
 
 def invariant_factors_minor_gcd(rows) -> list:
@@ -978,3 +983,84 @@ def quadratic_generators_by_pairs(params, full: bool = False) -> tuple:
         pairs = combinations(group, 2) if full else ((group[0], m) for m in group[1:])
         out += [ring.poly({big: 1, small: -1}) for big, small in pairs]
     return tuple(out)
+
+
+def quadric_pairs_by_content(params, full: bool = False) -> tuple:
+    """The position pairs ((i, j), (k, l)) of quadratic_generators_by_pairs:
+    the pairs i <= j of positions grouped by content, the multiset of
+    their indices, groups in ascending content vector, each sorted by
+    the dense exponent vector of x_i * x_j, descending.  The dense
+    vectors are bytes, whose order is the lex order of their entries,
+    built for one group at a time."""
+    tuples, vec = index_tuples(params), exponent_vectors(params)
+    m = len(tuples)
+    by_content: dict = {}
+    for i, j in combinations_with_replacement(range(m), 2):
+        by_content.setdefault(tuple(sorted(tuples[i] + tuples[j])), []).append((i, j))
+
+    def content_vector(group):
+        (i, j) = group[0]
+        return [x + y for x, y in zip(vec[i], vec[j])]
+
+    out = []
+    for group in sorted(by_content.values(), key=content_vector):
+        dense = {}
+        for i, j in group:
+            e = bytearray(m)
+            e[i] += 1
+            e[j] += 1
+            dense[i, j] = bytes(e)
+        group.sort(key=dense.get, reverse=True)
+        out += combinations(group, 2) if full else ((group[0], g) for g in group[1:])
+    return tuple(out)
+
+
+def quadric_poly(ring, pair):
+    """The binomial x_i*x_j - x_k*x_l of a position pair ((i, j), (k, l))
+    over ring, its monomials built by ``exps_of`` from the variables."""
+    var = ring.variables
+    (i, j), (k, l) = pair
+    return ring.poly({((var[i], 1), (var[j], 1)): 1, ((var[k], 1), (var[l], 1)): -1})
+
+
+def _dense_support(e) -> tuple:
+    """(position, exponent) pairs of a degree-2 dense exponent tuple."""
+    if 2 in e:
+        return ((e.index(2), 2),)
+    i = e.index(1)
+    return ((i, 1), (e.index(1, i + 1), 1))
+
+
+def verify_char_p_dense(cert, k_max: int) -> tuple:
+    """verify_char_p's entries with each generator a Poly over F_p:
+    (generator, least k or None), each monomial's support read off its
+    dense exponent tuple."""
+    params = cert.params
+    p = params.p
+    heads = {t: (e, tail) for t, e, tail in cert.rows}
+    entries = []
+    for g in generators_over(params, PrimeField(p)):
+        m1, m2 = map(_dense_support, g.raw_terms())
+        found = next(
+            (k for k in range(k_max + 1)
+             if _frobenius_normal_form(heads, m1, p**k) == _frobenius_normal_form(heads, m2, p**k)),
+            None,
+        )
+        entries.append((g, found))
+    return tuple(entries)
+
+
+def jacobian_row_dense(terms: dict, w: tuple, r: int) -> list:
+    """Gradient at w mod r of the polynomial with terms {exps: c}, as a
+    dense row: each term c*x^e adds c*e_i*w_i^(e_i-1)*prod_{j != i}
+    w_j^(e_j) at each position i of its support."""
+    row = [0] * len(w)
+    for e, c in terms.items():
+        factors = mono_support(e)
+        for i, x in factors:
+            v = c * x * pow(w[i], x - 1, r)
+            for j, y in factors:
+                if j != i:
+                    v = v * pow(w[j], y, r)
+            row[i] = (row[i] + v) % r
+    return row

@@ -15,21 +15,28 @@ from veronese import (
     parametrize,
     quadratic_generators,
 )
-from veronese.combinatorics import pure_tuple
+from veronese.combinatorics import integer_ring, pure_tuple
 from veronese.fields import is_prime
 from veronese.geometry import (
     RootOfUnityError,
     _jacobian_row,
     matrix_rank_mod,
 )
+from veronese.toric import quadric_pairs
+
+
+def _sparse(rows) -> list:
+    """Dense integer rows as the {column: value} rows matrix_rank_mod takes."""
+    return [dict(enumerate(row)) for row in rows]
 
 
 def test_matrix_rank_mod_frozen():
-    assert matrix_rank_mod([[1, 2], [2, 4]], 5) == 1
-    assert matrix_rank_mod([[1, 2], [2, 4]], 3) == 1
-    assert matrix_rank_mod([[1, 2], [2, 5]], 3) == 2
-    assert matrix_rank_mod([[0, 0], [0, 0]], 7) == 0
-    assert matrix_rank_mod([[2, 0], [0, 2]], 2) == 0
+    assert matrix_rank_mod(_sparse([[1, 2], [2, 4]]), 5) == 1
+    assert matrix_rank_mod(_sparse([[1, 2], [2, 4]]), 3) == 1
+    assert matrix_rank_mod(_sparse([[1, 2], [2, 5]]), 3) == 2
+    assert matrix_rank_mod(_sparse([[0, 0], [0, 0]]), 7) == 0
+    assert matrix_rank_mod(_sparse([[2, 0], [0, 2]]), 2) == 0
+    assert matrix_rank_mod([{3: 1}, {0: 2, 3: -2}, {}], 5) == 2
 
 
 def test_matrix_rank_mod_matches_sympy():
@@ -38,7 +45,7 @@ def test_matrix_rank_mod_matches_sympy():
         r = rng.choice((2, 3, 5, 7))
         nr, nc = rng.randint(1, 5), rng.randint(1, 5)
         rows = [[rng.randrange(r) for _ in range(nc)] for _ in range(nr)]
-        assert matrix_rank_mod(rows, r) == oracles.rank_mod_sympy(rows, r)
+        assert matrix_rank_mod(_sparse(rows), r) == oracles.rank_mod_sympy(rows, r)
 
 
 def test_jacobian_rank_frozen(params321):
@@ -88,14 +95,22 @@ def _sample_points(params, r, rng):
 @pytest.mark.parametrize("nph", GRID_T36, ids=lambda nph: "%d%d%d" % nph)
 def test_jacobian_rows_match_dense_derivatives(nph):
     params = make_params(*nph)
-    gens = quadratic_generators(params)
+    ring = integer_ring(params)
+    gens = [oracles.quadric_poly(ring, g) for g in quadric_pairs(params)]
+    m = params.cardinality()
     tuples = index_tuples(params)
     pure = [tuples.index(pure_tuple(params, j)) for j in range(1, params.n + 1)]
     rng = random.Random(71)
     for r in (5, 7, 11):
         for w in _sample_points(params, r, rng):
-            rows = [_jacobian_row(g.raw_terms(), w, r) for g in gens]
-            assert rows == oracles.jacobian_rows_dense(gens, w, r), (r, w)
+            # the sparse rows from the pairs, at most four entries each,
+            # against the dense gradient and the formal derivatives
+            rows = [_jacobian_row(g, w) for g in quadric_pairs(params)]
+            assert all(len(row) <= 4 for row in rows)
+            dense = [[row.get(i, 0) % r for i in range(m)] for row in rows]
+            assert dense == [oracles.jacobian_row_dense(g.raw_terms(), w, r) for g in gens]
+            assert dense == oracles.jacobian_rows_dense(gens, w, r), (r, w)
+            assert matrix_rank_mod(rows, r) == oracles.rank_mod_sympy(dense, r), (r, w)
             # the theorem jacobian_rank reports instead of checking: after
             # the report's relabelling the dense submatrix is triangular,
             # with the chosen pure coordinate on its diagonal

@@ -15,7 +15,7 @@ import pytest
 import sympy
 
 import oracles
-from conftest import GRID_T36, make_params
+from conftest import GRID_T36, clear_package_caches, make_params
 from veronese import (
     CyclicAction,
     PrimeField,
@@ -35,9 +35,9 @@ from veronese import (
 import veronese
 from veronese import fields, jsonio
 from veronese.cli import build_parser, main
-from veronese.combinatorics import exponent_vectors, integer_ring
+from veronese.combinatorics import exponent_vectors, integer_ring, polynomial_ring
 from veronese.polys import Poly
-from veronese.toric import generators_over
+from veronese.toric import generators_over, quadric_pairs
 
 
 def _roundtrip(obj):
@@ -93,6 +93,21 @@ def test_binomial_roundtrip_over_prime_fields(params321):
             assert len(obj["plus"]) == (2 if r == 2 else 1)
 
 
+@pytest.mark.parametrize("nph", GRID_T36, ids=lambda nph: "%d%d%d" % nph)
+def test_quadric_renderer_matches_the_poly_renderer(nph):
+    # the pair renderer against binomial_obj and Poly.text of the dense
+    # binomial, over the integers and over F_2, where both terms are
+    # plus terms, F_3 and F_13, where the minus term prints as 2*m, 12*m
+    params = make_params(*nph)
+    for field in (fields.ZZ, PrimeField(2), PrimeField(3), PrimeField(13)):
+        ring = polynomial_ring(params, field)
+        for full in (False, True):
+            for g in quadric_pairs(params, full):
+                want = jsonio.binomial_obj(oracles.quadric_poly(ring, g))
+                assert jsonio.quadric_obj(ring, g) == want, (field, g)
+                assert jsonio.quadric_text(ring, g) == want["text"]
+
+
 def test_rewrite_certificate_roundtrip(params321):
     t = TypeStarBinomial(params321, ((1, 1), (2, 3), (3, 3)), (2, 3, 1, 4, 5, 6))
     cert = rewrite(t)
@@ -131,7 +146,7 @@ def test_report_documents_serialize(params321):
         ),
         jsonio.fiber_obj(fiber_check(params321, 5, (1, 2, 3))),
         jsonio.cohomology_obj(cohomology_orders(CyclicAction(2, 1))),
-        jsonio.generators_obj(params321, quadratic_generators(params321)),
+        jsonio.generators_obj(params321, quadric_pairs(params321)),
         jsonio.enumeration_obj(params321),
     ]
     for doc in docs:
@@ -552,13 +567,13 @@ def test_cli_documents_frozen(tmp_path, capsys, case, fmt, code, digest):
 @pytest.mark.parametrize("sub,key", [("generators", "binomials"), ("verify-sci", "witnesses")])
 def test_cli_json_renders_each_binomial_once(monkeypatch, capsys, sub, key):
     rendered = []
-    text = Poly.text
+    text = jsonio.quadric_text
 
-    def counted(g):
+    def counted(ring, g):
         rendered.append(g)
-        return text(g)
+        return text(ring, g)
 
-    monkeypatch.setattr(Poly, "text", counted)
+    monkeypatch.setattr(jsonio, "quadric_text", counted)
     code, out = run_cli(capsys, "--format", "json", sub, *_P321)
     assert code == 0 and len(json.loads(out)[key]) == 6
     assert len(rendered) == len({id(g) for g in rendered}) == 6
@@ -709,14 +724,48 @@ def test_cli_closed_stdout_exits_quietly(fmt):
 
 
 def test_generators_and_jacobian_share_one_cache_entry(capsys):
-    # --full reaches quadratic_generators only when given, so the
-    # generators subcommand keys the cache like every other caller
-    quadratic_generators.cache_clear()
+    # --full reaches quadric_pairs only when given, so the generators
+    # subcommand keys the cache like every other caller
+    quadric_pairs.cache_clear()
     run_cli(capsys, "generators", "--n", "4", "--p", "2", "--h", "2")
     run_cli(capsys, "jacobian", "--n", "4", "--p", "2", "--h", "2", "--r", "5",
             "--u", "1,2,3,4")
-    info = quadratic_generators.cache_info()
+    run_cli(capsys, "verify-sci", "--n", "4", "--p", "2", "--h", "2")
+    info = quadric_pairs.cache_info()
     assert (info.misses, info.currsize) == (1, 1)
+
+
+def test_quadric_paths_build_no_dense_tuple(monkeypatch, capsys, params322):
+    # the Frobenius check, the Jacobian and the generators and
+    # verify-sci documents read position pairs: from cold caches they
+    # build neither a Poly nor a dense exponent tuple
+    calls = []
+    init = Poly.__init__
+
+    def spy_init(self, *args):
+        calls.append("Poly")
+        init(self, *args)
+
+    monkeypatch.setattr(Poly, "__init__", spy_init)
+    for name, module in list(sys.modules.items()):
+        if name.startswith("veronese") and hasattr(module, "pair_exponents"):
+            real = module.pair_exponents
+            monkeypatch.setattr(module, "pair_exponents",
+                                lambda *args, real=real: calls.append("pair") or real(*args))
+    clear_package_caches()
+    assert verify_char_p(build_certificate(params322)).success
+    clear_package_caches()
+    assert jacobian_rank(params322, (1,) * 15, 5).rank == 12
+    for argv in (("--format", "json", "generators"), ("generators", "--full"),
+                 ("--format", "json", "verify-sci"), ("verify-sci",)):
+        clear_package_caches()
+        code, out = run_cli(capsys, *argv, "--n", "3", "--p", "2", "--h", "2")
+        assert code == 0 and out, argv
+    assert calls == []
+    # the spies see the dense path
+    clear_package_caches()
+    quadratic_generators(params322)
+    assert "Poly" in calls and "pair" in calls
 
 
 def test_cli_cohomology_of_a_huge_q_exits_at_once():

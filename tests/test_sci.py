@@ -10,7 +10,7 @@ from hypothesis import given, settings
 from hypothesis import strategies as st
 
 import oracles
-from conftest import GRID_T36, GRID_T600, make_params
+from conftest import GRID_T36, GRID_T600, clear_package_caches, make_params
 from veronese import (
     PrimeField,
     build_certificate,
@@ -24,7 +24,7 @@ from veronese import (
 )
 from veronese import checks, sci, toric
 from veronese.checks import GLUING_PARAMS
-from veronese.combinatorics import exponent_vectors, integer_ring, pure_tuple
+from veronese.combinatorics import exponent_vectors, integer_ring, polynomial_ring, pure_tuple
 from veronese.polys import Poly, frobenius_power
 from veronese.sci import (
     MODE_FULL,
@@ -33,7 +33,7 @@ from veronese.sci import (
     _frobenius_normal_form,
     _Image,
 )
-from veronese.toric import generators_over
+from veronese.toric import generators_over, quadric_pairs
 
 
 def certificate_groebner(cert: SciCertificate) -> list:
@@ -115,18 +115,36 @@ def test_verify_char_p_memory_stays_flat_in_k_max(params321):
     assert report.entries == want.entries and report.k_max == 20_000
 
 
+def test_verify_char_p_at_165_fits_in_a_few_megabytes():
+    # the star quadrics are read as position pairs: the 12,726 of (4,2,3)
+    # cost a few MB from cold caches, where 25 MB of dense |T|-entry
+    # exponent tuples were built before
+    clear_package_caches()
+    tracemalloc.start()
+    try:
+        report = verify_char_p(build_certificate(make_params(4, 2, 3)))
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert report.success and len(report.entries) == 12726
+    assert peak < 8 * 2**20
+
+
 def test_generator_sets_are_mapped_to_a_field_once(monkeypatch, params321):
-    # the F_p generators of the Frobenius check and the F_r ones of the
-    # ideal survey come from one cached map per field
+    # the Frobenius check maps no generator to F_p: its entries are the
+    # cached position pairs themselves; the checks' F_r generators come
+    # from one cached map per field
     verify_char_p(build_certificate(params321))
     full_ideal_point_survey(params321, 3)
+    generators_over(params321, PrimeField(3))
     calls = []
     map_field = Poly.map_field
     monkeypatch.setattr(Poly, "map_field", lambda g, f: calls.append(f) or map_field(g, f))
     report = verify_char_p(build_certificate(params321))
     assert full_ideal_point_survey(params321, 3).count_zero_set == 27
+    assert generators_over(params321, PrimeField(3)) is generators_over(params321, PrimeField(3))
     assert calls == []
-    cached = generators_over(params321, PrimeField(2))
+    cached = quadric_pairs(params321)
     assert all(g is c for (g, _), c in zip(report.entries, cached, strict=True))
 
 
@@ -160,9 +178,10 @@ def test_frobenius_exponent_lemma_on_the_grid():
     quadrics = below = 0
     for nph in GRID_T36:
         params = make_params(*nph)
-        for g, k in verify_char_p(build_certificate(params)).entries:
-            want = _frobenius_exponent_lemma(params, g)
-            assert k == want == checks._lemma_frobenius_exponent(params, g), (nph, g.text())
+        ring = integer_ring(params)
+        for pair, k in verify_char_p(build_certificate(params)).entries:
+            want = _frobenius_exponent_lemma(params, oracles.quadric_poly(ring, pair))
+            assert k == want == checks._lemma_frobenius_exponent(params, pair), (nph, pair)
             quadrics += 1
             below += want < params.h
     assert (quadrics, below) == (2895, 96)
@@ -238,9 +257,13 @@ def test_verify_char_p_matches_groebner_reduction(nph):
     params = make_params(*nph)
     assert params.cardinality() <= 36
     cert = build_certificate(params)
+    ring = polynomial_ring(params, PrimeField(params.p))
     # k_max = h - 1 leaves generators without a power at every rung
     for k_max in (params.h - 1, 2 * params.h + 2):
-        assert verify_char_p(cert, k_max).entries == _groebner_entries(cert, k_max)
+        got = tuple((oracles.quadric_poly(ring, pair), k)
+                    for pair, k in verify_char_p(cert, k_max).entries)
+        want = _groebner_entries(cert, k_max)
+        assert got == want == oracles.verify_char_p_dense(cert, k_max)
 
 
 @lru_cache(maxsize=None)
@@ -847,12 +870,12 @@ def test_surveys_at_a_huge_prime(nph, r):
 def test_ideal_survey_builds_no_quadric(monkeypatch, params321):
     calls = []
 
-    def spy(*args):
-        calls.append(args)
-        return generators_over(*args)
+    def spy(fn):
+        return lambda *args: calls.append(args) or fn(*args)
 
-    monkeypatch.setattr(sci, "generators_over", spy)
-    monkeypatch.setattr(toric, "generators_over", spy)
+    for module, name in ((toric, "generators_over"), (toric, "quadratic_generators"),
+                         (toric, "quadric_pairs"), (sci, "quadric_pairs")):
+        monkeypatch.setattr(module, name, spy(getattr(module, name)))
     for r in (2, 3, 5, 101):
         full_ideal_point_survey(params321, r)
     assert calls == []

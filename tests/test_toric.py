@@ -6,7 +6,7 @@ from itertools import combinations_with_replacement
 import pytest
 
 import oracles
-from conftest import GRID_T36, make_params
+from conftest import GRID_T36, GRID_T600, make_params
 from veronese.combinatorics import index_tuples, integer_ring
 from veronese.fields import PrimeField
 from veronese.polys import mono_support
@@ -16,6 +16,7 @@ from veronese.toric import (
     generators_over,
     normalize_sign,
     quadratic_generators,
+    quadric_pairs,
     rewrite,
 )
 
@@ -35,9 +36,24 @@ def test_quadratic_generators_match_pairwise_build(nph):
     for full in (False, True) if nph in GRID_T36 else (False,):
         got = quadratic_generators(params, full)
         want = oracles.quadratic_generators_by_pairs(params, full)
+        ring = integer_ring(params)
+        rebuilt = [oracles.quadric_poly(ring, g) for g in quadric_pairs(params, full)]
         assert [list(g.raw_terms().items()) for g in got] == [
             list(g.raw_terms().items()) for g in want
-        ], full
+        ] == [list(g.raw_terms().items()) for g in rebuilt], full
+
+
+@pytest.mark.parametrize("nph", GRID_T600, ids=lambda nph: "%d-%d-%d" % nph)
+def test_quadric_pairs_match_the_content_oracle(nph):
+    # the sweep's order against grouping by content and sorting each
+    # group by its dense exponent vectors; the full sets of the larger
+    # GRID_T600 sets run to millions of pairs, so full stops at |T| = 36
+    # and (4,2,3), with 175,860 pairs
+    params = make_params(*nph)
+    big = params.cardinality() > 36 and nph != (4, 2, 3)
+    for full in (False,) if big else (False, True):
+        assert quadric_pairs(params, full) == oracles.quadric_pairs_by_content(params, full)
+    quadric_pairs.cache_clear()
 
 
 def _factors(ring, exps) -> list:
