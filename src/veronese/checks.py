@@ -11,7 +11,6 @@ from __future__ import annotations
 import random
 import time
 import warnings
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, product
 from math import comb, gcd, prod
@@ -29,6 +28,7 @@ from .fields import PrimeField
 from .geometry import fiber_check, jacobian_rank
 from .gluing import SemigroupGens, completely_p_glued, validate_witness
 from .groebner import buchberger, reduce
+from .records import record
 from .sci import build_certificate, full_ideal_point_survey, point_survey, verify_char_p
 from .toric import (
     TypeStarBinomial,
@@ -46,7 +46,7 @@ GLUING_PARAMS = ((3, 2, 1), (4, 2, 1), (3, 3, 1), (3, 2, 2))
 F5 = PrimeField(5)
 
 
-@dataclass(frozen=True)
+@record
 class CheckResult:
     name: str
     ok: bool

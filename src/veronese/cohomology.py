@@ -10,10 +10,10 @@ expression; the table is filled by 2-periodicity above degree 0.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import gcd, log2
 
 from .fields import MR_BASES, is_prime
+from .records import record
 
 # highest degree a table is filled to; the orders repeat with period 2,
 # so a longer table says nothing new and only costs memory
@@ -66,7 +66,7 @@ def prime_power_split(q: int) -> tuple:
     raise ValueError(f"{q} is not a prime power")
 
 
-@dataclass(frozen=True)
+@record
 class CyclicAction:
     """Generator acts on Z/q as multiplication by a, with a^q = 1."""
 
@@ -76,7 +76,7 @@ class CyclicAction:
     def __post_init__(self):
         prime_power_split(self.q)  # rejects q that is not a prime power
         a = self.a
-        if not isinstance(a, int) or not 0 <= a < self.q:
+        if type(a) is not int or not 0 <= a < self.q:
             raise ValueError(f"a must lie in 0..{self.q - 1}, got {a!r}")
         if gcd(a, self.q) != 1:
             raise ValueError(f"a={a} is not a unit mod {self.q}")
@@ -107,7 +107,7 @@ def admissible_multipliers(q: int) -> tuple:
     )
 
 
-@dataclass(frozen=True)
+@record
 class CohomologyTable:
     action: CyclicAction
     orders: tuple  # orders[i] = |H^i|, i = 0..i_max

@@ -10,13 +10,13 @@ ascending lexicographic order.
 from __future__ import annotations
 
 import warnings
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations_with_replacement
 from math import comb
 
 from .fields import ZZ, PrimeField, is_prime
 from .polys import PolyRing
+from .records import record
 
 # q = p^h past which the exponent sets outgrow every check
 MAX_Q = 16
@@ -29,7 +29,7 @@ IndexTuple = tuple
 ExponentVector = tuple
 
 
-@dataclass(frozen=True)
+@record
 class VeroneseParams:
     """Ambient dimension n and prime power q = p^h."""
 
@@ -40,7 +40,7 @@ class VeroneseParams:
     def __post_init__(self):
         for name in ("n", "p", "h"):
             v = getattr(self, name)
-            if not isinstance(v, int) or v < 1:
+            if type(v) is not int or v < 1:  # a bool is not a parameter
                 raise ValueError(f"{name} must be a positive integer, got {v!r}")
         # p^h >= 2^h > MAX_Q once h reaches the cap's bit length: a huge
         # h is refused without the power, a huge p before the prime test
@@ -57,7 +57,7 @@ class VeroneseParams:
             warnings.warn(
                 f"n={self.n}: below n=3 the variety is a point or a line "
                 "and most checks degenerate",
-                # past __post_init__ and the dataclass __init__ to the caller
+                # past __post_init__ and the record __init__ to the caller
                 stacklevel=3,
             )
 

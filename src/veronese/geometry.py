@@ -11,8 +11,7 @@ root-of-unity action.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Optional, Sequence
+from collections.abc import Iterable, Sequence
 
 from .combinatorics import (
     VeroneseParams,
@@ -21,6 +20,7 @@ from .combinatorics import (
     pure_tuple,
 )
 from .fields import PrimeField
+from .records import record
 from .toric import quadric_pairs
 
 
@@ -56,7 +56,7 @@ def matrix_rank_mod(rows: Iterable[dict], r: int) -> int:
     return len(pivots)
 
 
-@dataclass(frozen=True)
+@record
 class JacobianReport:
     params: VeroneseParams
     r: int
@@ -64,8 +64,8 @@ class JacobianReport:
     rank: int
     # True, with the triangular submatrix's diagonal, when some pure
     # coordinate is nonzero at the point; None for both otherwise
-    triangular_ok: Optional[bool]
-    diagonal_value: Optional[int]
+    triangular_ok: bool | None
+    diagonal_value: int | None
     permutation: tuple
 
 
@@ -120,7 +120,7 @@ def _jacobian_row(pair, w: tuple) -> dict:
     return row
 
 
-@dataclass(frozen=True)
+@record
 class FiberReport:
     params: VeroneseParams
     r: int

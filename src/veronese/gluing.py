@@ -23,15 +23,14 @@ callers with other generating sets: a depth-first search on tuples.
 from __future__ import annotations
 
 from bisect import bisect_left, bisect_right, insort
-from dataclasses import dataclass
 from operator import sub
-from typing import Optional
 
 from .combinatorics import VeroneseParams, exponent_vectors, index_tuples
 from .lattice import IntMatrix, echelon_basis, lattice_intersection
+from .records import record
 
 
-@dataclass(frozen=True)
+@record
 class SemigroupGens:
     """Finite list of nonzero nonnegative integer vectors."""
 
@@ -43,7 +42,7 @@ class SemigroupGens:
         for g in self.gens:
             if len(g) != self.dim:
                 raise ValueError(f"generator {g!r} has wrong dimension")
-            if any((not isinstance(x, int)) or x < 0 for x in g):
+            if any(type(x) is not int or x < 0 for x in g):
                 raise ValueError(f"generator {g!r} must be nonnegative integers")
             if not any(g):
                 raise ValueError("zero generator not allowed")
@@ -60,7 +59,7 @@ class SemigroupGens:
             raise ValueError("need at least one generator")
         return cls(len(vs[0]), vs)
 
-    def graded_degree(self) -> Optional[int]:
+    def graded_degree(self) -> int | None:
         """Common coordinate sum of all generators, if there is one."""
         sums = {sum(g) for g in self.gens}
         return sums.pop() if len(sums) == 1 else None
@@ -136,7 +135,7 @@ def semigroup_member(gens: SemigroupGens, target):
     return tuple(counts)
 
 
-@dataclass(frozen=True)
+@record
 class GluingWitness:
     """alpha generates the lattice intersection; p^s*alpha lies in both
     numeric semigroups, witnessed by the stored multiplicity vectors."""
@@ -231,7 +230,7 @@ def validate_witness(
     return True
 
 
-@dataclass(frozen=True)
+@record
 class GluingComb:
     """The gluing tree of gens, stored flat: every peel splits one beta
     off the generators left by the peels before it, so the tree is a

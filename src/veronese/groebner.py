@@ -38,16 +38,16 @@ coefficient sum times its split.  That is all ``reduce`` computes.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from collections.abc import Iterable
 from itertools import compress
 from math import comb
-from typing import Iterable
 
 from .fields import PrimeField
 from .polys import Poly, PolyRing, mono_support
+from .records import record
 
 
-@dataclass(frozen=True)
+@record
 class GroebnerBasis:
     """The reduced Groebner basis of a Veronese ideal: the monic star
     quadrics sorted by leading term, smallest first.  Built only by

@@ -10,8 +10,9 @@ nothing else.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-from typing import Iterable, Sequence
+from collections.abc import Iterable, Sequence
+
+from .records import record
 
 
 class IntMatrix:
@@ -61,7 +62,7 @@ class IntMatrix:
         return "IntMatrix(" + ", ".join(str(list(r)) for r in self.rows) + ")"
 
 
-@dataclass(frozen=True)
+@record
 class SnfResult:
     """u * a * v = diag(d) for some unimodular u, which is not kept; d
     has a divisibility chain.

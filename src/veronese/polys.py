@@ -9,10 +9,9 @@ exponent tuples to nonzero coefficients.
 
 from __future__ import annotations
 
-from collections.abc import Mapping
+from collections.abc import Iterable, Mapping, Sequence
 from itertools import compress
 from operator import neg
-from typing import Iterable, Sequence, Union
 
 from .fields import IntegerRing, PrimeField
 
@@ -66,7 +65,7 @@ class PolyRing:
         except KeyError:
             raise ValueError(f"unknown variable id {v!r}") from None
 
-    def exps_of(self, pairs: Union[Mapping, Iterable]) -> Exponents:
+    def exps_of(self, pairs: Mapping | Iterable) -> Exponents:
         """Dense exponent tuple from (variable, exponent) pairs."""
         # dict answers at once; the abc check is the slower fallback
         if isinstance(pairs, (dict, Mapping)):
@@ -211,7 +210,7 @@ class Poly:
         norm = self.ring.field.normalize
         return Poly(self.ring, {e: norm(-c) for e, c in self._terms.items()})
 
-    def __mul__(self, other: Union["Poly", int]) -> "Poly":
+    def __mul__(self, other: Poly | int) -> "Poly":
         norm = self.ring.field.normalize
         if isinstance(other, int):
             c0 = norm(other)
@@ -249,7 +248,7 @@ class Poly:
                 out[e] = cc
         return Poly(ring, out)
 
-    def evaluate(self, values: Union[Sequence[int], Mapping]) -> int:
+    def evaluate(self, values: Sequence[int] | Mapping) -> int:
         """Value at a point; values indexed like ring.variables or by id."""
         if isinstance(values, (dict, Mapping)):
             vals = [values[v] for v in self.ring.variables]

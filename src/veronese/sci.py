@@ -16,9 +16,7 @@ by solving for its preimage.
 
 from __future__ import annotations
 
-from dataclasses import dataclass
 from math import comb, gcd
-from typing import Optional
 
 from .combinatorics import (
     VeroneseParams,
@@ -28,13 +26,14 @@ from .combinatorics import (
 )
 from .fields import PrimeField
 from .polys import Poly, mono_support
+from .records import record
 from .toric import quadric_pairs
 
 MODE_FULL = "full-enumeration"
 MODE_IMAGE = "image-only"
 
 
-@dataclass(frozen=True)
+@record
 class SciCertificate:
     """|T| - n binomials x_t^q - prod_j x_{j..j}^{a_j(t)}, t non-pure,
     held as triangular rows ``(t, e, tail)``: the binomial x_t^e minus
@@ -90,7 +89,7 @@ def _certificate_rows(params: VeroneseParams) -> tuple:
     )
 
 
-@dataclass(frozen=True)
+@record
 class FrobeniusReport:
     """Least exponent k per quadratic generator with g^(p^k) in the
     certificate ideal; success means every generator got one."""
@@ -146,7 +145,7 @@ def _frobenius_normal_form(heads: dict, support, power: int) -> dict:
     return out
 
 
-def verify_char_p(cert: SciCertificate, k_max: Optional[int] = None) -> FrobeniusReport:
+def verify_char_p(cert: SciCertificate, k_max: int | None = None) -> FrobeniusReport:
     """Radical membership of every quadratic generator, char p only.
 
     A generator is m1 - m2, so in characteristic p its p^k-th power is
@@ -183,7 +182,7 @@ def verify_char_p(cert: SciCertificate, k_max: Optional[int] = None) -> Frobeniu
     return FrobeniusReport(params, k_max, tuple(entries))
 
 
-@dataclass(frozen=True)
+@record
 class PointSetReport:
     """Counts over F_r: parametrized image vs zero set of a binomial set."""
 
@@ -192,11 +191,11 @@ class PointSetReport:
     set_label: str  # "certificate" or "ideal"
     mode: str
     count_image: int
-    count_zero_set: Optional[int]
-    witness: Optional[tuple]
+    count_zero_set: int | None
+    witness: tuple | None
 
     @property
-    def counts_equal(self) -> Optional[bool]:
+    def counts_equal(self) -> bool | None:
         if self.count_zero_set is None:
             return None
         return self.count_zero_set == self.count_image
@@ -324,7 +323,7 @@ def full_ideal_point_survey(
     return _survey(params, "ideal", r, mode, lambda: r**params.n)
 
 
-def _cone_witness(params: VeroneseParams, image: _Image) -> Optional[tuple]:
+def _cone_witness(params: VeroneseParams, image: _Image) -> tuple | None:
     """The lex-first point off the image of both surveyed zero sets.
 
     Both zero sets hold every point (0, ..., 0, y) that is 0 off the

@@ -9,11 +9,9 @@ each step swapping one index between two blocks.
 from __future__ import annotations
 
 from collections import Counter
-from dataclasses import dataclass
 from functools import lru_cache
 from itertools import combinations, groupby, repeat
 from operator import itemgetter
-from typing import Optional
 
 from .combinatorics import (
     VeroneseParams,
@@ -23,6 +21,7 @@ from .combinatorics import (
     polynomial_ring,
 )
 from .polys import Exponents, Poly, PolyRing, pair_exponents
+from .records import record
 
 
 class ZeroBinomialError(ValueError):
@@ -125,7 +124,7 @@ def generators_over(params: VeroneseParams, field) -> tuple:
     return tuple(out)
 
 
-@dataclass(frozen=True)
+@record
 class TypeStarBinomial:
     """Product of s block variables minus the sigma-scrambled product.
 
@@ -169,7 +168,7 @@ class TypeStarBinomial:
     def is_zero(self) -> bool:
         return Counter(self.left_blocks()) == Counter(self.right_blocks())
 
-    def poly(self, ring: Optional[PolyRing] = None) -> Poly:
+    def poly(self, ring: PolyRing | None = None) -> Poly:
         ring = ring or integer_ring(self.params)
         left = ring.exps_of([(b, 1) for b in self.left_blocks()])
         right = ring.exps_of([(b, 1) for b in self.right_blocks()])
@@ -178,7 +177,7 @@ class TypeStarBinomial:
         return Poly(ring, {left: 1, right: -1})
 
 
-@dataclass(frozen=True)
+@record
 class RewriteStep:
     """One telescoping move: sign * x^cofactor * quadratic."""
 
@@ -187,7 +186,7 @@ class RewriteStep:
     sign: int
 
 
-@dataclass(frozen=True)
+@record
 class RewriteCertificate:
     params: VeroneseParams
     steps: tuple

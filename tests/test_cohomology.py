@@ -100,6 +100,12 @@ def test_admissible_multipliers_frozen():
     assert admissible_multipliers(9) == (1, 4, 7)
 
 
+def test_action_refuses_a_bool_multiplier():
+    assert CyclicAction(4, 1).a == 1
+    with pytest.raises(ValueError, match="a must lie in"):
+        CyclicAction(4, True)
+
+
 def test_action_validation():
     with pytest.raises(ValueError):
         CyclicAction(9, 3)  # not a unit

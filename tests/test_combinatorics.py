@@ -111,6 +111,13 @@ def test_params_validation():
     assert [w.filename for w in caught] == [__file__]
 
 
+def test_params_refuse_bools():
+    # True == 1 and hashes as 1, so a bool would share (3, 2, 1)'s caches
+    for args in [(3, 2, True), (True, 2, 1), (3, True, 1)]:
+        with pytest.raises(ValueError, match="must be a positive integer"):
+            VeroneseParams(*args)
+
+
 def test_q_cap_is_checked_before_the_primality_test(monkeypatch, capsys):
     # q = p^1 past the cap is refused without testing p, however large
     def no_primality_test(m):

@@ -39,6 +39,12 @@ def test_semigroup_gens_validation():
         SemigroupGens.of([(1, 0), (1, 0)])
 
 
+def test_semigroup_gens_refuse_bool_entries():
+    assert SemigroupGens.of([(1, 0), (0, 1)]).gens == ((1, 0), (0, 1))
+    with pytest.raises(ValueError, match="nonnegative integers"):
+        SemigroupGens.of([(True, 0), (0, 1)])
+
+
 def test_is_free():
     assert SemigroupGens.of([(1, 0), (0, 1)]).is_free()
     assert not SemigroupGens.of([(1, 0), (0, 1), (1, 1)]).is_free()

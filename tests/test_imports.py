@@ -1,6 +1,6 @@
 """Every name a module of the package imports is used in that module,
 every name a module defines is used somewhere in the package, and every
-field of a package dataclass is read somewhere.
+field of a package record is read somewhere.
 
 Deleting a code path tends to leave its imports and helpers behind.  An
 import counts as used when the module reads it anywhere or lists it in
@@ -9,12 +9,13 @@ are skipped.  A module-level def, class or assignment counts as used
 when some module of the package reads, imports or exports its name
 outside the definition itself, and so does a method of a module-level
 class when its name is read outside the method; dunder names are
-module and object protocol.  A dataclass field counts as read when the
+module and object protocol.  A record field counts as read when the
 package or a benchmark module reads an attribute of its name; see
 ``unread_fields``.
 """
 
 import ast
+import importlib
 from pathlib import Path
 
 import veronese
@@ -233,18 +234,23 @@ def test_package_has_no_dead_definitions():
     assert sorted(dead) == sorted(DEAD_ALLOWED)
 
 
-def _is_dataclass(cls: ast.ClassDef) -> bool:
-    """Decorated with dataclass or dataclass(...), by name or attribute."""
+RECORD_DECORATORS = ("dataclass", "record")
+
+
+def _is_record(cls: ast.ClassDef) -> bool:
+    """Decorated with record, dataclass or dataclass(...), by name or
+    attribute."""
     for dec in cls.decorator_list:
         target = dec.func if isinstance(dec, ast.Call) else dec
-        if "dataclass" in (getattr(target, "id", None), getattr(target, "attr", None)):
+        names = (getattr(target, "id", None), getattr(target, "attr", None))
+        if any(name in RECORD_DECORATORS for name in names):
             return True
     return False
 
 
 def unread_fields(sources: dict, readers: list) -> list:
     """module.Class.field of each annotated field of a module-level
-    dataclass in sources (module -> source text) that no source in
+    record or dataclass in sources (module -> source text) that no source in
     readers reads as an attribute.
 
     Fields are matched by attribute name only, whatever the object: a
@@ -261,7 +267,7 @@ def unread_fields(sources: dict, readers: list) -> list:
         f"{mod}.{cls.name}.{stmt.target.id}"
         for mod, src in sources.items()
         for cls in ast.parse(src).body
-        if isinstance(cls, ast.ClassDef) and _is_dataclass(cls)
+        if isinstance(cls, ast.ClassDef) and _is_record(cls)
         for stmt in cls.body
         if isinstance(stmt, ast.AnnAssign) and isinstance(stmt.target, ast.Name)
         and stmt.target.id not in read
@@ -276,17 +282,41 @@ def test_guard_sees_an_unread_field():
              "class Plain:\n    lost: int\n"
              "def f(r):\n    r.stored = 1\n    return r.kept\n",
         "b": "import dataclasses\n@dataclasses.dataclass\nclass S:\n    gone: int\n",
+        "c": "from .records import record\n@record\nclass V:\n    idle: int\n"
+             "from . import records\n@records.record\nclass W:\n    spare: int\n",
     }
     # a store is not a read, and a plain class has no fields
     assert unread_fields(sources, list(sources.values())) == [
-        "a.R.lost", "a.R.stored", "b.S.gone"
+        "a.R.lost", "a.R.stored", "b.S.gone", "c.V.idle", "c.W.spare"
     ]
     # any object's attribute of the name counts
-    assert unread_fields(sources, ["print(w.kept, x.gone, y.lost, z.stored)"]) == []
+    reads = "print(w.kept, x.gone, y.lost, z.stored, v.idle, u.spare)"
+    assert unread_fields(sources, [reads]) == []
 
 
-def test_package_dataclasses_have_no_unread_fields():
+def test_package_records_have_no_unread_fields():
     sources = {path.stem: path.read_text() for path in sorted(PACKAGE.glob("*.py"))}
     bench = [path.read_text() for path in sorted(PERFBENCH.glob("*.py"))]
     assert bench
     assert unread_fields(sources, list(sources.values()) + bench) == []
+
+
+def test_guard_sees_every_package_record():
+    # the classes _is_record finds in the source are those that
+    # records.record built at import, so none escapes unread_fields
+    modules = [path.stem for path in sorted(PACKAGE.glob("*.py")) if path.stem != "__init__"]
+    found = {
+        f"{mod}.{cls.name}"
+        for mod in modules
+        for cls in ast.parse((PACKAGE / f"{mod}.py").read_text()).body
+        if isinstance(cls, ast.ClassDef) and _is_record(cls)
+    }
+    built = {
+        f"{mod}.{name}"
+        for mod in modules
+        for name, obj in vars(importlib.import_module(f"veronese.{mod}")).items()
+        if isinstance(obj, type) and obj.__module__ == f"veronese.{mod}"
+        and getattr(obj.__init__, "__module__", None) == "veronese.records"
+    }
+    assert found == built
+    assert len(found) == 17

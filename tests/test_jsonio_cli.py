@@ -8,7 +8,6 @@ import shlex
 import subprocess
 import sys
 from contextlib import redirect_stdout
-from dataclasses import replace
 from pathlib import Path
 
 import pytest
@@ -36,6 +35,7 @@ import veronese
 from veronese import fields, jsonio
 from veronese.cli import build_parser, main
 from veronese.combinatorics import exponent_vectors, integer_ring, polynomial_ring
+from veronese.gluing import GluingComb
 from veronese.polys import Poly
 from veronese.toric import generators_over, quadric_pairs
 
@@ -192,7 +192,7 @@ def test_gluing_text_matches_the_dict_oracle(nph):
 def test_gluing_text_refuses_peels_out_of_order(params322):
     # the prefix-and-suffix layout holds only for peels in generator order
     comb = completely_p_glued(params322)
-    swapped = replace(comb, peels=comb.peels[::-1])
+    swapped = GluingComb(comb.gens, comb.peels[::-1], comb.free)
     with pytest.raises(ValueError, match="out of generator order"):
         jsonio.gluing_text(params322, swapped)
 

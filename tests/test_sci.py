@@ -1,6 +1,5 @@
 import random
 import tracemalloc
-from dataclasses import replace
 from functools import lru_cache
 from itertools import product
 from math import gcd
@@ -29,6 +28,8 @@ from veronese.polys import Poly, frobenius_power
 from veronese.sci import (
     MODE_FULL,
     MODE_IMAGE,
+    FrobeniusReport,
+    PointSetReport,
     SciCertificate,
     _frobenius_normal_form,
     _Image,
@@ -194,7 +195,7 @@ def test_char_p_check_asserts_the_lemma_quadric_by_quadric(monkeypatch):
     def moved(cert, k_max=None):
         report = real(cert, k_max)
         (g, k), *rest = report.entries
-        return replace(report, entries=((g, k - 1 if k else k + 1), *rest))
+        return FrobeniusReport(report.params, report.k_max, ((g, k - 1 if k else k + 1), *rest))
 
     assert checks.run_check("char-p-certificate").ok
     monkeypatch.setattr(checks, "verify_char_p", moved)
@@ -210,8 +211,9 @@ def test_point_checks_enumerate_what_the_survey_counts(monkeypatch):
     assert all(checks.run_check(name).ok for name in names)
 
     def one_more(cert, r):
-        report = real(cert, r)
-        return replace(report, count_zero_set=report.count_zero_set + 1)
+        s = real(cert, r)
+        return PointSetReport(s.params, s.r, s.set_label, s.mode, s.count_image,
+                              s.count_zero_set + 1, s.witness)
 
     monkeypatch.setattr(checks, "point_survey", one_more)
     assert not any(checks.run_check(name).ok for name in names)
@@ -221,7 +223,9 @@ def test_point_checks_enumerate_what_the_survey_counts(monkeypatch):
     # is no square mod 3, and it comes after the least such point
     # (0, 0, 0, 0, 0, 2)
     def later(cert, r):
-        return replace(real(cert, r), witness=(0, 0, 0, 2, 1, 2))
+        s = real(cert, r)
+        return PointSetReport(s.params, s.r, s.set_label, s.mode, s.count_image,
+                              s.count_zero_set, (0, 0, 0, 2, 1, 2))
 
     monkeypatch.setattr(checks, "point_survey", later)
     result = checks.run_check("char-neq-p-refutation")
@@ -956,10 +960,10 @@ def test_point_survey_refuses_foreign_rows(params321):
         SciCertificate(params321, cert.rows[1:]),
         SciCertificate(params321, ((1, 2, x11_squared),) + cert.rows[1:]),
         SciCertificate(params321, ((1, 3, cert.rows[0][2]),) + cert.rows[1:]),
-        replace(build_certificate(make_params(3, 3, 1)), params=params321),
+        SciCertificate(params321, build_certificate(make_params(3, 3, 1)).rows),
     ]
     for other in foreign:
         for mode in (MODE_FULL, MODE_IMAGE):
             with pytest.raises(ValueError, match="build_certificate"):
                 point_survey(other, 5, mode=mode)
-    assert point_survey(replace(cert), 5).count_zero_set == 189
+    assert point_survey(SciCertificate(params321, cert.rows), 5).count_zero_set == 189
