@@ -17,11 +17,10 @@ import sys
 from . import checks, jsonio
 from .cohomology import CyclicAction, cohomology_orders, invariant_element
 from .combinatorics import VeroneseParams, exponent_vectors, index_tuples, parametrize
-from .combinatorics import polynomial_ring
+from .combinatorics import integer_ring, polynomial_ring
 from .fields import ZZ, PrimeField
 from .geometry import RootOfUnityError, fiber_check, jacobian_rank
 from .gluing import completely_p_glued
-from .polys import monomial_text
 from .sci import (
     MODE_FULL,
     MODE_IMAGE,
@@ -93,20 +92,28 @@ def _cmd_rewrite(args) -> int:
     else:
         with open(args.input) as fh:
             raw = fh.read()
+    params = _params_of(args)
     payload = json.loads(raw)
-    if isinstance(payload, dict) and "params" not in payload:
-        payload = dict(payload, params={"n": args.n, "p": args.p, "h": args.h})
+    if isinstance(payload, dict):
+        # params in the payload, nested or as n, p, h at the top level,
+        # must be the flags'; the flags stand in for any left out
+        given = payload.get("params", {k: payload.get(k, getattr(args, k)) for k in "nph"})
+        payload = dict(payload, params=given)
+        if jsonio.params_from_obj(given) != params:
+            raise ValueError(f"payload params {given} disagree with --n {args.n} --p {args.p} "
+                             f"--h {args.h}")
     tsb = jsonio.type_star_from_obj(payload)
     cert = rewrite(tsb)
     binomial = tsb.poly()
 
     def lines():
+        ring = integer_ring(params)
         yield f"input: {binomial.text()}"
         yield f"{len(cert)} steps"
         for st in cert.steps:
             sign = "+" if st.sign > 0 else "-"
-            cof = monomial_text(st.quadratic.ring, st.cofactor)
-            yield f"  {sign} ({st.quadratic.text()}) * {cof}"
+            yield (f"  {sign} ({jsonio.quadric_text(ring, st.quadratic)}) * "
+                   f"{jsonio.support_text(ring, st.cofactor)}")
 
     _emit(args, lambda: jsonio.rewrite_obj(cert, binomial), lines)
     return OK

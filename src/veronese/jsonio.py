@@ -142,20 +142,26 @@ def type_star_from_obj(obj: dict) -> TypeStarBinomial:
     return TypeStarBinomial(params, blocks, _ints(sigma, "sigma"))
 
 
+def support_obj(ring: PolyRing, support) -> list:
+    """monomial_obj of the monomial with (position, exponent) pairs support."""
+    return [[list(ring.variables[i]), e] for i, e in support]
+
+
+def support_text(ring: PolyRing, support) -> str:
+    """monomial_text of the monomial with (position, exponent) pairs support."""
+    names = ring.names
+    return "*".join(names[i] if e == 1 else f"{names[i]}^{e}" for i, e in support) or "1"
+
+
 def rewrite_obj(cert: RewriteCertificate, binomial: Poly) -> dict:
     ring = integer_ring(cert.params)
     return {
         "schema_version": SCHEMA_VERSION,
         "params": params_obj(cert.params),
         "input": binomial_obj(binomial),
-        "steps": [
-            {
-                "quadratic": binomial_obj(st.quadratic),
-                "cofactor": monomial_obj(ring, st.cofactor),
-                "sign": st.sign,
-            }
-            for st in cert.steps
-        ],
+        "steps": [{"quadratic": quadric_obj(ring, st.quadratic),
+                   "cofactor": support_obj(ring, st.cofactor), "sign": st.sign}
+                  for st in cert.steps],
     }
 
 

@@ -8,7 +8,6 @@ each step swapping one index between two blocks.
 
 from __future__ import annotations
 
-from collections import Counter
 from functools import lru_cache
 from itertools import combinations, groupby, repeat
 from operator import itemgetter
@@ -20,7 +19,7 @@ from .combinatorics import (
     integer_ring,
     polynomial_ring,
 )
-from .polys import Exponents, Poly, PolyRing, pair_exponents
+from .polys import Poly, PolyRing, pair_exponents
 from .records import record
 
 
@@ -149,10 +148,6 @@ class TypeStarBinomial:
         if sorted(self.sigma) != list(range(1, sq + 1)):
             raise ValueError(f"sigma must be a permutation of 1..{sq}")
 
-    @property
-    def s(self) -> int:
-        return len(self.blocks)
-
     def left_blocks(self) -> tuple:
         return self.blocks
 
@@ -160,29 +155,26 @@ class TypeStarBinomial:
         q = self.params.q
         seq = [i for b in self.blocks for i in b]
         scrambled = [seq[j - 1] for j in self.sigma]
-        return tuple(
-            tuple(sorted(scrambled[k * q : (k + 1) * q]))
-            for k in range(self.s)
-        )
+        return tuple(tuple(sorted(scrambled[k : k + q])) for k in range(0, len(scrambled), q))
 
     def is_zero(self) -> bool:
-        return Counter(self.left_blocks()) == Counter(self.right_blocks())
+        return sorted(self.blocks) == sorted(self.right_blocks())
 
     def poly(self, ring: PolyRing | None = None) -> Poly:
         ring = ring or integer_ring(self.params)
-        left = ring.exps_of([(b, 1) for b in self.left_blocks()])
-        right = ring.exps_of([(b, 1) for b in self.right_blocks()])
-        if left == right:
-            return ring.zero()
-        return Poly(ring, {left: 1, right: -1})
+        left, right = (ring.exps_of((b, 1) for b in side)
+                       for side in (self.blocks, self.right_blocks()))
+        return ring.zero() if left == right else Poly(ring, {left: 1, right: -1})
 
 
 @record
 class RewriteStep:
-    """One telescoping move: sign * x^cofactor * quadratic."""
+    """One telescoping move: sign * x^cofactor * quadratic, the quadric
+    a quadric_pairs-style position pair of integer_ring(params), the
+    cofactor its ascending (position, exponent) pairs."""
 
-    quadratic: Poly
-    cofactor: Exponents  # over integer_ring(params), like quadratic
+    quadratic: tuple
+    cofactor: tuple
     sign: int
 
 
@@ -194,9 +186,12 @@ class RewriteCertificate:
     def expansion(self) -> Poly:
         """Exact integer sum of the steps; equals the rewritten binomial."""
         ring = integer_ring(self.params)
-        total = ring.zero()
+        var, total = ring.variables, ring.zero()
         for st in self.steps:
-            total = total + st.quadratic * ring.poly({st.cofactor: st.sign})
+            (i, j), (k, l) = st.quadratic
+            quad = ring.poly({((var[i], 1), (var[j], 1)): 1, ((var[k], 1), (var[l], 1)): -1})
+            cofactor = ring.exps_of((var[i], x) for i, x in st.cofactor)
+            total = total + quad * ring.poly({cofactor: st.sign})
         return total
 
     def __len__(self) -> int:
@@ -209,61 +204,51 @@ def rewrite(binomial: TypeStarBinomial) -> RewriteCertificate:
     Greedy block fixing: the first block that differs from its target
     receives a needed index from a block holding it in excess, one
     cross-block swap per emitted step.  Swaps that merely permute equal
-    blocks adjust the bookkeeping without emitting a step.
+    blocks adjust the bookkeeping without emitting a step.  Blocks are
+    sorted tuples and steps are read off ring positions, so no step
+    costs more with |T|; the + monomial x_i * x_j of a quadric, the
+    lex-larger one, is the smaller pair (i, j) (see _sweep).
     """
     params = binomial.params
-    ring = integer_ring(params)
-    left = list(binomial.left_blocks())
-    right = list(binomial.right_blocks())
-    if Counter(left) == Counter(right):
-        raise ZeroBinomialError(
-            "zero binomial: sigma permutes the blocks among themselves"
-        )
+    pos = integer_ring(params).position
+    left, tgt = sorted(binomial.left_blocks()), sorted(binomial.right_blocks())
+    if left == tgt:
+        raise ZeroBinomialError("zero binomial: sigma permutes the blocks among themselves")
 
     # divide out blocks common to both sides; they ride along in cofactors
-    spectators: list = []
-    rcount = Counter(right)
-    cur: list = []
+    cur, spectators = [], []
     for b in left:
-        if rcount[b] > 0:
-            rcount[b] -= 1
-            spectators.append(b)
+        if b in tgt:
+            tgt.remove(b)
+            spectators.append(pos(b))
         else:
             cur.append(b)
-    tgt = sorted(rcount.elements())
-    cur.sort()
 
     steps: list = []
     while True:
         k = next((i for i in range(len(cur)) if cur[i] != tgt[i]), None)
         if k is None:
             break
-        want = Counter(tgt[k])
-        have = Counter(cur[k])
-        alpha = min(x for x in want if have[x] < want[x])
-        beta = min(x for x in have if have[x] > want[x])
-        l = next(
-            i
-            for i in range(len(cur))
-            if i != k and Counter(cur[i])[alpha] > Counter(tgt[i])[alpha]
-        )
-        new_k = tuple(sorted(_swap_once(cur[k], beta, alpha)))
-        new_l = tuple(sorted(_swap_once(cur[l], alpha, beta)))
-        if Counter([cur[k], cur[l]]) != Counter([new_k, new_l]):
-            mono_left = ring.exps_of([(cur[k], 1), (cur[l], 1)])
-            mono_right = ring.exps_of([(new_k, 1), (new_l, 1)])
-            quad = normalize_sign(Poly(ring, {mono_left: 1, mono_right: -1}))
-            sgn = quad.raw_terms()[mono_left]
-            cof = [(b, 1) for i, b in enumerate(cur) if i not in (k, l)]
-            cof += [(b, 1) for b in spectators]
-            steps.append(RewriteStep(quad, ring.exps_of(cof), sgn))
+        have, want = cur[k], tgt[k]
+        alpha = next(x for x in want if want.count(x) > have.count(x))
+        beta = next(x for x in have if have.count(x) > want.count(x))
+        l = next(i for i in range(len(cur))
+                 if i != k and cur[i].count(alpha) > tgt[i].count(alpha))
+        new_k, new_l = _swap_once(have, beta, alpha), _swap_once(cur[l], alpha, beta)
+        old = tuple(sorted((pos(have), pos(cur[l]))))
+        new = tuple(sorted((pos(new_k), pos(new_l))))
+        if old != new:
+            rest = sorted([pos(b) for i, b in enumerate(cur) if i != k and i != l] + spectators)
+            cof = tuple((i, rest.count(i)) for i in dict.fromkeys(rest))
+            quad, sign = ((old, new), 1) if old < new else ((new, old), -1)
+            steps.append(RewriteStep(quad, cof, sign))
         cur[k], cur[l] = new_k, new_l
 
     return RewriteCertificate(params, tuple(steps))
 
 
-def _swap_once(block: tuple, out_value: int, in_value: int) -> list:
+def _swap_once(block: tuple, out_value: int, in_value: int) -> tuple:
     items = list(block)
     items.remove(out_value)
     items.append(in_value)
-    return items
+    return tuple(sorted(items))

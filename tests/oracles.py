@@ -12,12 +12,14 @@ the pure coordinates that once counted the certificate's, and
 ``fiber_scan`` the scan of F_r that once built the ``fibers`` report.
 ``verify_char_p_dense`` and ``jacobian_row_dense`` are the Frobenius
 check and the Jacobian row as they once read the generators' dense
-exponent tuples, with the package's normal form.
+exponent tuples, with the package's normal form.  ``rewrite_dense`` is
+the block rewrite as it once ran, on Counters of blocks, with each
+step a sign-normalized ``Poly`` and a dense cofactor.
 """
 
 from __future__ import annotations
 
-from collections import deque
+from collections import Counter, deque
 from itertools import combinations, combinations_with_replacement, compress, product
 from math import comb, gcd, prod
 
@@ -36,9 +38,9 @@ from veronese.combinatorics import (
 from veronese.fields import PrimeField
 from veronese.gluing import SemigroupGens, semigroup_member
 from veronese.lattice import echelon_basis
-from veronese.polys import mono_support
+from veronese.polys import Poly, mono_support
 from veronese.sci import _frobenius_normal_form
-from veronese.toric import generators_over
+from veronese.toric import ZeroBinomialError, generators_over, normalize_sign
 
 
 def invariant_factors_minor_gcd(rows) -> list:
@@ -1064,3 +1066,51 @@ def jacobian_row_dense(terms: dict, w: tuple, r: int) -> list:
                     v = v * pow(w[j], y, r)
             row[i] = (row[i] + v) % r
     return row
+
+
+def rewrite_dense(binomial) -> list:
+    """The steps of ``toric.rewrite`` as (quadratic, cofactor, sign):
+    the quadratic a Poly over integer_ring(params) with its lex-larger
+    monomial positive, the cofactor a dense exponent tuple.  Blocks are
+    compared as Counters and every monomial is built by ``exps_of``."""
+    ring = integer_ring(binomial.params)
+    left = list(binomial.left_blocks())
+    right = list(binomial.right_blocks())
+    if Counter(left) == Counter(right):
+        raise ZeroBinomialError("zero binomial: sigma permutes the blocks among themselves")
+    # blocks common to both sides ride along in every cofactor
+    spectators, cur = [], []
+    rcount = Counter(right)
+    for b in left:
+        if rcount[b] > 0:
+            rcount[b] -= 1
+            spectators.append(b)
+        else:
+            cur.append(b)
+    tgt = sorted(rcount.elements())
+    cur.sort()
+
+    def swap_once(block, out_value, in_value):
+        items = list(block)
+        items.remove(out_value)
+        return tuple(sorted(items + [in_value]))
+
+    steps = []
+    while True:
+        k = next((i for i in range(len(cur)) if cur[i] != tgt[i]), None)
+        if k is None:
+            return steps
+        want, have = Counter(tgt[k]), Counter(cur[k])
+        alpha = min(x for x in want if have[x] < want[x])
+        beta = min(x for x in have if have[x] > want[x])
+        l = next(i for i in range(len(cur))
+                 if i != k and Counter(cur[i])[alpha] > Counter(tgt[i])[alpha])
+        new_k, new_l = swap_once(cur[k], beta, alpha), swap_once(cur[l], alpha, beta)
+        if Counter([cur[k], cur[l]]) != Counter([new_k, new_l]):
+            mono_left = ring.exps_of([(cur[k], 1), (cur[l], 1)])
+            mono_right = ring.exps_of([(new_k, 1), (new_l, 1)])
+            quad = normalize_sign(Poly(ring, {mono_left: 1, mono_right: -1}))
+            cof = [(b, 1) for i, b in enumerate(cur) if i not in (k, l)]
+            cof += [(b, 1) for b in spectators]
+            steps.append((quad, ring.exps_of(cof), quad.raw_terms()[mono_left]))
+        cur[k], cur[l] = new_k, new_l

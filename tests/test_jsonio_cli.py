@@ -36,7 +36,7 @@ from veronese import fields, jsonio
 from veronese.cli import build_parser, main
 from veronese.combinatorics import exponent_vectors, integer_ring, polynomial_ring
 from veronese.gluing import GluingComb
-from veronese.polys import Poly
+from veronese.polys import Poly, monomial_text
 from veronese.toric import generators_over, quadric_pairs
 
 
@@ -116,10 +116,28 @@ def test_rewrite_certificate_roundtrip(params321):
     assert _signed_terms(ring, obj["input"]) == _signs(t.poly())
     assert len(obj["steps"]) == len(cert) >= 1
     for doc, st in zip(obj["steps"], cert.steps):
-        assert _signed_terms(ring, doc["quadratic"]) == _signs(st.quadratic)
-        assert _exps(ring, doc["cofactor"]) == st.cofactor
+        assert _signed_terms(ring, doc["quadratic"]) == _signs(
+            oracles.quadric_poly(ring, st.quadratic))
+        cofactor = [(ring.variables[i], e) for i, e in st.cofactor]
+        assert _exps(ring, doc["cofactor"]) == ring.exps_of(cofactor)
         assert doc["sign"] == st.sign
     assert cert.expansion() == t.poly()
+
+
+@pytest.mark.parametrize("nph", [(3, 2, 1), (10, 2, 1), (3, 2, 2)], ids=lambda nph: "%d%d%d" % nph)
+def test_support_renderers_match_the_monomial_renderers(nph):
+    # every support of up to three positions, exponents 1 to 3, against
+    # monomial_obj and monomial_text of its dense exponent tuple
+    params = make_params(*nph)
+    ring = integer_ring(params)
+    rng = random.Random(5)
+    assert jsonio.support_text(ring, ()) == monomial_text(ring, (0,) * ring.nvars) == "1"
+    for _ in range(200):
+        at = sorted(rng.sample(range(ring.nvars), rng.randint(1, 3)))
+        support = tuple((i, rng.randint(1, 3)) for i in at)
+        exps = ring.exps_of((ring.variables[i], e) for i, e in support)
+        assert jsonio.support_obj(ring, support) == jsonio.monomial_obj(ring, exps)
+        assert jsonio.support_text(ring, support) == monomial_text(ring, exps)
 
 
 def test_type_star_from_obj(params321):
@@ -254,6 +272,37 @@ def test_cli_rewrite_from_file(tmp_path, capsys):
     )
     assert code == 0
     assert "1 steps" in out
+
+
+@pytest.mark.parametrize("payload", [
+    {"params": {"n": 4, "p": 2, "h": 1}, "blocks": [[1, 1], [2, 3]], "sigma": [2, 3, 1, 4]},
+    {"n": 4, "p": 2, "h": 1, "blocks": [[1, 1], [2, 3]], "sigma": [2, 3, 1, 4]},
+    {"h": 2, "blocks": [[1, 1, 1], [2, 2, 3]], "sigma": [4, 2, 3, 1, 5, 6]},
+], ids=["nested", "top-level", "top-level-h"])
+def test_cli_rewrite_refuses_params_other_than_the_flags(tmp_path, capsys, payload):
+    # the payload's params, nested or at the top level, must be the
+    # flags': a (4,2,1) payload is no (3,3,1) request
+    path = tmp_path / "binomial.json"
+    path.write_text(json.dumps(payload))
+    code = main(["rewrite", "--n", "3", "--p", "3", "--h", "1", "--input", str(path)])
+    captured = capsys.readouterr()
+    assert code == 2 and captured.out == ""
+    assert captured.err.startswith("error: payload params ")
+    assert captured.err.endswith(" disagree with --n 3 --p 3 --h 1\n")
+    assert captured.err.count("\n") == 1
+
+
+@pytest.mark.parametrize("extra", [{"params": {"n": 3, "p": 3, "h": 1}},
+                                   {"n": 3, "p": 3, "h": 1}, {"p": 3}, {}],
+                         ids=["nested", "top-level", "top-level-p", "none"])
+def test_cli_rewrite_takes_params_equal_to_the_flags(tmp_path, capsys, extra):
+    payload = {"blocks": [[1, 1, 1], [2, 2, 3]], "sigma": [4, 2, 3, 1, 5, 6], **extra}
+    path = tmp_path / "binomial.json"
+    path.write_text(json.dumps(payload))
+    code, out = run_cli(capsys, "rewrite", "--n", "3", "--p", "3", "--h", "1",
+                        "--input", str(path))
+    assert code == 0
+    assert out.splitlines()[:2] == ["input: -x112*x123 + x111*x223", "1 steps"]
 
 
 def test_cli_certificate_and_verify(capsys):
@@ -491,12 +540,31 @@ _FROZEN_ARGV = {
     # q = 4: 138 pairwise differences against 75 star quadrics
     "generators-322": ("generators", "--n", "3", "--p", "2", "--h", "2"),
     "generators-full-322": ("generators", "--n", "3", "--p", "2", "--h", "2", "--full"),
+    # odd p: three steps, one of them with a square term
+    "rewrite-331": ("rewrite", "--n", "3", "--p", "3", "--h", "1", "--input", "@payload"),
+    # q = 4: three steps around one spectator block
+    "rewrite-322": ("rewrite", "--n", "3", "--p", "2", "--h", "2", "--input", "@payload"),
+    # braced names x{1,10}, both signs
+    "rewrite-n10": ("rewrite",) + _P1021 + ("--input", "@payload"),
+    # eight blocks of q = 8: twelve steps over |T| = 165
+    "rewrite-423": ("rewrite", "--n", "4", "--p", "2", "--h", "3", "--input", "@payload"),
 }
 
 _FROZEN_PAYLOADS = {
     "rewrite": {"blocks": [[1, 1], [2, 3]], "sigma": [2, 3, 1, 4]},
     "rewrite-cofactor": {"blocks": [[1, 1], [2, 3], [3, 3]],
                          "sigma": [2, 3, 1, 4, 5, 6]},
+    "rewrite-331": {"blocks": [[1, 1, 1], [2, 2, 2], [3, 3, 3]],
+                    "sigma": [1, 4, 7, 2, 5, 8, 3, 6, 9]},
+    "rewrite-322": {"blocks": [[1, 1, 1, 1], [2, 2, 2, 2], [3, 3, 3, 3], [1, 2, 3, 3]],
+                    "sigma": [1, 5, 9, 2, 6, 10, 3, 7, 11, 4, 8, 12, 13, 14, 15, 16]},
+    "rewrite-n10": {"blocks": [[1, 10], [2, 9], [3, 8], [4, 7], [5, 6]],
+                    "sigma": [2, 4, 6, 8, 10, 1, 3, 5, 7, 9]},
+    "rewrite-423": {"blocks": [[1, 1, 1, 1, 1, 1, 1, 1], [1, 1, 2, 2, 3, 3, 4, 4],
+                               [1, 2, 2, 2, 2, 2, 2, 2], [1, 2, 3, 4, 4, 4, 4, 4],
+                               [2, 2, 3, 3, 3, 3, 4, 4], [3, 3, 3, 3, 3, 3, 3, 3],
+                               [1, 1, 1, 2, 3, 4, 4, 4], [2, 3, 3, 4, 4, 4, 4, 4]],
+                    "sigma": [5 * j % 64 + 1 for j in range(64)]},
 }
 
 # (case, format, exit code, SHA-256 of stdout)
@@ -547,6 +615,14 @@ _FROZEN_DOCUMENTS = (
     ("generators-322", "text", 0, "3e76a949bc2ee13c703ab07e24da5b6b3ab6c24c8f5482b306f7cb66361cb985"),
     ("generators-full-322", "json", 0, "2a28f9bd6d878663cde2c6e5566f5090e84bee16c7842f17ede73b4e2317f159"),
     ("generators-full-322", "text", 0, "24f033151c76999962cde3e3836ed76dd721e2d0a6fbf105f64e83712f4dfb32"),
+    ("rewrite-331", "json", 0, "d7063455de7d5885897d39826622ddc8ed028b84376b4d694eeb7f634f6d3b13"),
+    ("rewrite-331", "text", 0, "8a0ff841e7406f54202717b190bc361090dfb5b31e3509b71ae4f32a45ced360"),
+    ("rewrite-322", "json", 0, "57e40ad87b9fec18b09bb01711bf1fdea22c0e131a9ff143907a4718f178975a"),
+    ("rewrite-322", "text", 0, "7d18a2bbd0756c295eac91cc44059c89921ef01cd88cebeff89146008d68dea2"),
+    ("rewrite-n10", "json", 0, "034f4ec9f85d6ac49f9aead66ba075b12550a4867c609d150a09ab08752d9274"),
+    ("rewrite-n10", "text", 0, "11403aebc789975c0a068fcc83458adcb3b293feccc4057eb6bc5ed84718e3da"),
+    ("rewrite-423", "json", 0, "14930c5eb4fed1263b0290f048305cd22793505edc457e91f09eeca7443eb057"),
+    ("rewrite-423", "text", 0, "33757f230d85397bc6b5864783253de35ee66ab41678591d32dbede6ed8e65b5"),
 )
 
 

@@ -39,7 +39,9 @@ def _samples():
     cert = build_certificate(params)
     action = CyclicAction(4, 3)
     comb = completely_p_glued(params)
-    tsb = TypeStarBinomial(params, ((1, 1), (2, 2)), (1, 3, 2, 4))
+    # one step, x11*x22 - x12^2 at positions ((0, 3), (1, 1)), times the
+    # spectator x33 at position 5
+    tsb = TypeStarBinomial(params, ((1, 1), (2, 2), (3, 3)), (1, 3, 2, 4, 5, 6))
     certificate = rewrite(tsb)
     return [
         params,
@@ -101,6 +103,8 @@ def test_record_repr_equality_and_arguments():
     assert params == VeroneseParams(h=1, n=3, p=2) == VeroneseParams(3, p=2, h=1)
     assert params != VeroneseParams(3, 2, 2)
     assert len({params, VeroneseParams(3, 2, 1), VeroneseParams(4, 2, 1)}) == 2
+    step = SAMPLES[-3]
+    assert repr(step) == "RewriteStep(quadratic=((0, 3), (1, 1)), cofactor=((5, 1),), sign=1)"
     for args, kwargs in [((3, 2), {}), ((3, 2, 1, 1), {}), ((3, 2, 1), {"n": 3}),
                          ((3, 2), {"q": 2})]:
         with pytest.raises(TypeError):

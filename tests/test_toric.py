@@ -1,16 +1,19 @@
 import hashlib
 import random
+import tracemalloc
 from collections import Counter
 from itertools import combinations_with_replacement
 
 import pytest
 
 import oracles
-from conftest import GRID_T36, GRID_T600, make_params
+from conftest import GRID_T36, GRID_T600, clear_package_caches, make_params
+from veronese import polys, toric
 from veronese.combinatorics import index_tuples, integer_ring
 from veronese.fields import PrimeField
-from veronese.polys import mono_support
+from veronese.polys import Poly, PolyRing, mono_support
 from veronese.toric import (
+    RewriteStep,
     TypeStarBinomial,
     ZeroBinomialError,
     generators_over,
@@ -171,14 +174,20 @@ def test_normalize_sign():
 
 
 def test_type_star_validation(params321):
-    with pytest.raises(ValueError):
-        TypeStarBinomial(params321, ((1, 2, 3),), (1, 2, 3))  # block length 3 != q
-    with pytest.raises(ValueError):
-        TypeStarBinomial(params321, ((1, 2), (4, 4)), (1, 2, 3, 4))  # value 4 > n
-    with pytest.raises(ValueError):
-        TypeStarBinomial(params321, ((1, 2),), (1, 1))  # sigma not a permutation
-    with pytest.raises(ValueError):
-        TypeStarBinomial(params321, ((2, 1),), (1, 2))  # block not sorted
+    # each refusal with its message
+    for blocks, sigma, message in [
+        (((1, 2, 3),), (1, 2, 3), "block (1, 2, 3) must have length q=2"),
+        (((1, 2), (4, 4)), (1, 2, 3, 4), "index tuple (4, 4) has entries outside 1..3"),
+        (((1, 2), (0, 1)), (1, 2, 3, 4), "index tuple (0, 1) has entries outside 1..3"),
+        (((1.0, 2),), (1, 2), "index tuple (1.0, 2) has entries outside 1..3"),
+        (((2, 1),), (1, 2), "index tuple (2, 1) is not weakly increasing"),
+        (((1, 2),), (1, 1), "sigma must be a permutation of 1..2"),
+        (((1, 2),), (1, 2, 3), "sigma must be a permutation of 1..2"),
+        ((), (), "need at least one block"),
+    ]:
+        with pytest.raises(ValueError) as exc:
+            TypeStarBinomial(params321, blocks, sigma)
+        assert str(exc.value) == message
 
 
 def test_type_star_blocks_and_zero(params321):
@@ -208,8 +217,8 @@ def test_rewrite_single_quadratic(params321):
     t = TypeStarBinomial(params321, ((1, 1), (2, 3)), (2, 3, 1, 4))
     cert = rewrite(t)
     assert len(cert) == 1
-    step = cert.steps[0]
-    assert step.cofactor == (0,) * params321.cardinality()
+    # x11*x23 - x12*x13 at positions 0, 4 and 1, 2; no cofactor
+    assert cert.steps[0] == RewriteStep(((0, 4), (1, 2)), (), 1)
     assert cert.expansion() == t.poly()
 
 
@@ -221,40 +230,110 @@ def test_rewrite_worked_cubic(params321):
     )
     cert = rewrite(t)
     assert cert.expansion() == t.poly()
-    assert all(
-        sum(e) == 2 for st in cert.steps for e in st.quadratic.raw_terms()
-    )
-    assert all(sum(st.cofactor) == 1 for st in cert.steps)
+    spectator = integer_ring(params321).position((3, 3))
+    assert all(st.cofactor == ((spectator, 1),) for st in cert.steps)
+    for st in cert.steps:
+        plus, minus = st.quadratic
+        assert plus < minus and all(i <= j for i, j in st.quadratic)
 
 
-def test_rewrite_random_expansion_exact():
-    rng = random.Random(41)
-    trials = 0
-    while trials < 150:
-        n = rng.choice((2, 3, 4))
-        p, h = rng.choice(((2, 1), (3, 1), (2, 2)))
-        params = make_params(n, p, h)
-        q = params.q
-        s = rng.randint(1, 3)
+def _random_type_star(rng, params, s_max: int) -> TypeStarBinomial:
+    """A nonzero block binomial of 1 to s_max blocks."""
+    n, q = params.n, params.q
+    while True:
+        s = rng.randint(1, s_max)
         blocks = tuple(
             tuple(sorted(rng.choices(range(1, n + 1), k=q))) for _ in range(s)
         )
         sigma = tuple(rng.sample(range(1, s * q + 1), s * q))
         t = TypeStarBinomial(params, blocks, sigma)
-        if t.is_zero():
-            continue
-        trials += 1
+        if not t.is_zero():
+            return t
+
+
+def test_rewrite_random_expansion_exact():
+    rng = random.Random(41)
+    for _ in range(150):
+        n = rng.choice((2, 3, 4))
+        p, h = rng.choice(((2, 1), (3, 1), (2, 2)))
+        params = make_params(n, p, h)
+        ring = integer_ring(params)
+        t = _random_type_star(rng, params, 3)
         cert = rewrite(t)
         assert cert.expansion() == t.poly()
         for st in cert.steps:
-            terms = sorted(st.quadratic.raw_terms().items())
+            terms = sorted(oracles.quadric_poly(ring, st.quadratic).raw_terms().items())
             assert sorted(c for _, c in terms) == [-1, 1]
-            variables = st.quadratic.ring.variables
             (e1, _), (e2, _) = terms
-            assert oracles.content(variables, e1, n) == oracles.content(
-                variables, e2, n
+            assert oracles.content(ring.variables, e1, n) == oracles.content(
+                ring.variables, e2, n
             )
             assert st.sign in (-1, 1)
+
+
+@pytest.mark.parametrize("nph", GRID_T36, ids=lambda nph: "%d%d%d" % nph)
+def test_rewrite_matches_the_dense_oracle(nph):
+    # step by step against the Counter rewrite with Poly steps: the pair
+    # rebuilt by exps_of is the sign-normalized quadric, the support the
+    # dense cofactor
+    params = make_params(*nph)
+    ring = integer_ring(params)
+    rng = random.Random(hash(nph))
+    for _ in range(12):
+        t = _random_type_star(rng, params, 5)
+        steps = rewrite(t).steps
+        want = oracles.rewrite_dense(t)
+        assert len(steps) == len(want), t
+        for st, (quad, cofactor, sign) in zip(steps, want):
+            assert oracles.quadric_poly(ring, st.quadratic) == quad, t
+            assert ring.exps_of((ring.variables[i], e) for i, e in st.cofactor) == cofactor
+            assert st.sign == sign
+    zero = TypeStarBinomial(params, ((1,) * params.q,) * 2, tuple(range(2 * params.q, 0, -1)))
+    for rewriter in (rewrite, oracles.rewrite_dense):
+        with pytest.raises(ZeroBinomialError):
+            rewriter(zero)
+
+
+def _binomial_424() -> TypeStarBinomial:
+    """16 blocks at (4,2,4), |T| = 969: the pure tuples (j,) * 16 four
+    times each, scrambled by j -> 3j mod 256; 45 steps."""
+    blocks = tuple((j,) * 16 for j in range(1, 5) for _ in range(4))
+    sigma = tuple(3 * j % 256 + 1 for j in range(256))
+    return TypeStarBinomial(make_params(4, 2, 4), blocks, sigma)
+
+
+def test_rewrite_builds_no_poly_or_dense_tuple(monkeypatch):
+    # from cold caches the rewrite reads positions only: no Poly, no
+    # exps_of or pair_exponents, no Counter; at |T| = 969 it peaks at
+    # 20-50 kB, where its 45 steps with dense 969-entry tuples peaked at
+    # about 1.1 MB
+    calls = []
+    for label, owner, name in (("Poly", Poly, "__init__"), ("exps_of", PolyRing, "exps_of"),
+                               ("Counter", Counter, "__init__")):
+        real = getattr(owner, name)
+        monkeypatch.setattr(owner, name,
+                            lambda *args, real=real, label=label: calls.append(label) or real(*args))
+    for module in (toric, polys):
+        real = module.pair_exponents
+        monkeypatch.setattr(module, "pair_exponents",
+                            lambda *args, real=real: calls.append("pair") or real(*args))
+    t = _binomial_424()
+    rng = random.Random(7)
+    small = [_random_type_star(rng, make_params(*nph), 5) for nph in GRID_T36[:8]]
+    clear_package_caches()
+    certs = [rewrite(b) for b in small]
+    integer_ring(t.params)  # the ring, built once per process, is not the rewrite's
+    tracemalloc.start()
+    try:
+        cert = rewrite(t)
+        _, peak = tracemalloc.get_traced_memory()
+    finally:
+        tracemalloc.stop()
+    assert calls == []
+    assert len(cert) == 45 and peak < 100_000
+    # the spies see the dense check
+    assert all(c.expansion() == b.poly() for c, b in zip(certs + [cert], small + [t]))
+    assert "Poly" in calls and "exps_of" in calls
 
 
 def test_rewrite_steps_reduce_block_distance(params321):
